@@ -43,7 +43,6 @@ from .errors import (
 )
 from .estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
 from .features import FeatureVector, FeaturizerConfig, featurize, fnv1a_64
-from .losses import alignment_loss, contrastive_loss, task_loss
 from .mining import (
     MiningConfig,
     MiningResult,
@@ -57,16 +56,7 @@ from .mining import (
     topn_candidates,
     tune_threshold,
 )
-from .model import (
-    EncoderConfig,
-    EncoderModel,
-    HeadSet,
-    cosine_similarity,
-    encode,
-    forward_heads,
-    load_model,
-    save_model,
-)
+from .model import EncoderConfig, EncoderModel, HeadSet, load_model, save_model
 from .optim import Adam
 from .stats import WilliamsResult, pearson, score_histogram, t_tail, williams_test
 from .synth import (

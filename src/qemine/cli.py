@@ -39,7 +39,7 @@ from .mining import (
     score_matrix,
     tatoeba_accuracy,
 )
-from .model import load_model, save_model
+from .model import FEATURE_MAGIC, load_feature_model, load_model, save_feature_model, save_model
 from .stats import histogram_csv, pearson, score_histogram, t_tail, williams_test
 from .synth import SynthConfig, generate_corpus
 from .training import (
@@ -49,8 +49,6 @@ from .training import (
     feature_predict,
     grad_check,
     history_to_csv,
-    load_feature_model,
-    save_feature_model,
 )
 
 USAGE_EXIT = 1
@@ -235,12 +233,13 @@ def _cmd_mine_bucc(args, started):
 
 def _cmd_eval_qe(args, started):
     records = load_qe(args.qe, normalize=args.normalize)
-    try:
-        scorer = MultitaskScorer.load(args.model)
-        predictions = scorer.predict(records)
-    except QemineError:
-        stack = load_feature_model(args.model)
-        predictions = feature_predict(stack, records)
+    # Any QEF version goes to the feature-model reader, which reports its own errors.
+    with open(args.model, "rb") as handle:
+        is_feature_model = handle.read(3) == FEATURE_MAGIC[:3]
+    if is_feature_model:
+        predictions = feature_predict(load_feature_model(args.model), records)
+    else:
+        predictions = MultitaskScorer.load(args.model).predict(records)
     labels = np.array([r.score for r in records])
     correlation = pearson(predictions, labels)
     if args.out:

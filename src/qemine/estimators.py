@@ -232,13 +232,7 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
 
     def pair_cosines(self, texts_a, texts_b) -> np.ndarray:
         """Cosine per aligned pair (not the full cross product)."""
-        ua = self.embed(texts_a)
-        ub = self.embed(texts_b)
-        na = np.linalg.norm(ua, axis=1)
-        nb = np.linalg.norm(ub, axis=1)
-        denom = na * nb
-        safe = denom > 0
-        return np.where(safe, np.einsum("ij,ij->i", ua, ub) / np.where(safe, denom, 1.0), 0.0)
+        return backprop._cos_forward(self.embed(texts_a), self.embed(texts_b))[0]
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_")

@@ -1,4 +1,4 @@
-"""The embedding network, its task heads, and the model file format.
+"""The embedding network, its task heads, and the model file formats.
 
 The network maps a hashed n-gram vector x to an embedding
 ``e = W2 @ tanh(W1 @ x + b1) + b2``.  Three heads sit on top of pair
@@ -10,43 +10,48 @@ features built from the two sentence embeddings u and v:
 Weights are stored as float32 (matching the file format exactly, so a
 save/load round trip is bitwise); all arithmetic is done in float64.
 
-Model file layout (little-endian): magic ``QEM1``, version u16, dims
-(F, H, d) as u32, featurizer block (u32 order count, u32 orders, i64
-hash seed), row-major float32 arrays W1, b1, W2, b2, the QE/STS/NLI head
-blocks in that order, and finally the FNV-1a 64-bit checksum of all
-preceding bytes as u64.
+Both model files are one little-endian container: magic, version u16,
+header fields, row-major float32 arrays, and the 8-byte BLAKE2b digest
+of all preceding bytes.  An encoder header is dims (F, H, d) as u32 and
+the featurizer block (u32 order count, u32 orders, i64 hash seed); its
+arrays are W1, b1, W2, b2.  ``QEM2``: one encoder header; the encoder
+and QE/STS/NLI head arrays.  ``QEF2``: the head's hidden width (u32) and
+the STS, NLI, QE encoder headers; the three encoders' arrays, then
+hidden_w, hidden_b, out_w, out_b.  Version-1 files are rejected.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelCorruptionError, ModelFormatError
-from .features import FeatureVector, FeaturizerConfig, featurize, fnv1a_64
+from .features import FeaturizerConfig
 
 __all__ = [
     "EncoderModel",
     "HeadSet",
     "EncoderConfig",
-    "encode",
-    "cosine_similarity",
-    "forward_heads",
-    "regression_features",
-    "inference_features",
+    "FeatureStackModel",
     "save_model",
     "load_model",
     "model_to_bytes",
     "model_from_bytes",
+    "save_feature_model",
+    "load_feature_model",
     "TASKS",
 ]
 
 TASKS = ("qe", "sts", "nli")
 
-MAGIC = b"QEM1"
-VERSION = 1
+MAGIC = b"QEM2"
+FEATURE_MAGIC = b"QEF2"
+VERSION = 2
+_DIGEST_SIZE = 8
 
 
 def _f32(array) -> np.ndarray:
@@ -131,165 +136,141 @@ class HeadSet:
         return cls(reg, np.zeros(1), reg.copy(), np.zeros(1), np.zeros((3, 4 * embedding_dim + 1)))
 
 
-def encode(model: EncoderModel, fv: FeatureVector) -> np.ndarray:
-    """Embed one featurized sentence: W2 @ tanh(W1 @ x + b1) + b2."""
-    if fv.n_features != model.featurizer.n_features:
-        raise ValueError(
-            f"feature vector has {fv.n_features} buckets, model expects "
-            f"{model.featurizer.n_features}"
-        )
-    w1 = model.w1.astype(np.float64)
-    pre = w1[:, fv.indices] @ fv.values + model.b1.astype(np.float64)
-    hidden = np.tanh(pre)
-    return model.w2.astype(np.float64) @ hidden + model.b2.astype(np.float64)
+@dataclass(frozen=True)
+class FeatureStackModel:
+    """Three frozen backbones plus a two-layer quality head over their pair features.
 
-
-def encode_text(model: EncoderModel, text: str) -> np.ndarray:
-    return encode(model, featurize(text, model.featurizer))
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of two equal-length vectors; 0 by convention if either is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.sqrt(u @ u)
-    nv = np.sqrt(v @ v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float((u @ v) / (nu * nv))
-
-
-def regression_features(u, v) -> np.ndarray:
-    """Pair features for the regression heads: [|u-v|, u*v, cos(u,v)]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return np.concatenate([np.abs(u - v), u * v, [cosine_similarity(u, v)]])
-
-
-def inference_features(u, v) -> np.ndarray:
-    """Pair features for the NLI head: [u, v, |u-v|, u*v]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return np.concatenate([u, v, np.abs(u - v), u * v])
-
-
-def _logistic(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def forward_heads(model: EncoderModel, heads: HeadSet, pair, task: str):
-    """Score one (textA, textB) pair with the requested head.
-
-    QE and STS return a scalar in (0,1); NLI returns a probability triple.
+    The head's input is the concatenated regression pair features of the
+    STS, NLI and QE backbones, of width sum(2*d_i + 1).
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
-    u = encode_text(model, pair[0])
-    v = encode_text(model, pair[1])
-    if task == "nli":
-        feats = np.append(inference_features(u, v), 1.0)
-        return _softmax(heads.nli_w.astype(np.float64) @ feats)
-    feats = regression_features(u, v)
-    if task == "qe":
-        w, b = heads.qe_w, heads.qe_b
-    else:
-        w, b = heads.sts_w, heads.sts_b
-    return _logistic(float(w.astype(np.float64) @ feats + float(b[0])))
+
+    sts_backbone: EncoderModel
+    nli_backbone: EncoderModel
+    qe_backbone: EncoderModel
+    hidden_w: np.ndarray
+    hidden_b: np.ndarray
+    out_w: np.ndarray
+    out_b: np.ndarray
+
+    def __post_init__(self):
+        for name in ("hidden_w", "hidden_b", "out_w", "out_b"):
+            object.__setattr__(self, name, _f32(getattr(self, name)))
+        width = sum(2 * backbone.embedding_dim + 1 for backbone in self.backbones)
+        shapes = (self.hidden_w.shape, self.hidden_b.shape, self.out_w.shape, self.out_b.shape)
+        hidden = self.hidden_w.shape[0]
+        if shapes != ((hidden, width), (hidden,), (hidden,), (1,)):
+            raise ValueError(f"feature head shapes {shapes} do not fit {width} pair features")
+
+    @property
+    def backbones(self) -> tuple[EncoderModel, EncoderModel, EncoderModel]:
+        return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
 
 
-def _pack_array(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f4").tobytes()
+def _digest(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
+def _pack_frame(magic: bytes, header: bytes, arrays) -> bytes:
+    """The container: magic, version, header, <f4 arrays, digest."""
+    body = b"".join([magic, struct.pack("<H", VERSION), header,
+                     *(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)])
+    return body + _digest(body)
+
+
+def _encoder_header(model: EncoderModel) -> bytes:
+    cfg = model.featurizer
+    n_orders = len(cfg.ngram_orders)
+    return struct.pack(f"<IIII{n_orders}Iq", cfg.n_features, model.hidden_units,
+                       model.embedding_dim, n_orders, *cfg.ngram_orders, cfg.hash_seed)
+
+
+def _encoder_arrays(model: EncoderModel) -> list:
+    return [model.w1, model.b1, model.w2, model.b2]
+
+
+class _FrameReader:
+    """Checks a container's magic, version and digest, then serves
+    bounds-checked reads of its body."""
+
+    def __init__(self, blob: bytes, magic: bytes, path):
+        self.path = path
+        if len(blob) < len(magic) + 2 + _DIGEST_SIZE:
+            raise ModelCorruptionError(f"{path}: file truncated at {len(blob)} bytes")
+        found = blob[:4]
+        if found == magic[:3] + b"1":
+            raise ModelFormatError(f"{path}: version-1 model file ({found!r}); retrain the model")
+        if found != magic:
+            raise ModelFormatError(f"{path}: bad magic bytes {found!r}")
+        (version,) = struct.unpack_from("<H", blob, 4)
+        if version != VERSION:
+            raise ModelFormatError(f"{path}: unsupported version {version}")
+        self.body = memoryview(blob)[:-_DIGEST_SIZE]
+        if _digest(self.body) != blob[-_DIGEST_SIZE:]:
+            raise ModelCorruptionError(f"{path}: checksum mismatch")
+        self.offset = 6
+
+    def take(self, size: int) -> memoryview:
+        end = self.offset + size
+        if end > len(self.body):
+            raise ModelCorruptionError(f"{self.path}: header promises more data than the file has")
+        chunk = self.body[self.offset : end]
+        self.offset = end
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def arrays(self, shapes) -> list[np.ndarray]:
+        # Copies: views would be misaligned (the header is 2 mod 4 bytes
+        # long) and would keep the whole file buffer alive.
+        return [np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+                for shape in shapes]
+
+    def finish(self) -> None:
+        if self.offset != len(self.body):
+            raise ModelCorruptionError(f"{self.path}: trailing bytes after the last array")
+
+    def build(self, cls, *args):
+        """Construct a model object; a field it rejects means a corrupt file."""
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise ModelCorruptionError(f"{self.path}: {exc}") from exc
+
+    def encoder_header(self) -> tuple[FeaturizerConfig, int, int]:
+        n_features, hidden, dim, n_orders = self.unpack("<IIII")
+        orders = self.unpack(f"<{n_orders}I")
+        (hash_seed,) = self.unpack("<q")
+        return self.build(FeaturizerConfig, orders, n_features, hash_seed), hidden, dim
+
+    def encoder(self, header) -> EncoderModel:
+        featurizer, hidden, dim = header
+        shapes = [(hidden, featurizer.n_features), (hidden,), (dim, hidden), (dim,)]
+        return self.build(EncoderModel, featurizer, *self.arrays(shapes))
 
 
 def model_to_bytes(model: EncoderModel, heads: HeadSet | None = None) -> bytes:
-    """Serialize to the model file layout; missing heads are stored as zeros."""
+    """Serialize to the QEM2 layout; missing heads are stored as zeros."""
     if heads is None:
         heads = HeadSet.zeros(model.embedding_dim)
-    cfg = model.featurizer
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<H", VERSION)
-    blob += struct.pack(
-        "<III", cfg.n_features, model.hidden_units, model.embedding_dim
-    )
-    blob += struct.pack("<I", len(cfg.ngram_orders))
-    blob += struct.pack(f"<{len(cfg.ngram_orders)}I", *cfg.ngram_orders)
-    blob += struct.pack("<q", cfg.hash_seed)
-    for array in (model.w1, model.b1, model.w2, model.b2,
-                  heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w):
-        blob += _pack_array(array)
-    blob += struct.pack("<Q", fnv1a_64(bytes(blob)))
-    return bytes(blob)
+    head_arrays = [heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w]
+    return _pack_frame(MAGIC, _encoder_header(model), _encoder_arrays(model) + head_arrays)
 
 
 def save_model(model: EncoderModel, heads: HeadSet, path) -> None:
-    """Write the model file described in the module docstring."""
+    """Write the QEM2 file described in the module docstring."""
     with open(path, "wb") as handle:
         handle.write(model_to_bytes(model, heads))
 
 
-def _take(blob: bytes, offset: int, size: int, path) -> tuple[bytes, int]:
-    if offset + size > len(blob):
-        raise ModelCorruptionError(f"{path}: file truncated at byte {offset}")
-    return blob[offset : offset + size], offset + size
-
-
 def model_from_bytes(blob: bytes, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
     """Parse a serialized model; inverse of model_to_bytes."""
-    chunk, offset = _take(blob, 0, 4, path)
-    if chunk != MAGIC:
-        raise ModelFormatError(f"{path}: bad magic bytes {chunk!r}")
-    chunk, offset = _take(blob, offset, 2, path)
-    version = struct.unpack("<H", chunk)[0]
-    if version != VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    chunk, offset = _take(blob, offset, 12, path)
-    n_features, hidden, dim = struct.unpack("<III", chunk)
-    chunk, offset = _take(blob, offset, 4, path)
-    n_orders = struct.unpack("<I", chunk)[0]
-    chunk, offset = _take(blob, offset, 4 * n_orders, path)
-    orders = struct.unpack(f"<{n_orders}I", chunk)
-    chunk, offset = _take(blob, offset, 8, path)
-    hash_seed = struct.unpack("<q", chunk)[0]
-
-    shapes = [
-        (hidden, n_features),
-        (hidden,),
-        (dim, hidden),
-        (dim,),
-        (2 * dim + 1,),
-        (1,),
-        (2 * dim + 1,),
-        (1,),
-        (3, 4 * dim + 1),
-    ]
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        chunk, offset = _take(blob, offset, 4 * count, path)
-        arrays.append(np.frombuffer(chunk, dtype="<f4").reshape(shape))
-    chunk, offset = _take(blob, offset, 8, path)
-    declared = struct.unpack("<Q", chunk)[0]
-    if offset != len(blob):
-        raise ModelCorruptionError(f"{path}: {len(blob) - offset} trailing bytes")
-    if fnv1a_64(blob[:-8]) != declared:
-        raise ModelCorruptionError(f"{path}: checksum mismatch")
-
-    featurizer = FeaturizerConfig(tuple(orders), n_features, hash_seed)
-    model = EncoderModel(featurizer, *arrays[:4])
-    heads = HeadSet(*arrays[4:])
-    return model, heads
+    reader = _FrameReader(blob, MAGIC, path)
+    model = reader.encoder(reader.encoder_header())
+    dim = model.embedding_dim
+    heads = reader.arrays([(2 * dim + 1,), (1,), (2 * dim + 1,), (1,), (3, 4 * dim + 1)])
+    reader.finish()
+    return model, reader.build(HeadSet, *heads)
 
 
 def load_model(path) -> tuple[EncoderModel, HeadSet]:
@@ -297,3 +278,26 @@ def load_model(path) -> tuple[EncoderModel, HeadSet]:
     with open(path, "rb") as handle:
         blob = handle.read()
     return model_from_bytes(blob, path)
+
+
+def save_feature_model(model: FeatureStackModel, path) -> None:
+    """Write the QEF2 file described in the module docstring."""
+    header = struct.pack("<I", model.hidden_w.shape[0])
+    header += b"".join(_encoder_header(backbone) for backbone in model.backbones)
+    arrays = [array for backbone in model.backbones for array in _encoder_arrays(backbone)]
+    arrays += [model.hidden_w, model.hidden_b, model.out_w, model.out_b]
+    with open(path, "wb") as handle:
+        handle.write(_pack_frame(FEATURE_MAGIC, header, arrays))
+
+
+def load_feature_model(path) -> FeatureStackModel:
+    """Read a QEF2 file back; inverse of save_feature_model."""
+    with open(path, "rb") as handle:
+        reader = _FrameReader(handle.read(), FEATURE_MAGIC, path)
+    (hidden,) = reader.unpack("<I")
+    headers = [reader.encoder_header() for _ in range(3)]
+    backbones = [reader.encoder(header) for header in headers]
+    width = sum(2 * dim + 1 for _, _, dim in headers)
+    head = reader.arrays([(hidden, width), (hidden,), (hidden,), (1,)])
+    reader.finish()
+    return reader.build(FeatureStackModel, *backbones, *head)

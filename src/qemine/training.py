@@ -8,7 +8,6 @@ identical inputs and configs produce bit-identical serialized models.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +21,10 @@ from .backprop import (
     nli_batch,
     regression_batch,
 )
-from .errors import ConfigError, ModelCorruptionError, ModelFormatError
-from .features import FeaturizerConfig, featurize_all, fnv1a_64
-from .model import TASKS, EncoderConfig, EncoderModel, model_from_bytes, model_to_bytes
+from .errors import ConfigError
+from .features import FeaturizerConfig, featurize_all
+from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel
+from .model import load_feature_model, save_feature_model  # re-exported
 from .optim import Adam
 from .stats import pearson
 from .validation import as_nli_data, as_pair_scores, as_text_pairs
@@ -112,24 +112,6 @@ class AlignmentReport:
     cosine_before: float
     cosine_after: float
     heldout_size: int
-
-
-@dataclass(frozen=True)
-class FeatureStackModel:
-    """Three frozen backbones plus a two-layer quality head over their pair features."""
-
-    sts_backbone: EncoderModel
-    nli_backbone: EncoderModel
-    qe_backbone: EncoderModel
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("hidden_w", "hidden_b", "out_w", "out_b"):
-            array = np.ascontiguousarray(np.asarray(getattr(self, name)), dtype=np.float32)
-            object.__setattr__(self, name, array)
 
 
 class _BatchStream:
@@ -310,13 +292,7 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
 
 
 def _mean_cosine(params, Xa, Xb) -> float:
-    ua = embed(params, Xa)
-    ub = embed(params, Xb)
-    na = np.linalg.norm(ua, axis=1)
-    nb = np.linalg.norm(ub, axis=1)
-    denom = na * nb
-    safe = denom > 0
-    cos = np.where(safe, np.einsum("ij,ij->i", ua, ub) / np.where(safe, denom, 1.0), 0.0)
+    cos, _ = backprop._cos_forward(embed(params, Xa), embed(params, Xb))
     return float(cos.mean())
 
 
@@ -434,75 +410,16 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     return model, history
 
 
-_FEATURE_MAGIC = b"QEF1"
-
-
-def save_feature_model(model: FeatureStackModel, path) -> None:
-    """Container file: three embedded encoder blobs plus the head arrays."""
-    blob = bytearray()
-    blob += _FEATURE_MAGIC
-    blob += struct.pack("<H", 1)
-    blob += struct.pack("<II", model.hidden_w.shape[0], model.hidden_w.shape[1])
-    for backbone in (model.sts_backbone, model.nli_backbone, model.qe_backbone):
-        encoded = model_to_bytes(backbone)
-        blob += struct.pack("<Q", len(encoded))
-        blob += encoded
-    for array in (model.hidden_w, model.hidden_b, model.out_w, model.out_b):
-        blob += np.ascontiguousarray(array, dtype="<f4").tobytes()
-    blob += struct.pack("<Q", fnv1a_64(bytes(blob)))
-    with open(path, "wb") as handle:
-        handle.write(bytes(blob))
-
-
-def load_feature_model(path) -> FeatureStackModel:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[:4] != _FEATURE_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic bytes {blob[:4]!r}")
-    if len(blob) < 22 or fnv1a_64(blob[:-8]) != struct.unpack("<Q", blob[-8:])[0]:
-        raise ModelCorruptionError(f"{path}: checksum mismatch or truncated file")
-    offset = 4
-    (version,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    if version != 1:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    hidden, width = struct.unpack_from("<II", blob, offset)
-    offset += 8
-    backbones = []
-    for _ in range(3):
-        (size,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        encoder, _ = model_from_bytes(blob[offset : offset + size], path)
-        backbones.append(encoder)
-        offset += size
-    arrays = []
-    for shape in ((hidden, width), (hidden,), (hidden,), (1,)):
-        count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(blob[offset : offset + 4 * count], dtype="<f4").reshape(shape)
-        )
-        offset += 4 * count
-    if offset + 8 != len(blob):
-        raise ModelCorruptionError(f"{path}: unexpected trailing bytes")
-    return FeatureStackModel(*backbones, *arrays)
-
-
 def feature_predict(model: FeatureStackModel, pairs) -> np.ndarray:
     """Quality scores from a feature-extraction predictor."""
     pairs = as_text_pairs(pairs)
-    backbones = (model.sts_backbone, model.nli_backbone, model.qe_backbone)
-    feats = _stack_features(backbones, [p[0] for p in pairs], [p[1] for p in pairs])
+    feats = _stack_features(model.backbones, [p[0] for p in pairs], [p[1] for p in pairs])
     params = {
         "h_w": model.hidden_w.astype(np.float64),
         "h_b": model.hidden_b.astype(np.float64),
         "o_w": model.out_w.astype(np.float64),
         "o_b": model.out_b.astype(np.float64),
     }
-    if feats.shape[1] != params["h_w"].shape[1]:
-        raise ValueError(
-            f"backbone pair features have width {feats.shape[1]}, head expects "
-            f"{params['h_w'].shape[1]}"
-        )
     return _feature_head_forward(params, feats)[0]
 
 

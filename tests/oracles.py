@@ -1,0 +1,165 @@
+"""Scalar reference implementations that the batched package code is checked against.
+
+The per-example encoder, pair features and task heads mirror
+``qemine.backprop``'s batched forward passes, and the per-example losses
+with their analytic derivatives define the objectives its ``*_batch``
+functions must agree with.  They live here, not in the package, because
+only tests use them.
+"""
+
+import logging
+import math
+
+import numpy as np
+
+from qemine.features import FeatureVector, featurize
+from qemine.model import TASKS, EncoderModel, HeadSet
+
+logger = logging.getLogger(__name__)
+
+
+def encode(model: EncoderModel, fv: FeatureVector) -> np.ndarray:
+    """Embed one featurized sentence: W2 @ tanh(W1 @ x + b1) + b2."""
+    if fv.n_features != model.featurizer.n_features:
+        raise ValueError(
+            f"feature vector has {fv.n_features} buckets, model expects "
+            f"{model.featurizer.n_features}"
+        )
+    w1 = model.w1.astype(np.float64)
+    pre = w1[:, fv.indices] @ fv.values + model.b1.astype(np.float64)
+    hidden = np.tanh(pre)
+    return model.w2.astype(np.float64) @ hidden + model.b2.astype(np.float64)
+
+
+def encode_text(model: EncoderModel, text: str) -> np.ndarray:
+    return encode(model, featurize(text, model.featurizer))
+
+
+def cosine_similarity(u, v) -> float:
+    """Cosine of two equal-length vectors; 0 by convention if either is zero."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = np.sqrt(u @ u)
+    nv = np.sqrt(v @ v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float((u @ v) / (nu * nv))
+
+
+def regression_features(u, v) -> np.ndarray:
+    """Pair features for the regression heads: [|u-v|, u*v, cos(u,v)]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return np.concatenate([np.abs(u - v), u * v, [cosine_similarity(u, v)]])
+
+
+def inference_features(u, v) -> np.ndarray:
+    """Pair features for the NLI head: [u, v, |u-v|, u*v]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return np.concatenate([u, v, np.abs(u - v), u * v])
+
+
+def _logistic(z: float) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + np.exp(-z))
+    e = np.exp(z)
+    return e / (1.0 + e)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - np.max(logits)
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def forward_heads(model: EncoderModel, heads: HeadSet, pair, task: str):
+    """Score one (textA, textB) pair with the requested head.
+
+    QE and STS return a scalar in (0,1); NLI returns a probability triple.
+    """
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
+    u = encode_text(model, pair[0])
+    v = encode_text(model, pair[1])
+    if task == "nli":
+        feats = np.append(inference_features(u, v), 1.0)
+        return _softmax(heads.nli_w.astype(np.float64) @ feats)
+    feats = regression_features(u, v)
+    if task == "qe":
+        w, b = heads.qe_w, heads.qe_b
+    else:
+        w, b = heads.sts_w, heads.sts_b
+    return _logistic(float(w.astype(np.float64) @ feats + float(b[0])))
+
+
+def task_loss(task: str, prediction, label):
+    """Per-example loss and d(loss)/d(prediction) for one task head.
+
+    QE/STS use squared error on a scalar prediction; NLI uses cross
+    entropy on a probability triple with an integer class label.
+    """
+    if task in ("qe", "sts"):
+        p = float(prediction)
+        y = float(label)
+        if not 0.0 <= y <= 1.0:
+            raise ValueError(f"{task} label must lie in [0,1], got {y}")
+        diff = p - y
+        return diff * diff, 2.0 * diff
+    if task == "nli":
+        probs = np.asarray(prediction, dtype=np.float64)
+        y = int(label)
+        if y not in (0, 1, 2):
+            raise ValueError(f"nli label must be 0, 1 or 2, got {label}")
+        loss = -math.log(probs[y])
+        grad = np.zeros(3)
+        grad[y] = -1.0 / probs[y]
+        return loss, grad
+    raise ValueError(f"unknown task {task!r}")
+
+
+def contrastive_loss(distance: float, label: int, margin: float = 1.0):
+    """Margin contrastive loss over a similarity value and its derivative.
+
+    loss = (1-Y) * D^2/2 + Y * max(0, m-D)^2 / 2.  Positive pairs (Y=1)
+    are pushed up to the margin, negatives (Y=0) down to zero.  At the
+    hinge boundary D == m the subgradient 0 is used.
+    """
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    if not 0.0 < margin <= 1.0:
+        raise ValueError(f"margin must lie in (0,1], got {margin}")
+    if not -1.0 <= distance <= 1.0:
+        raise ValueError(f"similarity must lie in [-1,1], got {distance}")
+    hinge = max(0.0, margin - distance)
+    loss = (1 - label) * 0.5 * distance * distance + label * 0.5 * hinge * hinge
+    grad = (1 - label) * distance - label * hinge
+    return loss, grad
+
+
+def alignment_loss(embedding_pairs):
+    """Sum of (1 - cos(x, y)) over pairs, with gradients w.r.t. each x.
+
+    The y vectors are fixed targets and receive no gradient.  A pair with
+    a zero-norm member contributes loss 1 with zero gradient.
+    """
+    total = 0.0
+    grads = []
+    for x, y in embedding_pairs:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.shape != y.shape:
+            raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+        nx = np.sqrt(x @ x)
+        ny = np.sqrt(y @ y)
+        if nx == 0.0 or ny == 0.0:
+            logger.debug("zero-norm embedding in alignment pair; loss 1, zero gradient")
+            total += 1.0
+            grads.append(np.zeros_like(x))
+            continue
+        cos = (x @ y) / (nx * ny)
+        total += 1.0 - cos
+        grads.append(-(y / (nx * ny) - cos * x / (nx * nx)))
+    return total, grads

@@ -33,7 +33,6 @@ from qemine.corpus import (
 )
 from qemine.estimators import ContrastiveFilter, MultitaskScorer
 from qemine.features import FeaturizerConfig, featurize_all
-from qemine.losses import alignment_loss, contrastive_loss, task_loss
 from qemine.mining import MiningConfig, f1_score, mine_bucc, mine_tatoeba, score_matrix, tatoeba_accuracy, tune_threshold
 from qemine.model import EncoderConfig, load_model, save_model
 from qemine.optim import Adam
@@ -50,6 +49,7 @@ from qemine.training import (
     multitask_train,
 )
 
+from oracles import alignment_loss, contrastive_loss, task_loss
 from test_mining import _MatrixScorer, _RandomEmbedder, _brute_force_mutual_best
 from test_stats import _t_tail_by_quadrature, _williams_reference, _random_psd_triple
 

@@ -5,11 +5,10 @@ import pytest
 
 from qemine import backprop
 from qemine.features import featurize, featurize_all
-from qemine.losses import contrastive_loss, task_loss
-from qemine.model import cosine_similarity, forward_heads
 from qemine.training import _rng  # deterministic stream helper
 
 from conftest import SMALL_ENCODER
+from oracles import contrastive_loss, cosine_similarity, forward_heads, task_loss
 
 
 def _setup(seed=0, n_pairs=6):
@@ -87,7 +86,7 @@ class TestEngineMatchesScalarOps:
 
 class TestEmbedBatch:
     def test_matches_single_encode(self):
-        from qemine.model import encode
+        from oracles import encode
 
         params, texts_a, _, Xa, _, _ = _setup(seed=5)
         model = backprop.model_from_params(params, SMALL_ENCODER.featurizer)

@@ -104,6 +104,17 @@ class TestTrainPipeline:
         assert reported == pytest.approx(pearson(predicted, labels), abs=1e-12)
 
 
+    def test_eval_qe_reports_corrupt_model_file(self, synth_prefix, tmp_path, capsys):
+        model = tmp_path / "model.qem"
+        _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
+              "--epochs", 1, "--seed", 5, "--out", model, *NET])
+        blob = bytearray(model.read_bytes())
+        blob[40] ^= 0xFF
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model]) == 2
+        assert "checksum mismatch" in capsys.readouterr().err
+
 class TestAugmentAndFilter:
     def test_augment_output_loads_as_qe(self, synth_prefix, tmp_path):
         out = tmp_path / "aug.tsv"

@@ -4,8 +4,9 @@ import pytest
 from qemine.augment import AugmentConfig, augment_filtration
 from qemine.errors import NotFittedError
 from qemine.estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
-from qemine.model import forward_heads
 from qemine.synth import SynthConfig, generate_qe
+
+from oracles import forward_heads
 
 SMALL = dict(n_features=256, hidden_units=8, embedding_dim=6, ngram_orders=(1, 2, 3))
 

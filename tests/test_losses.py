@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qemine.losses import alignment_loss, contrastive_loss, task_loss
+from oracles import alignment_loss, contrastive_loss, task_loss
 
 
 class TestTaskLoss:

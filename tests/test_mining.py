@@ -144,7 +144,7 @@ class TestEmbedAndSimilarity:
         assert np.all(matrix.values <= 1.0)
 
     def test_matches_per_pair_cosine(self):
-        from qemine.model import cosine_similarity
+        from oracles import cosine_similarity
 
         embedder = _RandomEmbedder(seed=5)
         texts_a = [f"left {i}" for i in range(10)]

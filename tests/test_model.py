@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,16 @@ from qemine.errors import ModelCorruptionError, ModelFormatError
 from qemine.features import FeaturizerConfig, featurize
 from qemine.model import (
     EncoderModel,
+    FeatureStackModel,
     HeadSet,
-    cosine_similarity,
-    encode,
-    forward_heads,
+    load_feature_model,
     load_model,
     model_to_bytes,
+    save_feature_model,
     save_model,
 )
+
+from oracles import cosine_similarity, encode, forward_heads
 
 
 def _random_model(seed=0, n_features=256, hidden=8, dim=6, orders=(1, 2, 3)):
@@ -156,6 +160,31 @@ class TestForwardHeads:
             forward_heads(model, HeadSet.zeros(model.embedding_dim), ("a", "b"), "mt")
 
 
+def _resign(body: bytes) -> bytes:
+    """A container body followed by its valid checksum."""
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _feature_model_bytes(path) -> bytes:
+    rng = np.random.default_rng(30)
+    backbones = [_random_model(seed=31), _random_model(seed=32, dim=4), _random_model(seed=33)]
+    width = sum(2 * b.embedding_dim + 1 for b in backbones)
+    model = FeatureStackModel(*backbones, rng.normal(0, 0.3, (5, width)),
+                              rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 1))
+    save_feature_model(model, path)
+    return path.read_bytes()
+
+
+@pytest.fixture(params=["qem", "qef"])
+def model_file(request, tmp_path):
+    """(valid file bytes, loader, path for a damaged copy) of each model format."""
+    if request.param == "qem":
+        model = _random_model()
+        blob = model_to_bytes(model, HeadSet.zeros(model.embedding_dim))
+        return blob, load_model, tmp_path / "bad.qem"
+    return _feature_model_bytes(tmp_path / "good.qef"), load_feature_model, tmp_path / "bad.qef"
+
+
 class TestModelFile:
     def test_save_load_roundtrip_bitwise(self, tmp_path):
         model = _random_model(seed=20)
@@ -186,34 +215,71 @@ class TestModelFile:
         save_model(*load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.qem"
+    def test_wrong_magic(self, model_file):
+        _, load, path = model_file
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load(path)
 
-    def test_wrong_version(self, tmp_path):
-        model = _random_model()
-        blob = bytearray(model_to_bytes(model, HeadSet.zeros(model.embedding_dim)))
+    def test_wrong_version(self, model_file):
+        blob, load, path = model_file
+        blob = bytearray(blob)
         blob[4:6] = (99).to_bytes(2, "little")
-        path = tmp_path / "v99.qem"
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load(path)
 
-    def test_truncated_payload(self, tmp_path):
-        model = _random_model()
-        blob = model_to_bytes(model, HeadSet.zeros(model.embedding_dim))
-        path = tmp_path / "short.qem"
+    def test_version_one_file_rejected(self, model_file):
+        blob, load, path = model_file
+        path.write_bytes(blob[:3] + b"1" + (1).to_bytes(2, "little") + blob[6:])
+        with pytest.raises(ModelFormatError, match="version-1"):
+            load(path)
+
+    def test_truncated_payload(self, model_file):
+        blob, load, path = model_file
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ModelCorruptionError):
-            load_model(path)
+            load(path)
 
-    def test_corrupted_checksum(self, tmp_path):
-        model = _random_model()
-        blob = bytearray(model_to_bytes(model, HeadSet.zeros(model.embedding_dim)))
+    def test_corrupted_checksum(self, model_file):
+        blob, load, path = model_file
+        blob = bytearray(blob)
         blob[40] ^= 0xFF
-        path = tmp_path / "flip.qem"
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelCorruptionError):
-            load_model(path)
+            load(path)
+
+    @pytest.mark.parametrize("resign", [False, True], ids=["raw", "resigned"])
+    def test_trailing_bytes(self, model_file, resign):
+        blob, load, path = model_file
+        padded = blob + b"\x00" * 4
+        path.write_bytes(_resign(padded[:-8]) if resign else padded)
+        with pytest.raises(ModelCorruptionError):
+            load(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_resigned_header_off_by_one(self, model_file, delta):
+        # The first header field (F for QEM, the head's hidden width for
+        # QEF) disagrees with the arrays that follow, under a valid checksum.
+        blob, load, path = model_file
+        blob = bytearray(blob)
+        field = int.from_bytes(blob[6:10], "little") + delta
+        blob[6:10] = field.to_bytes(4, "little")
+        path.write_bytes(_resign(bytes(blob[:-8])))
+        with pytest.raises(ModelCorruptionError):
+            load(path)
+
+
+class TestFeatureStackModel:
+    def test_head_shapes_checked_against_backbones(self):
+        backbones = [_random_model(seed=34), _random_model(seed=35, dim=4), _random_model(seed=36)]
+        width = sum(2 * b.embedding_dim + 1 for b in backbones)
+        FeatureStackModel(*backbones, np.zeros((3, width)), np.zeros(3), np.zeros(3), np.zeros(1))
+        for head in (
+            (np.zeros((3, width - 1)), np.zeros(3), np.zeros(3), np.zeros(1)),
+            (np.zeros((3, width)), np.zeros(4), np.zeros(3), np.zeros(1)),
+            (np.zeros((3, width)), np.zeros(3), np.zeros(2), np.zeros(1)),
+            (np.zeros((3, width)), np.zeros(3), np.zeros(3), np.zeros(2)),
+        ):
+            with pytest.raises(ValueError):
+                FeatureStackModel(*backbones, *head)
