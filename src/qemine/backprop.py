@@ -1,4 +1,6 @@
-"""Batched forward/backward passes for every training objective.
+"""Batched forward/backward passes for every training objective, and the
+QE/STS and NLI heads (``regression_head``, ``nli_head``) that training
+and inference share.
 
 Parameters are plain dicts of float64 arrays keyed by block name
 ('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
@@ -13,10 +15,6 @@ import numpy as np
 
 from .features import FeaturizerConfig
 from .model import EncoderConfig, EncoderModel, HeadSet
-
-BACKBONE_BLOCKS = ("W1", "b1", "W2", "b2")
-HEAD_BLOCKS = {"qe": ("qe_w", "qe_b"), "sts": ("sts_w", "sts_b"), "nli": ("nli_w",)}
-
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
     """Seeded float64 parameter dict; heads start at zero (neutral outputs)."""
@@ -130,15 +128,12 @@ def _cos_backward(d_cos: np.ndarray, cache):
 
 
 def _reg_features_forward(ua: np.ndarray, ub: np.ndarray):
-    sign = np.sign(ua - ub)
-    prod = ua * ub
     cos, cos_cache = _cos_forward(ua, ub)
-    feats = np.concatenate([np.abs(ua - ub), prod, cos[:, None]], axis=1)
-    return feats, (sign, cos_cache)
+    return np.concatenate([np.abs(ua - ub), ua * ub, cos[:, None]], axis=1), cos_cache
 
 
-def _reg_features_backward(d_feats: np.ndarray, cache, ua, ub):
-    sign, cos_cache = cache
+def _reg_features_backward(d_feats: np.ndarray, cos_cache, ua, ub):
+    sign = np.sign(ua - ub)
     dim = ua.shape[1]
     d_abs = d_feats[:, :dim]
     d_prod = d_feats[:, dim : 2 * dim]
@@ -149,20 +144,19 @@ def _reg_features_backward(d_feats: np.ndarray, cache, ua, ub):
     return d_ua + ca, d_ub + cb
 
 
-def predict_regression(params: dict, task: str, Xa, Xb) -> np.ndarray:
-    ua = embed(params, Xa)
-    ub = embed(params, Xb)
-    feats, _ = _reg_features_forward(ua, ub)
+def regression_head(params: dict, task: str, ua: np.ndarray, ub: np.ndarray):
+    """QE or STS scores in (0,1) for aligned embedding rows, plus the pair
+    features and their cache for the backward pass."""
+    feats, cache = _reg_features_forward(ua, ub)
     z = feats @ params[f"{task}_w"] + params[f"{task}_b"][0]
-    return _sigmoid(z)
+    return _sigmoid(z), (feats, cache)
 
 
-def predict_nli(params: dict, Xa, Xb) -> np.ndarray:
-    ua = embed(params, Xa)
-    ub = embed(params, Xb)
+def nli_head(params: dict, ua: np.ndarray, ub: np.ndarray):
+    """NLI class probabilities for aligned embedding rows, plus the pair features."""
     feats = np.concatenate([ua, ub, np.abs(ua - ub), ua * ub], axis=1)
     w = params["nli_w"]
-    return _softmax_rows(feats @ w[:, :-1].T + w[:, -1])
+    return _softmax_rows(feats @ w[:, :-1].T + w[:, -1]), feats
 
 
 def regression_batch(params: dict, task: str, Xa, Xb, y: np.ndarray):
@@ -170,10 +164,8 @@ def regression_batch(params: dict, task: str, Xa, Xb, y: np.ndarray):
     n = len(y)
     ua, ha = embed_forward(params, Xa)
     ub, hb = embed_forward(params, Xb)
-    feats, cache = _reg_features_forward(ua, ub)
+    p, (feats, cache) = regression_head(params, task, ua, ub)
     w_name, b_name = f"{task}_w", f"{task}_b"
-    z = feats @ params[w_name] + params[b_name][0]
-    p = _sigmoid(z)
     diff = p - y
     losses = diff * diff
     dz = 2.0 * diff * p * (1.0 - p) / n
@@ -193,9 +185,8 @@ def nli_batch(params: dict, Xa, Xb, y: np.ndarray):
     ua, ha = embed_forward(params, Xa)
     ub, hb = embed_forward(params, Xb)
     sign = np.sign(ua - ub)
-    feats = np.concatenate([ua, ub, np.abs(ua - ub), ua * ub], axis=1)
+    probs, feats = nli_head(params, ua, ub)
     w = params["nli_w"]
-    probs = _softmax_rows(feats @ w[:, :-1].T + w[:, -1])
     rows = np.arange(n)
     losses = -np.log(probs[rows, y])
     d_logits = probs.copy()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -19,6 +20,7 @@ from . import __version__
 from .augment import AugmentConfig, augment_filtration, augment_scorer
 from .corpus import (
     load_bucc,
+    load_gold,
     load_nli,
     load_parallel,
     load_qe,
@@ -204,15 +206,13 @@ def _cmd_mine_bucc(args, started):
               file=sys.stderr)
         return USAGE_EXIT
     corpus = load_bucc(args.side_a, args.side_b, args.gold)
+    train_gold = load_gold(args.train_gold) if args.train_gold else None
+    if train_gold is not None and os.path.samefile(args.train_gold, args.gold):
+        print("warning: --train-gold is the --gold file, so the reported F1 is optimistic",
+              file=sys.stderr)
     filter_model = ContrastiveFilter.load(args.filter_model)
     scorer = MultitaskScorer.load(args.model)
     threshold = args.threshold if args.threshold == "auto" else float(args.threshold)
-    train_gold = None
-    if args.train_gold:
-        with open(args.train_gold, encoding="utf-8") as handle:
-            train_gold = {
-                tuple(line.split("\t")) for line in handle.read().splitlines() if line
-            }
     config = MiningConfig(top_n=args.topn, threshold=threshold)
     result = mine_bucc(corpus, filter_model, scorer, config, train_gold)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -226,7 +226,8 @@ def _cmd_mine_bucc(args, started):
         file=sys.stderr,
     )
     _write_manifest(args.out, "mine-bucc", args, args.seed,
-                    [args.side_a, args.side_b, args.gold, args.filter_model, args.model],
+                    [args.side_a, args.side_b, args.gold, args.train_gold,
+                     args.filter_model, args.model],
                     [args.out], started)
     return 0
 
@@ -463,8 +464,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         return args.func(args, started)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return DATA_EXIT
     except (QemineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

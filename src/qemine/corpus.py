@@ -39,6 +39,7 @@ __all__ = [
     "load_tatoeba",
     "save_tatoeba",
     "load_bucc",
+    "load_gold",
     "save_bucc",
 ]
 
@@ -310,15 +311,15 @@ def _load_bucc_side(path) -> dict:
     return side
 
 
+def load_gold(path) -> frozenset:
+    """Load a gold link file of ``idA<TAB>idB`` lines."""
+    lines = enumerate(_data_lines(path), start=1)
+    return frozenset(tuple(_split_columns(line, 2, path, lineno)) for lineno, line in lines)
+
+
 def load_bucc(path_a, path_b, gold_path) -> BuccCorpus:
     """Load one ``id<TAB>sentence`` file per side plus a gold link file."""
-    side_a = _load_bucc_side(path_a)
-    side_b = _load_bucc_side(path_b)
-    gold = []
-    for lineno, line in enumerate(_data_lines(gold_path), start=1):
-        id_a, id_b = _split_columns(line, 2, gold_path, lineno)
-        gold.append((id_a, id_b))
-    return BuccCorpus(side_a, side_b, frozenset(gold))
+    return BuccCorpus(_load_bucc_side(path_a), _load_bucc_side(path_b), load_gold(gold_path))
 
 
 def save_bucc(corpus: BuccCorpus, path_a, path_b, gold_path) -> None:

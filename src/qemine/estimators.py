@@ -3,9 +3,13 @@
 These follow the scikit-learn conventions: hyperparameters are
 constructor arguments mirrored by get_params/set_params, fit returns
 self, fitted state lives in trailing-underscore attributes, and
-inference goes through predict/transform.  They also implement the
-scorer/encoder protocols the mining pipelines expect (``score_pairs``,
-``score_matrix``, ``embed``).
+inference goes through predict/transform.
+
+Every model exposes ``embed(texts)``: one embedding row per text, in
+input order, with each distinct text featurized and embedded once by
+``_embed_texts``.  Scorers add ``score_embeddings(ua, ub)``, the quality
+head over aligned embedding rows.  Mining and all text-level inference
+(``predict*``, ``score_pairs``, ``score_matrix``) go through these two.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ import inspect
 
 import numpy as np
 
-from . import backprop
+from . import backprop, mining
 from .errors import ConfigError
 from .features import FeaturizerConfig, featurize_all
 from .model import EncoderConfig, HeadSet, load_model, save_model
 from .training import (
     ContrastiveConfig,
     TrainConfig,
-    feature_predict,
+    _feature_head_forward,
     multitask_train,
     train_filtration,
     train_feature_stack,
@@ -51,10 +55,44 @@ class _EstimatorMixin:
         return self
 
 
+def _embed_texts(params: dict, featurizer: FeaturizerConfig, texts) -> np.ndarray:
+    """Embedding rows for ``texts`` in input order; each distinct text is
+    featurized and embedded once."""
+    first: dict = {}
+    rows = [first.setdefault(text, len(first)) for text in texts]
+    return backprop.embed(params, featurize_all(list(first), featurizer))[rows]
+
+
+def _score_text_pairs(scorer, pairs, **head) -> np.ndarray:
+    """Scores of aligned (textA, textB) pairs from one ``embed`` call over both sides."""
+    pairs = as_text_pairs(pairs)
+    u = scorer.embed([p[0] for p in pairs] + [p[1] for p in pairs])
+    return scorer.score_embeddings(u[: len(pairs)], u[len(pairs) :], **head)
+
+
 class _EncoderParams:
+    """Encoder hyperparameters, fitted-state checks and loading by encoder."""
+
+    _fitted = ("encoder_",)
+
     def _encoder_config(self) -> EncoderConfig:
         featurizer = FeaturizerConfig(tuple(self.ngram_orders), self.n_features, self.hash_seed)
         return EncoderConfig(featurizer, self.hidden_units, self.embedding_dim)
+
+    def _require_fitted(self):
+        check_is_fitted(self, *self._fitted)
+        if self._params64 is None:
+            self._params64 = backprop.params_from_model(self.encoder_, getattr(self, "heads_", None))
+        return self._params64
+
+    @classmethod
+    def _from_encoder(cls, model):
+        featurizer = model.featurizer
+        est = cls(n_features=featurizer.n_features, hidden_units=model.hidden_units,
+                  embedding_dim=model.embedding_dim, ngram_orders=featurizer.ngram_orders,
+                  hash_seed=featurizer.hash_seed)
+        est.encoder_ = model
+        return est
 
 
 class MultitaskScorer(_EstimatorMixin, _EncoderParams):
@@ -70,6 +108,8 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         Replace the fixed epoch count with early stopping on validation
         Pearson (requires a validation set at fit time).
     """
+
+    _fitted = ("encoder_", "heads_")
 
     def __init__(self, tasks=("qe", "sts", "nli"), epochs=3, finetune_epochs=1,
                  batch_size=32, learning_rate=1e-3, n_features=32768,
@@ -112,54 +152,36 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.encoder_, self.heads_, self.history_ = multitask_train(
             qe, sts, nli, self._train_config(), self._encoder_config(), validation
         )
-        self._params64 = backprop.params_from_model(self.encoder_, self.heads_)
+        self._params64 = None
         return self
 
-    def _require_fitted(self):
-        check_is_fitted(self, "encoder_", "heads_")
-        if self._params64 is None:
-            self._params64 = backprop.params_from_model(self.encoder_, self.heads_)
-        return self._params64
+    def embed(self, texts) -> np.ndarray:
+        """Backbone embeddings, one row per text."""
+        return _embed_texts(self._require_fitted(), self.encoder_.featurizer, texts)
 
-    def _featurize_pair_lists(self, texts_a, texts_b):
-        featurizer = self.encoder_.featurizer
-        return featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
+    def score_embeddings(self, ua, ub, task="qe") -> np.ndarray:
+        """QE (default) or STS scores in (0,1), or NLI class probabilities."""
+        params = self._require_fitted()
+        if task == "nli":
+            return backprop.nli_head(params, ua, ub)[0]
+        return backprop.regression_head(params, task, ua, ub)[0]
 
     def score_pairs(self, texts_a, texts_b) -> np.ndarray:
-        params = self._require_fitted()
-        Xa, Xb = self._featurize_pair_lists(list(texts_a), list(texts_b))
-        return backprop.predict_regression(params, "qe", Xa, Xb)
+        return self.score_embeddings(self.embed(texts_a), self.embed(texts_b))
 
     def predict(self, pairs) -> np.ndarray:
         """Quality scores in (0,1) for (source, translation) pairs."""
-        pairs = as_text_pairs(pairs)
-        return self.score_pairs([p[0] for p in pairs], [p[1] for p in pairs])
+        return _score_text_pairs(self, pairs)
 
     def predict_sts(self, pairs) -> np.ndarray:
-        params = self._require_fitted()
-        pairs = as_text_pairs(pairs)
-        Xa, Xb = self._featurize_pair_lists([p[0] for p in pairs], [p[1] for p in pairs])
-        return backprop.predict_regression(params, "sts", Xa, Xb)
+        return _score_text_pairs(self, pairs, task="sts")
 
     def predict_nli(self, pairs) -> np.ndarray:
-        params = self._require_fitted()
-        pairs = as_text_pairs(pairs)
-        Xa, Xb = self._featurize_pair_lists([p[0] for p in pairs], [p[1] for p in pairs])
-        return backprop.predict_nli(params, Xa, Xb)
+        return _score_text_pairs(self, pairs, task="nli")
 
     def score_matrix(self, references, hypotheses) -> np.ndarray:
         """All pairwise QE scores, embedding each sentence only once."""
-        params = self._require_fitted()
-        Xr, Xh = self._featurize_pair_lists(list(references), list(hypotheses))
-        ur = backprop.embed(params, Xr)
-        uh = backprop.embed(params, Xh)
-        rows = []
-        for i in range(ur.shape[0]):
-            ua = np.broadcast_to(ur[i], uh.shape)
-            feats, _ = backprop._reg_features_forward(ua, uh)
-            z = feats @ params["qe_w"] + params["qe_b"][0]
-            rows.append(backprop._sigmoid(z))
-        return np.stack(rows)
+        return mining.score_matrix(self, references, hypotheses).values
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_", "heads_")
@@ -168,14 +190,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
     @classmethod
     def load(cls, path) -> "MultitaskScorer":
         model, heads = load_model(path)
-        est = cls(
-            n_features=model.featurizer.n_features,
-            hidden_units=model.hidden_units,
-            embedding_dim=model.embedding_dim,
-            ngram_orders=model.featurizer.ngram_orders,
-            hash_seed=model.featurizer.hash_seed,
-        )
-        est.encoder_ = model
+        est = cls._from_encoder(model)
         est.heads_ = heads
         return est
 
@@ -212,20 +227,12 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
         self.encoder_, self.history_ = train_filtration(
             positives, negatives, config, ContrastiveConfig(self.margin), self._encoder_config()
         )
-        self._params64 = backprop.params_from_model(self.encoder_)
+        self._params64 = None
         return self
-
-    def _require_fitted(self):
-        check_is_fitted(self, "encoder_")
-        if self._params64 is None:
-            self._params64 = backprop.params_from_model(self.encoder_)
-        return self._params64
 
     def embed(self, texts) -> np.ndarray:
         """Raw sentence embeddings, one row per text."""
-        params = self._require_fitted()
-        X = featurize_all(list(texts), self.encoder_.featurizer)
-        return backprop.embed(params, X)
+        return _embed_texts(self._require_fitted(), self.encoder_.featurizer, texts)
 
     def transform(self, texts) -> np.ndarray:
         return self.embed(texts)
@@ -240,16 +247,7 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
 
     @classmethod
     def load(cls, path) -> "ContrastiveFilter":
-        model, _ = load_model(path)
-        est = cls(
-            n_features=model.featurizer.n_features,
-            hidden_units=model.hidden_units,
-            embedding_dim=model.embedding_dim,
-            ngram_orders=model.featurizer.ngram_orders,
-            hash_seed=model.featurizer.hash_seed,
-        )
-        est.encoder_ = model
-        return est
+        return cls._from_encoder(load_model(path)[0])
 
 
 class FeatureStackScorer(_EstimatorMixin):
@@ -290,9 +288,29 @@ class FeatureStackScorer(_EstimatorMixin):
         )
         return self
 
+    def _backbones(self):
+        return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
+
+    def embed(self, texts) -> np.ndarray:
+        """The three backbones' embeddings side by side, one row per text."""
+        texts = list(texts)
+        return np.hstack([_embed_texts(backprop.params_from_model(b), b.featurizer, texts)
+                          for b in self._backbones()])
+
+    def pair_features(self, ua, ub) -> np.ndarray:
+        """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""
+        splits = np.cumsum([b.embedding_dim for b in self._backbones()])[:-1]
+        pieces = zip(np.split(ua, splits, axis=1), np.split(ub, splits, axis=1))
+        return np.hstack([backprop._reg_features_forward(a, b)[0] for a, b in pieces])
+
+    def score_embeddings(self, ua, ub) -> np.ndarray:
+        """QE scores in (0,1) for aligned ``embed`` rows."""
+        check_is_fitted(self, "model_")
+        m = self.model_
+        head = (m.hidden_w, m.hidden_b, m.out_w, m.out_b)
+        return _feature_head_forward(self.pair_features(ua, ub),
+                                     *(w.astype(np.float64) for w in head))[0]
+
     def predict(self, pairs) -> np.ndarray:
         check_is_fitted(self, "model_")
-        return feature_predict(self.model_, pairs)
-
-    def score_pairs(self, texts_a, texts_b) -> np.ndarray:
-        return self.predict(list(zip(texts_a, texts_b)))
+        return _score_text_pairs(self, pairs)

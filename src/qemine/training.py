@@ -137,17 +137,12 @@ class _BatchStream:
         return batch
 
 
-def _featurized_pairs(texts_a, texts_b, featurizer):
-    return featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
-
-
 def _prepare_task(task, data, featurizer):
     if task == "nli":
         a, b, y = as_nli_data(data)
     else:
         a, b, y = as_pair_scores(data)
-    Xa, Xb = _featurized_pairs(a, b, featurizer)
-    return Xa, Xb, y
+    return featurize_all(a, featurizer), featurize_all(b, featurizer), y
 
 
 def _task_step(task, params, Xa, Xb, y, idx):
@@ -196,7 +191,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
-        vXa, vXb = _featurized_pairs(va, vb, featurizer)
+        vXa, vXb = featurize_all(va, featurizer), featurize_all(vb, featurizer)
 
     def run_epoch(epoch, tasks):
         sums = {t: 0.0 for t in tasks}
@@ -216,7 +211,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
             )
 
     def validation_pearson():
-        pred = backprop.predict_regression(params, "qe", vXa, vXb)
+        pred, _ = backprop.regression_head(params, "qe", embed(params, vXa), embed(params, vXb))
         try:
             return pearson(pred, vy)
         except ValueError:
@@ -272,7 +267,7 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
     featurizer = encoder.featurizer
-    Xa, Xb = _featurized_pairs(texts_a, texts_b, featurizer)
+    Xa, Xb = featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
     adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_FILTER))
@@ -342,23 +337,9 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     return aligned, AlignmentReport(before, after, heldout_size)
 
 
-def _stack_features(backbones, sources, targets) -> np.ndarray:
-    blocks = []
-    for backbone in backbones:
-        p = backprop.params_from_model(backbone)
-        Xa = featurize_all(sources, backbone.featurizer)
-        Xb = featurize_all(targets, backbone.featurizer)
-        ua = embed(p, Xa)
-        ub = embed(p, Xb)
-        feats, _ = backprop._reg_features_forward(ua, ub)
-        blocks.append(feats)
-    return np.concatenate(blocks, axis=1)
-
-
-def _feature_head_forward(params, feats):
-    hidden = np.tanh(feats @ params["h_w"].T + params["h_b"])
-    z = hidden @ params["o_w"] + params["o_b"][0]
-    return backprop._sigmoid(z), hidden
+def _feature_head_forward(feats, h_w, h_b, o_w, o_b):
+    hidden = np.tanh(feats @ h_w.T + h_b)
+    return backprop._sigmoid(hidden @ o_w + o_b[0]), hidden
 
 
 def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
@@ -369,9 +350,11 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     three backbones; only the two-layer head (tanh hidden layer,
     logistic output) is trained.  Returns (FeatureStackModel, history).
     """
-    backbones = (sts_backbone, nli_backbone, qe_backbone)
+    from .estimators import FeatureStackScorer  # estimators imports this module
+
+    stack = FeatureStackScorer(sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    feats = _stack_features(backbones, sources, targets)
+    feats = stack.pair_features(stack.embed(sources), stack.embed(targets))
     n, width = feats.shape
 
     rng = _rng(config.seed, _TAG_FEATURE)
@@ -390,7 +373,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
         for _ in range(stream.batches_per_pass):
             idx = stream.next_batch()
             f = feats[idx]
-            p, hidden = _feature_head_forward(params, f)
+            p, hidden = _feature_head_forward(f, **params)
             diff = p - y[idx]
             dz = 2.0 * diff * p * (1.0 - p) / len(idx)
             d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
@@ -412,15 +395,11 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
 
 def feature_predict(model: FeatureStackModel, pairs) -> np.ndarray:
     """Quality scores from a feature-extraction predictor."""
-    pairs = as_text_pairs(pairs)
-    feats = _stack_features(model.backbones, [p[0] for p in pairs], [p[1] for p in pairs])
-    params = {
-        "h_w": model.hidden_w.astype(np.float64),
-        "h_b": model.hidden_b.astype(np.float64),
-        "o_w": model.out_w.astype(np.float64),
-        "o_b": model.out_b.astype(np.float64),
-    }
-    return _feature_head_forward(params, feats)[0]
+    from .estimators import FeatureStackScorer  # estimators imports this module
+
+    scorer = FeatureStackScorer(*model.backbones)
+    scorer.model_ = model
+    return scorer.predict(pairs)
 
 
 @dataclass
@@ -495,26 +474,20 @@ def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckRep
     else:
         raise RuntimeError("could not sample a configuration away from kinks")
 
-    if loss_kind == "qe-mse":
+    if loss_kind in ("qe-mse", "sts-mse"):
         y = rng.uniform(0.05, 0.95, n_pairs)
-        loss_fn = lambda p: float(regression_batch(p, "qe", Xa, Xb, y)[0].mean())
-        _, grads = regression_batch(params, "qe", Xa, Xb, y)
-    elif loss_kind == "sts-mse":
-        y = rng.uniform(0.05, 0.95, n_pairs)
-        loss_fn = lambda p: float(regression_batch(p, "sts", Xa, Xb, y)[0].mean())
-        _, grads = regression_batch(params, "sts", Xa, Xb, y)
+        batch = lambda p: regression_batch(p, loss_kind.removesuffix("-mse"), Xa, Xb, y)
     elif loss_kind == "nli-ce":
         y = rng.integers(0, 3, n_pairs)
-        loss_fn = lambda p: float(nli_batch(p, Xa, Xb, y)[0].mean())
-        _, grads = nli_batch(params, Xa, Xb, y)
+        batch = lambda p: nli_batch(p, Xa, Xb, y)
     elif loss_kind == "contrastive":
         y = np.array([1.0, 0.0] * (n_pairs // 2))
-        loss_fn = lambda p: float(contrastive_batch(p, Xa, Xb, y, margin)[0].mean())
-        _, grads = contrastive_batch(params, Xa, Xb, y, margin)
+        batch = lambda p: contrastive_batch(p, Xa, Xb, y, margin)
     else:  # alignment
         targets = rng.normal(0.0, 1.0, size=(n_pairs, encoder.embedding_dim))
-        loss_fn = lambda p: float(alignment_batch(p, Xa, targets)[0].mean())
-        _, grads = alignment_batch(params, Xa, targets)
+        batch = lambda p: alignment_batch(p, Xa, targets)
+    loss_fn = lambda p: float(batch(p)[0].mean())
+    _, grads = batch(params)
 
     report = GradCheckReport(loss_kind, eps)
     for name, analytic in grads.items():

@@ -1,18 +1,23 @@
-"""Scalar reference implementations that the batched package code is checked against.
+"""Reference implementations that the package code is checked against.
 
 The per-example encoder, pair features and task heads mirror
 ``qemine.backprop``'s batched forward passes, and the per-example losses
 with their analytic derivatives define the objectives its ``*_batch``
-functions must agree with.  They live here, not in the package, because
-only tests use them.
+functions must agree with.  The text-pair scoring path at the end
+featurizes and embeds every text of every pair; the package's
+``embed`` + ``score_embeddings`` path must reproduce its scores bit for
+bit.  They live here, not in the package, because only tests use them.
 """
 
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from qemine.features import FeatureVector, featurize
+from qemine import backprop, mining
+from qemine.estimators import FeatureStackScorer
+from qemine.features import FeatureVector, featurize, featurize_all
 from qemine.model import TASKS, EncoderModel, HeadSet
 
 logger = logging.getLogger(__name__)
@@ -163,3 +168,78 @@ def alignment_loss(embedding_pairs):
         total += 1.0 - cos
         grads.append(-(y / (nx * ny) - cos * x / (nx * nx)))
     return total, grads
+
+
+# -- text-pair scoring: every text of every pair featurized and embedded ----
+
+
+def _embed_each(params, featurizer, texts) -> np.ndarray:
+    return backprop.embed(params, featurize_all(list(texts), featurizer))
+
+
+def text_pair_embed(encoder, texts) -> np.ndarray:
+    """Embeddings of a fitted ContrastiveFilter or MultitaskScorer, one
+    featurization per text, repeats included."""
+    return _embed_each(backprop.params_from_model(encoder.encoder_), encoder.encoder_.featurizer,
+                       texts)
+
+
+def text_pair_scores(scorer, texts_a, texts_b, task="qe") -> np.ndarray:
+    """Head outputs for aligned text lists: QE/STS/NLI for a fitted
+    MultitaskScorer, QE for a fitted FeatureStackScorer."""
+    texts_a, texts_b = list(texts_a), list(texts_b)
+    if isinstance(scorer, FeatureStackScorer):
+        model = scorer.model_
+        blocks = []
+        for backbone in model.backbones:
+            p = backprop.params_from_model(backbone)
+            ua = _embed_each(p, backbone.featurizer, texts_a)
+            ub = _embed_each(p, backbone.featurizer, texts_b)
+            blocks.append(backprop._reg_features_forward(ua, ub)[0])
+        feats = np.concatenate(blocks, axis=1)
+        hidden = np.tanh(feats @ model.hidden_w.astype(np.float64).T
+                         + model.hidden_b.astype(np.float64))
+        z = hidden @ model.out_w.astype(np.float64) + model.out_b.astype(np.float64)[0]
+        return backprop._sigmoid(z)
+    params = backprop.params_from_model(scorer.encoder_, scorer.heads_)
+    ua = _embed_each(params, scorer.encoder_.featurizer, texts_a)
+    ub = _embed_each(params, scorer.encoder_.featurizer, texts_b)
+    if task == "nli":
+        feats = np.concatenate([ua, ub, np.abs(ua - ub), ua * ub], axis=1)
+        w = params["nli_w"]
+        return backprop._softmax_rows(feats @ w[:, :-1].T + w[:, -1])
+    feats, _ = backprop._reg_features_forward(ua, ub)
+    return backprop._sigmoid(feats @ params[f"{task}_w"] + params[f"{task}_b"][0])
+
+
+def text_pair_score_matrix(scorer, references, hypotheses) -> np.ndarray:
+    """Every (reference, hypothesis) score from N*M-long text lists."""
+    references, hypotheses = list(references), list(hypotheses)
+    texts_a = [r for r in references for _ in hypotheses]
+    texts_b = hypotheses * len(references)
+    return text_pair_scores(scorer, texts_a, texts_b).reshape(len(references), len(hypotheses))
+
+
+def text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold=None):
+    """Two-stage mining whose shortlisted candidates are scored as two
+    per-candidate text lists.  Returns (selected pairs, threshold)."""
+    ids_a = list(corpus.side_a)
+    ids_b = list(corpus.side_b)
+    texts_a = [corpus.side_a[i] for i in ids_a]
+    texts_b = [corpus.side_b[i] for i in ids_b]
+    embedder = SimpleNamespace(embed=lambda texts: text_pair_embed(filter_model, texts))
+    similarity = mining.embed_and_similarity(embedder, texts_a, texts_b)
+    row_cands, col_cands = mining.topn_candidates(similarity, config.top_n)
+    candidates = {(i, int(j)) for i, row in enumerate(row_cands) for j in row}
+    candidates |= {(int(i), j) for j, col in enumerate(col_cands) for i in col}
+    candidates = sorted(candidates)
+    scores = text_pair_scores(scorer, [texts_a[i] for i, _ in candidates],
+                              [texts_b[j] for _, j in candidates])
+    scored = [(ids_a[i], ids_b[j], float(s)) for (i, j), s in zip(candidates, scores)]
+    if config.threshold == "auto":
+        threshold = mining.tune_threshold(scored, train_gold)
+    else:
+        threshold = float(config.threshold)
+    _, _, selected = mining._mutual_best(scored, threshold)
+    score_of = {(a, b): s for a, b, s in scored}
+    return tuple((a, b, score_of[(a, b)]) for a, b in sorted(selected)), threshold

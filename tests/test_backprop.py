@@ -69,7 +69,7 @@ class TestEngineMatchesScalarOps:
         params, _, _, Xa, Xb, rng = _setup(seed=3)
         y = rng.integers(0, 3, Xa.shape[0])
         losses, _ = backprop.nli_batch(params, Xa, Xb, y)
-        probs = backprop.predict_nli(params, Xa, Xb)
+        probs, _ = backprop.nli_head(params, backprop.embed(params, Xa), backprop.embed(params, Xb))
         assert np.allclose(losses, -np.log(probs[np.arange(len(y)), y]), atol=1e-12)
 
     def test_predict_regression_matches_forward_heads(self):
@@ -77,7 +77,9 @@ class TestEngineMatchesScalarOps:
         model = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
         heads = backprop.heads_from_params(params)
         params32 = backprop.params_from_model(model, heads)
-        preds = backprop.predict_regression(params32, "sts", Xa, Xb)
+        preds, _ = backprop.regression_head(
+            params32, "sts", backprop.embed(params32, Xa), backprop.embed(params32, Xb)
+        )
         for k, (a, b) in enumerate(zip(texts_a, texts_b)):
             assert preds[k] == pytest.approx(
                 forward_heads(model, heads, (a, b), "sts"), abs=1e-12

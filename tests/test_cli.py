@@ -39,6 +39,15 @@ class TestExitCodes:
         bad.write_text("just one column\n", encoding="utf-8")
         assert _run(["hist", "--qe", bad]) == 2
 
+    def test_unreadable_model_path_is_data_error(self, synth_prefix, tmp_path, capsys):
+        directory = tmp_path / "models"
+        directory.mkdir()
+        code = _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", directory])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {directory}: ")
+        assert "Traceback" not in err
+
     def test_auto_threshold_without_train_gold_is_usage_error(self, synth_prefix, tmp_path, capsys):
         code = _run(["mine-bucc",
                      "--side-a", f"{synth_prefix}.bucc.a.tsv",
@@ -165,7 +174,8 @@ class TestMineCli:
         assert len(lines) == 12  # count // 5
         assert "accuracy" in capsys.readouterr().err
 
-    def test_mine_bucc_with_explicit_threshold(self, synth_prefix, tmp_path, capsys):
+    @staticmethod
+    def _mining_models(synth_prefix, tmp_path):
         scorer = tmp_path / "scorer.qem"
         _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
               "--epochs", 1, "--seed", 5, "--out", scorer, *NET])
@@ -175,13 +185,20 @@ class TestMineCli:
         filt = tmp_path / "filter.qem"
         _run(["train-filter", "--data", aug, "--epochs", 1, "--seed", 2,
               "--out", filt, *NET])
+        return ["--filter-model", filt, "--model", scorer]
+
+    @staticmethod
+    def _mine_bucc_args(synth_prefix, out):
+        return ["mine-bucc",
+                "--side-a", f"{synth_prefix}.bucc.a.tsv",
+                "--side-b", f"{synth_prefix}.bucc.b.tsv",
+                "--gold", f"{synth_prefix}.bucc.gold.tsv",
+                "--topn", 5, "--out", out]
+
+    def test_mine_bucc_with_explicit_threshold(self, synth_prefix, tmp_path, capsys):
+        models = self._mining_models(synth_prefix, tmp_path)
         out = tmp_path / "mined.tsv"
-        code = _run(["mine-bucc",
-                     "--side-a", f"{synth_prefix}.bucc.a.tsv",
-                     "--side-b", f"{synth_prefix}.bucc.b.tsv",
-                     "--gold", f"{synth_prefix}.bucc.gold.tsv",
-                     "--filter-model", filt, "--model", scorer,
-                     "--topn", 5, "--threshold", "0.1", "--out", out])
+        code = _run(self._mine_bucc_args(synth_prefix, out) + models + ["--threshold", "0.1"])
         assert code == 0
         err = capsys.readouterr().err
         assert "threshold=" in err and "F1=" in err
@@ -189,6 +206,31 @@ class TestMineCli:
             if line:
                 id_a, id_b, score = line.split("\t")
                 assert float(score) >= 0.1
+
+    def test_mine_bucc_warns_when_tuning_on_the_reported_gold(self, synth_prefix, tmp_path,
+                                                            capsys):
+        models = self._mining_models(synth_prefix, tmp_path)
+        out = tmp_path / "mined.tsv"
+        gold = f"{synth_prefix}.bucc.gold.tsv"
+        assert _run(self._mine_bucc_args(synth_prefix, out) + models + ["--train-gold", gold]) == 0
+        assert "warning: --train-gold is the --gold file" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "mined.tsv.manifest.json").read_text())
+        assert gold in manifest["inputs"]
+
+        tuning = tmp_path / "tune.gold.tsv"
+        tuning.write_text((synth_prefix.parent / "corpus.bucc.gold.tsv").read_text())
+        assert _run(self._mine_bucc_args(synth_prefix, out) + models
+                    + ["--train-gold", tuning]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_mine_bucc_rejects_malformed_train_gold(self, synth_prefix, tmp_path, capsys):
+        bad = tmp_path / "bad.gold.tsv"
+        bad.write_text("a1\tb1\nnot-a-pair\n", encoding="utf-8")
+        code = _run(self._mine_bucc_args(synth_prefix, tmp_path / "mined.tsv")
+                    + ["--filter-model", tmp_path / "filter.qem", "--model", tmp_path / "m.qem",
+                       "--train-gold", bad])
+        assert code == 2
+        assert f"{bad}:2: expected 2 tab-separated columns" in capsys.readouterr().err
 
 
 class TestStatsCli:

@@ -18,17 +18,25 @@ from qemine.mining import (
 
 
 class _MatrixScorer:
-    """Fake quality scorer backed by a fixed matrix keyed by sentence text."""
+    """Fake quality scorer backed by a fixed matrix keyed by sentence text.
+
+    A sentence's embedding is its index on its own side, so scoring an
+    embedding pair looks up one matrix entry.
+    """
 
     def __init__(self, values, side_a, side_b):
         self.values = np.asarray(values, dtype=np.float64)
         self.index_a = {text: i for i, text in enumerate(side_a)}
         self.index_b = {text: j for j, text in enumerate(side_b)}
 
-    def score_pairs(self, texts_a, texts_b):
+    def embed(self, texts):
         return np.array(
-            [self.values[self.index_a[a], self.index_b[b]] for a, b in zip(texts_a, texts_b)]
-        )
+            [[self.index_a[t] if t in self.index_a else self.index_b[t]] for t in texts],
+            dtype=np.float64,
+        ).reshape(-1, 1)
+
+    def score_embeddings(self, ua, ub):
+        return self.values[ua[:, 0].astype(np.intp), ub[:, 0].astype(np.intp)]
 
 
 class _RandomEmbedder:
@@ -112,7 +120,9 @@ class TestScoreMatrix:
         matrix = score_matrix(scorer, side_a, side_b)
         for i in range(5):
             for j in range(5):
-                single = scorer.score_pairs([side_a[i]], [side_b[j]])[0]
+                single = scorer.score_embeddings(
+                    scorer.embed([side_a[i]]), scorer.embed([side_b[j]])
+                )[0]
                 assert matrix.values[i, j] == single
 
     def test_reproducible(self):
