@@ -6,12 +6,15 @@ Parameters are plain dicts of float64 arrays keyed by block name
 ('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
 Every *_batch function returns per-example losses plus the gradient of
 the batch MEAN loss; the gradient checker in ``training`` verifies all
-of them against central finite differences.
+of them against central finite differences.  Pair objectives make one
+encoder pass over the stacked rows [Xa; Xb], forward and backward, and
+add their head's gradients to the dict that ``embed_backward`` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .features import FeaturizerConfig
 from .model import EncoderConfig, EncoderModel, HeadSet
@@ -89,20 +92,24 @@ def embed(params: dict, X) -> np.ndarray:
     return embed_forward(params, X)[0]
 
 
-def _acc(grads: dict, name: str, value: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value
+def embed_backward(params: dict, X, hidden: np.ndarray, d_emb: np.ndarray) -> dict:
+    """Encoder-block gradients for the embeddings' upstream gradient ``d_emb``."""
+    d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
+    return {"b2": d_emb.sum(axis=0), "W2": d_emb.T @ hidden,
+            "b1": d_pre.sum(axis=0), "W1": X.T.dot(d_pre).T}
 
 
-def embed_backward(params: dict, X, hidden: np.ndarray, d_emb: np.ndarray, grads: dict) -> None:
-    _acc(grads, "b2", d_emb.sum(axis=0))
-    _acc(grads, "W2", d_emb.T @ hidden)
-    d_hidden = d_emb @ params["W2"]
-    d_pre = d_hidden * (1.0 - hidden * hidden)
-    _acc(grads, "b1", d_pre.sum(axis=0))
-    _acc(grads, "W1", X.T.dot(d_pre).T)
+def _pair_forward(params: dict, Xa, Xb):
+    """Embeddings of both sides from one forward pass over the stacked rows."""
+    X = sparse.vstack([Xa, Xb], format="csr")
+    u, hidden = embed_forward(params, X)
+    return u[: Xa.shape[0]], u[Xa.shape[0] :], (X, hidden)
+
+
+def _pair_backward(params: dict, cache, d_ua: np.ndarray, d_ub: np.ndarray) -> dict:
+    """Encoder-block gradients from one backward pass over the stacked rows."""
+    X, hidden = cache
+    return embed_backward(params, X, hidden, np.vstack([d_ua, d_ub]))
 
 
 def _cos_forward(ua: np.ndarray, ub: np.ndarray):
@@ -162,28 +169,23 @@ def nli_head(params: dict, ua: np.ndarray, ub: np.ndarray):
 def regression_batch(params: dict, task: str, Xa, Xb, y: np.ndarray):
     """Squared-error batch for the QE or STS head; returns (losses, grads)."""
     n = len(y)
-    ua, ha = embed_forward(params, Xa)
-    ub, hb = embed_forward(params, Xb)
+    ua, ub, enc_cache = _pair_forward(params, Xa, Xb)
     p, (feats, cache) = regression_head(params, task, ua, ub)
     w_name, b_name = f"{task}_w", f"{task}_b"
     diff = p - y
     losses = diff * diff
     dz = 2.0 * diff * p * (1.0 - p) / n
-    grads: dict = {}
+    d_feats = dz[:, None] * params[w_name][None, :]
+    grads = _pair_backward(params, enc_cache, *_reg_features_backward(d_feats, cache, ua, ub))
     grads[w_name] = feats.T @ dz
     grads[b_name] = np.array([dz.sum()])
-    d_feats = dz[:, None] * params[w_name][None, :]
-    d_ua, d_ub = _reg_features_backward(d_feats, cache, ua, ub)
-    embed_backward(params, Xa, ha, d_ua, grads)
-    embed_backward(params, Xb, hb, d_ub, grads)
     return losses, grads
 
 
 def nli_batch(params: dict, Xa, Xb, y: np.ndarray):
     """Cross-entropy batch for the NLI head; returns (losses, grads)."""
     n = len(y)
-    ua, ha = embed_forward(params, Xa)
-    ub, hb = embed_forward(params, Xb)
+    ua, ub, enc_cache = _pair_forward(params, Xa, Xb)
     sign = np.sign(ua - ub)
     probs, feats = nli_head(params, ua, ub)
     w = params["nli_w"]
@@ -192,34 +194,24 @@ def nli_batch(params: dict, Xa, Xb, y: np.ndarray):
     d_logits = probs.copy()
     d_logits[rows, y] -= 1.0
     d_logits /= n
-    grads = {
-        "nli_w": np.concatenate(
-            [d_logits.T @ feats, d_logits.sum(axis=0)[:, None]], axis=1
-        )
-    }
     d_feats = d_logits @ w[:, :-1]
     dim = ua.shape[1]
     d_ua = d_feats[:, :dim] + sign * d_feats[:, 2 * dim : 3 * dim] + ub * d_feats[:, 3 * dim :]
     d_ub = d_feats[:, dim : 2 * dim] - sign * d_feats[:, 2 * dim : 3 * dim] + ua * d_feats[:, 3 * dim :]
-    embed_backward(params, Xa, ha, d_ua, grads)
-    embed_backward(params, Xb, hb, d_ub, grads)
+    grads = _pair_backward(params, enc_cache, d_ua, d_ub)
+    grads["nli_w"] = np.concatenate([d_logits.T @ feats, d_logits.sum(axis=0)[:, None]], axis=1)
     return losses, grads
 
 
 def contrastive_batch(params: dict, Xa, Xb, y: np.ndarray, margin: float):
     """Contrastive batch over embedding cosines; returns (losses, grads)."""
     n = len(y)
-    ua, ha = embed_forward(params, Xa)
-    ub, hb = embed_forward(params, Xb)
+    ua, ub, enc_cache = _pair_forward(params, Xa, Xb)
     cos, cache = _cos_forward(ua, ub)
     hinge = np.maximum(0.0, margin - cos)
     losses = (1 - y) * 0.5 * cos * cos + y * 0.5 * hinge * hinge
     d_cos = ((1 - y) * cos - y * hinge) / n
-    d_ua, d_ub = _cos_backward(d_cos, cache)
-    grads: dict = {}
-    embed_backward(params, Xa, ha, d_ua, grads)
-    embed_backward(params, Xb, hb, d_ub, grads)
-    return losses, grads
+    return losses, _pair_backward(params, enc_cache, *_cos_backward(d_cos, cache))
 
 
 def alignment_batch(params: dict, X, targets: np.ndarray):
@@ -229,6 +221,4 @@ def alignment_batch(params: dict, X, targets: np.ndarray):
     cos, cache = _cos_forward(u, targets)
     losses = 1.0 - cos
     d_u, _ = _cos_backward(np.full(n, -1.0 / n), cache)
-    grads: dict = {}
-    embed_backward(params, X, hidden, d_u, grads)
-    return losses, grads
+    return losses, embed_backward(params, X, hidden, d_u)

@@ -465,7 +465,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, started)
     except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {reason}", file=sys.stderr)
         return DATA_EXIT
     except (QemineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import backprop, mining
 from .errors import ConfigError
-from .features import FeaturizerConfig, featurize_all
+from .features import FeaturizerConfig, distinct_texts, featurize_all
 from .model import EncoderConfig, HeadSet, load_model, save_model
 from .training import (
     ContrastiveConfig,
@@ -58,9 +58,13 @@ class _EstimatorMixin:
 def _embed_texts(params: dict, featurizer: FeaturizerConfig, texts) -> np.ndarray:
     """Embedding rows for ``texts`` in input order; each distinct text is
     featurized and embedded once."""
-    first: dict = {}
-    rows = [first.setdefault(text, len(first)) for text in texts]
-    return backprop.embed(params, featurize_all(list(first), featurizer))[rows]
+    distinct, rows = distinct_texts(texts)
+    return backprop.embed(params, featurize_all(distinct, featurizer))[rows]
+
+
+def _check_aligned(ua, ub) -> None:
+    if ua.shape[0] != ub.shape[0]:
+        raise ValueError(f"embedding rows are not aligned: {ua.shape[0]} vs {ub.shape[0]}")
 
 
 def _score_text_pairs(scorer, pairs, **head) -> np.ndarray:
@@ -162,6 +166,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
     def score_embeddings(self, ua, ub, task="qe") -> np.ndarray:
         """QE (default) or STS scores in (0,1), or NLI class probabilities."""
         params = self._require_fitted()
+        _check_aligned(ua, ub)
         if task == "nli":
             return backprop.nli_head(params, ua, ub)[0]
         return backprop.regression_head(params, task, ua, ub)[0]
@@ -306,6 +311,7 @@ class FeatureStackScorer(_EstimatorMixin):
     def score_embeddings(self, ua, ub) -> np.ndarray:
         """QE scores in (0,1) for aligned ``embed`` rows."""
         check_is_fitted(self, "model_")
+        _check_aligned(ua, ub)
         m = self.model_
         head = (m.hidden_w, m.hidden_b, m.out_w, m.out_b)
         return _feature_head_forward(self.pair_features(ua, ub),

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = ["FeaturizerConfig", "FeatureVector", "featurize", "fnv1a_64", "stack_features"]
+__all__ = ["FeaturizerConfig", "FeatureVector", "distinct_texts", "featurize", "fnv1a_64",
+           "stack_features"]
 
 WORD_MARKER = "▁"
 
@@ -124,3 +125,10 @@ def stack_features(vectors: list[FeatureVector], n_features: int | None = None) 
 def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
     """Featurize a sequence of texts into a CSR matrix."""
     return stack_features([featurize(t, config) for t in texts], config.n_features)
+
+
+def distinct_texts(texts) -> tuple[list, np.ndarray]:
+    """The distinct texts in first-occurrence order, and each input text's row among them."""
+    first: dict = {}
+    rows = [first.setdefault(text, len(first)) for text in texts]
+    return list(first), np.array(rows, dtype=np.intp)

@@ -22,7 +22,7 @@ from .backprop import (
     regression_batch,
 )
 from .errors import ConfigError
-from .features import FeaturizerConfig, featurize_all
+from .features import FeaturizerConfig, distinct_texts, featurize_all
 from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel
 from .model import load_feature_model, save_feature_model  # re-exported
 from .optim import Adam
@@ -137,12 +137,35 @@ class _BatchStream:
         return batch
 
 
+def _featurize_sides(texts_a, texts_b, featurizer):
+    """Feature rows of two aligned text lists; each distinct text is featurized once."""
+    distinct, rows = distinct_texts(list(texts_a) + list(texts_b))
+    X = featurize_all(distinct, featurizer)
+    return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
+
+
+def _run_epochs(params, config: TrainConfig, stream: _BatchStream, task: str, batch):
+    """``config.epochs`` passes of Adam steps on ``batch(idx) -> (losses, grads)``;
+    returns the per-epoch mean-loss history."""
+    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        total, count = 0.0, 0
+        for _ in range(stream.batches_per_pass):
+            losses, grads = batch(stream.next_batch())
+            adam.step(params, grads)
+            total += float(losses.sum())
+            count += len(losses)
+        history.append({"epoch": epoch, "task": task, "mean_loss": total / count})
+    return history
+
+
 def _prepare_task(task, data, featurizer):
     if task == "nli":
         a, b, y = as_nli_data(data)
     else:
         a, b, y = as_pair_scores(data)
-    return featurize_all(a, featurizer), featurize_all(b, featurizer), y
+    return (*_featurize_sides(a, b, featurizer), y)
 
 
 def _task_step(task, params, Xa, Xb, y, idx):
@@ -191,7 +214,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
-        vXa, vXb = featurize_all(va, featurizer), featurize_all(vb, featurizer)
+        vXa, vXb = _featurize_sides(va, vb, featurizer)
 
     def run_epoch(epoch, tasks):
         sums = {t: 0.0 for t in tasks}
@@ -262,27 +285,16 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     neg = as_text_pairs(negatives)
     if not pos or not neg:
         raise ConfigError("filtration training needs non-empty positive and negative sets")
-    texts_a = [p[0] for p in pos] + [p[0] for p in neg]
-    texts_b = [p[1] for p in pos] + [p[1] for p in neg]
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
     featurizer = encoder.featurizer
-    Xa, Xb = featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
+    Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_FILTER))
-
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        total, count = 0.0, 0
-        for _ in range(stream.batches_per_pass):
-            idx = stream.next_batch()
-            losses, grads = contrastive_batch(params, Xa[idx], Xb[idx], y[idx], contrastive.margin)
-            adam.step(params, grads)
-            total += float(losses.sum())
-            count += len(losses)
-        history.append({"epoch": epoch, "task": "contrastive", "mean_loss": total / count})
-
+    history = _run_epochs(
+        params, config, stream, "contrastive",
+        lambda idx: contrastive_batch(params, Xa[idx], Xb[idx], y[idx], contrastive.margin),
+    )
     return backprop.model_from_params(params, featurizer), history
 
 
@@ -316,22 +328,16 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
         raise ConfigError("no training pairs left after the held-out split")
 
     featurizer = model.featurizer
-    Xs = featurize_all([p[0] for p in pairs], featurizer)
-    Xt = featurize_all([p[1] for p in pairs], featurizer)
+    Xs, Xt = _featurize_sides(*zip(*pairs), featurizer)
     params = backprop.params_from_model(model)
 
     before = _mean_cosine(params, Xs[held], Xt[held])
     targets = embed(params, Xt[train])
 
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     stream = _BatchStream(len(train), config.batch_size, _rng(config.seed, _TAG_ALIGN))
     Xs_train = Xs[train]
-    for _ in range(config.epochs):
-        for _ in range(stream.batches_per_pass):
-            idx = stream.next_batch()
-            _, grads = alignment_batch(params, Xs_train[idx], targets[idx])
-            adam.step(params, grads)
-
+    _run_epochs(params, config, stream, "alignment",
+                lambda idx: alignment_batch(params, Xs_train[idx], targets[idx]))
     after = _mean_cosine(params, Xs[held], Xt[held])
     aligned = backprop.model_from_params(params, featurizer)
     return aligned, AlignmentReport(before, after, heldout_size)
@@ -364,30 +370,18 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
         "o_w": np.zeros(hidden_units),
         "o_b": np.zeros(1),
     }
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     stream = _BatchStream(n, config.batch_size, _rng(config.seed, _TAG_FEATURE + 100))
 
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        total, count = 0.0, 0
-        for _ in range(stream.batches_per_pass):
-            idx = stream.next_batch()
-            f = feats[idx]
-            p, hidden = _feature_head_forward(f, **params)
-            diff = p - y[idx]
-            dz = 2.0 * diff * p * (1.0 - p) / len(idx)
-            d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
-            grads = {
-                "o_w": hidden.T @ dz,
-                "o_b": np.array([dz.sum()]),
-                "h_w": d_hidden.T @ f,
-                "h_b": d_hidden.sum(axis=0),
-            }
-            adam.step(params, grads)
-            total += float((diff * diff).sum())
-            count += len(idx)
-        history.append({"epoch": epoch, "task": "qe-feature", "mean_loss": total / count})
+    def batch(idx):
+        f = feats[idx]
+        p, hidden = _feature_head_forward(f, **params)
+        diff = p - y[idx]
+        dz = 2.0 * diff * p * (1.0 - p) / len(idx)
+        d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
+        return diff * diff, {"o_w": hidden.T @ dz, "o_b": np.array([dz.sum()]),
+                             "h_w": d_hidden.T @ f, "h_b": d_hidden.sum(axis=0)}
 
+    history = _run_epochs(params, config, stream, "qe-feature", batch)
     model = FeatureStackModel(sts_backbone, nli_backbone, qe_backbone,
                               params["h_w"], params["h_b"], params["o_w"], params["o_b"])
     return model, history

@@ -6,7 +6,10 @@ with their analytic derivatives define the objectives its ``*_batch``
 functions must agree with.  The text-pair scoring path at the end
 featurizes and embeds every text of every pair; the package's
 ``embed`` + ``score_embeddings`` path must reproduce its scores bit for
-bit.  They live here, not in the package, because only tests use them.
+bit.  The two-pass pair batches run the encoder once per side and add
+the two sides' gradients; the package's stacked single pass must match
+them up to summation order.  They live here, not in the package,
+because only tests use them.
 """
 
 import logging
@@ -243,3 +246,63 @@ def text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold=None):
     _, _, selected = mining._mutual_best(scored, threshold)
     score_of = {(a, b): s for a, b, s in scored}
     return tuple((a, b, score_of[(a, b)]) for a, b in sorted(selected)), threshold
+
+
+# -- two-pass pair batches: one encoder forward and backward per side -------
+
+
+def _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub) -> dict:
+    grads = backprop.embed_backward(params, Xa, ha, d_ua)
+    for name, value in backprop.embed_backward(params, Xb, hb, d_ub).items():
+        grads[name] += value
+    return grads
+
+
+def two_pass_regression_batch(params, task, Xa, Xb, y):
+    n = len(y)
+    ua, ha = backprop.embed_forward(params, Xa)
+    ub, hb = backprop.embed_forward(params, Xb)
+    p, (feats, cache) = backprop.regression_head(params, task, ua, ub)
+    w_name, b_name = f"{task}_w", f"{task}_b"
+    diff = p - y
+    losses = diff * diff
+    dz = 2.0 * diff * p * (1.0 - p) / n
+    d_feats = dz[:, None] * params[w_name][None, :]
+    d_ua, d_ub = backprop._reg_features_backward(d_feats, cache, ua, ub)
+    grads = _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub)
+    grads[w_name] = feats.T @ dz
+    grads[b_name] = np.array([dz.sum()])
+    return losses, grads
+
+
+def two_pass_nli_batch(params, Xa, Xb, y):
+    n = len(y)
+    ua, ha = backprop.embed_forward(params, Xa)
+    ub, hb = backprop.embed_forward(params, Xb)
+    sign = np.sign(ua - ub)
+    probs, feats = backprop.nli_head(params, ua, ub)
+    w = params["nli_w"]
+    rows = np.arange(n)
+    losses = -np.log(probs[rows, y])
+    d_logits = probs.copy()
+    d_logits[rows, y] -= 1.0
+    d_logits /= n
+    d_feats = d_logits @ w[:, :-1]
+    dim = ua.shape[1]
+    d_ua = d_feats[:, :dim] + sign * d_feats[:, 2 * dim : 3 * dim] + ub * d_feats[:, 3 * dim :]
+    d_ub = d_feats[:, dim : 2 * dim] - sign * d_feats[:, 2 * dim : 3 * dim] + ua * d_feats[:, 3 * dim :]
+    grads = _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub)
+    grads["nli_w"] = np.concatenate([d_logits.T @ feats, d_logits.sum(axis=0)[:, None]], axis=1)
+    return losses, grads
+
+
+def two_pass_contrastive_batch(params, Xa, Xb, y, margin):
+    n = len(y)
+    ua, ha = backprop.embed_forward(params, Xa)
+    ub, hb = backprop.embed_forward(params, Xb)
+    cos, cache = backprop._cos_forward(ua, ub)
+    hinge = np.maximum(0.0, margin - cos)
+    losses = (1 - y) * 0.5 * cos * cos + y * 0.5 * hinge * hinge
+    d_cos = ((1 - y) * cos - y * hinge) / n
+    d_ua, d_ub = backprop._cos_backward(d_cos, cache)
+    return losses, _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub)

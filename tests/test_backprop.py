@@ -7,8 +7,19 @@ from qemine import backprop
 from qemine.features import featurize, featurize_all
 from qemine.training import _rng  # deterministic stream helper
 
+from qemine.features import FeaturizerConfig
+from qemine.model import EncoderConfig
+
 from conftest import SMALL_ENCODER
-from oracles import contrastive_loss, cosine_similarity, forward_heads, task_loss
+from oracles import (
+    contrastive_loss,
+    cosine_similarity,
+    forward_heads,
+    task_loss,
+    two_pass_contrastive_batch,
+    two_pass_nli_batch,
+    two_pass_regression_batch,
+)
 
 
 def _setup(seed=0, n_pairs=6):
@@ -97,3 +108,114 @@ class TestEmbedBatch:
         for k, text in enumerate(texts_a):
             single = encode(model, featurize(text, SMALL_ENCODER.featurizer))
             assert np.allclose(batch[k], single, atol=1e-12)
+
+
+# The stacked pass sums over 2n rows at once, so its results may differ
+# from the two-pass oracle's in the last bits; compare at the block's scale.
+STACKED_TOLERANCE = 1e-12
+
+PAIR_OBJECTIVES = {
+    "qe": (backprop.regression_batch, two_pass_regression_batch),
+    "sts": (backprop.regression_batch, two_pass_regression_batch),
+    "nli": (backprop.nli_batch, two_pass_nli_batch),
+    "contrastive": (backprop.contrastive_batch, two_pass_contrastive_batch),
+}
+
+
+def _run_pair_batch(objective, batch, params, Xa, Xb, rng):
+    """One call of a pair objective's batch function on seeded labels."""
+    n = Xa.shape[0]
+    if objective == "nli":
+        return batch(params, Xa, Xb, rng.integers(0, 3, n))
+    if objective == "contrastive":
+        return batch(params, Xa, Xb, rng.integers(0, 2, n).astype(np.float64), 0.8)
+    return batch(params, objective, Xa, Xb, rng.uniform(0.05, 0.95, n))
+
+
+_WORDS = "kafo limba melo daki bemu cela norz pyrt quvo rusk strix tovan".split()
+
+
+def _stacked_setup(n_features, hidden, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    encoder = EncoderConfig(FeaturizerConfig((1, 2, 3, 4), n_features, 0), hidden, dim)
+    params = backprop.init_params(encoder, rng)
+    for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"):
+        params[name] = rng.normal(0, 0.4, params[name].shape)
+    texts = [" ".join(rng.choice(_WORDS, rng.integers(1, 6))) for _ in range(2 * 9)]
+    return params, encoder.featurizer, texts[:9], texts[9:], rng
+
+
+def _pair_inputs(case, texts_a, texts_b):
+    if case == "single":
+        return texts_a[:1], texts_b[:1]
+    if case == "same-texts":
+        # odd length: the middle pair is a text with itself
+        return texts_a, texts_a[::-1]
+    if case == "empty":
+        return texts_a[:4] + ["", ""], texts_b[:4] + ["", texts_b[4]]
+    return texts_a, texts_b
+
+
+def _scaled_error(new, oracle) -> float:
+    return float(np.max(np.abs(new - oracle)) / np.max(np.abs(oracle)))
+
+
+class TestStackedPairPass:
+    """One encoder pass over [Xa; Xb] against the two-pass oracle."""
+
+    @pytest.mark.parametrize("sizes", [(256, 8, 6), (8192, 256, 128)], ids=["small", "default"])
+    @pytest.mark.parametrize("case", ["single", "same-texts", "empty", "mixed"])
+    @pytest.mark.parametrize("objective", sorted(PAIR_OBJECTIVES))
+    def test_matches_two_pass_oracle(self, objective, case, sizes):
+        params, featurizer, texts_a, texts_b, _ = _stacked_setup(*sizes)
+        ta, tb = _pair_inputs(case, texts_a, texts_b)
+        Xa, Xb = featurize_all(ta, featurizer), featurize_all(tb, featurizer)
+        stacked, oracle = PAIR_OBJECTIVES[objective]
+        losses, grads = _run_pair_batch(objective, stacked, params, Xa, Xb, _rng(1, 0))
+        ref_losses, ref_grads = _run_pair_batch(objective, oracle, params, Xa, Xb, _rng(1, 0))
+        assert grads.keys() == ref_grads.keys()
+        assert _scaled_error(losses, ref_losses) <= STACKED_TOLERANCE
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert _scaled_error(grads[name], ref) <= STACKED_TOLERANCE, name
+
+    @pytest.mark.parametrize("objective", sorted(PAIR_OBJECTIVES))
+    def test_self_pairs(self, objective):
+        """Every pair a text with itself.  The contrastive gradient is then
+        exactly zero (cos = 1 is its maximum), so both passes may only
+        return rounding noise, which has no scale to compare against."""
+        params, featurizer, texts_a, _, _ = _stacked_setup(4096, 64, 32)
+        X = featurize_all(texts_a, featurizer)
+        stacked, oracle = PAIR_OBJECTIVES[objective]
+        losses, grads = _run_pair_batch(objective, stacked, params, X, X, _rng(1, 0))
+        ref_losses, ref_grads = _run_pair_batch(objective, oracle, params, X, X, _rng(1, 0))
+        assert _scaled_error(losses, ref_losses) <= STACKED_TOLERANCE
+        for name, ref in ref_grads.items():
+            if objective == "contrastive":
+                assert np.max(np.abs(grads[name])) < 1e-15, name
+                assert np.max(np.abs(ref)) < 1e-15, name
+            else:
+                assert _scaled_error(grads[name], ref) <= STACKED_TOLERANCE, name
+
+    @pytest.mark.parametrize("objective", sorted(PAIR_OBJECTIVES) + ["alignment"])
+    def test_one_encoder_pass_per_batch(self, objective, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+        forward, backward = backprop.embed_forward, backprop.embed_backward
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward(*args)
+
+        def counted_backward(*args):
+            calls["backward"] += 1
+            return backward(*args)
+
+        monkeypatch.setattr(backprop, "embed_forward", counted_forward)
+        monkeypatch.setattr(backprop, "embed_backward", counted_backward)
+        params, featurizer, texts_a, texts_b, rng = _stacked_setup(256, 8, 6)
+        Xa, Xb = featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
+        if objective == "alignment":
+            backprop.alignment_batch(params, Xa, rng.normal(size=(Xa.shape[0], 6)))
+        else:
+            _run_pair_batch(objective, PAIR_OBJECTIVES[objective][0], params, Xa, Xb, rng)
+        assert calls == {"forward": 1, "backward": 1}

@@ -45,8 +45,16 @@ class TestExitCodes:
         code = _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", directory])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read {directory}: ")
+        assert err.startswith(f"error: {directory}: ")
         assert "Traceback" not in err
+
+    def test_unwritable_output_path_is_data_error(self, synth_prefix, tmp_path, capsys):
+        out = tmp_path / "absent-dir" / "h.csv"
+        code = _run(["hist", "--qe", f"{synth_prefix}.qe.tsv", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ")
+        assert "cannot read" not in err
 
     def test_auto_threshold_without_train_gold_is_usage_error(self, synth_prefix, tmp_path, capsys):
         code = _run(["mine-bucc",

@@ -167,3 +167,17 @@ class TestFeaturizationCount:
         pairs = _pairs()
         scorer.predict(pairs)
         assert featurized == {scorer.encoder_.featurizer: len({t for p in pairs for t in p})}
+
+
+class TestUnalignedRows:
+    @pytest.mark.parametrize("n_targets", [1, 2])
+    def test_score_embeddings_rejects_row_mismatch(self, scorer, n_targets):
+        ua = scorer.embed(["a b", "c d", "e"])
+        ub = scorer.embed(["x y", "z"][:n_targets])
+        with pytest.raises(ValueError, match=f"3 vs {n_targets}"):
+            scorer.score_embeddings(ua, ub)
+
+    @pytest.mark.parametrize("n_targets", [1, 2])
+    def test_score_pairs_rejects_row_mismatch(self, n_targets):
+        with pytest.raises(ValueError, match=f"3 vs {n_targets}"):
+            _multitask().score_pairs(["a b", "c d", "e"], ["x y", "z"][:n_targets])

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import qemine.training
 from qemine import backprop
 from qemine.augment import AugmentConfig, augment_filtration
 from qemine.corpus import ParallelSet
@@ -281,6 +284,56 @@ class TestFiltration:
         positives, _ = self._sets()
         with pytest.raises(ConfigError):
             train_filtration(positives, [], TrainConfig(), ContrastiveConfig(), SMALL_ENCODER)
+
+
+class TestFeaturizeOnce:
+    """Training featurizes each distinct text once; models do not change."""
+
+    @pytest.fixture
+    def featurized(self, monkeypatch):
+        counts = Counter()
+        original = qemine.training.featurize_all
+
+        def counting(texts, config):
+            counts.update(texts)
+            return original(texts, config)
+
+        monkeypatch.setattr(qemine.training, "featurize_all", counting)
+        return counts
+
+    @staticmethod
+    def _every_text_featurized(monkeypatch):
+        monkeypatch.setattr(qemine.training, "distinct_texts",
+                            lambda texts: (list(texts), np.arange(len(texts))))
+
+    def test_multitask_train(self, tiny_qe_records, featurized, monkeypatch):
+        qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
+        qe += [(qe[0][0], qe[1][1], 0.3), (qe[2][1], qe[2][1], 0.8)]
+        validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
+                      ("rusk", "kafo melo", 0.5)]
+        config = TrainConfig(epochs=1, finetune_epochs=1, batch_size=4, tasks=("qe",), seed=5)
+        trained = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
+                                  validation=validation)
+        texts = {t for row in qe + validation for t in row[:2]}
+        assert featurized == Counter(texts)
+
+        self._every_text_featurized(monkeypatch)
+        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
+                                    validation=validation)
+        assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
+
+    def test_train_filtration(self, featurized, monkeypatch):
+        records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.3, seed=4), 20)
+        positives = [(r.source, r.target) for r in records]
+        negatives = [(a, b) for (a, _), (_, b) in zip(positives, positives[1:] + positives[:1])]
+        negatives += [positives[0], (positives[3][1], positives[3][1])]
+        args = (positives, negatives, TrainConfig(epochs=1, batch_size=8, seed=2),
+                ContrastiveConfig(0.9), SMALL_ENCODER)
+        trained, _ = train_filtration(*args)
+        assert featurized == Counter({t for pair in positives + negatives for t in pair})
+
+        self._every_text_featurized(monkeypatch)
+        assert model_to_bytes(trained) == model_to_bytes(train_filtration(*args)[0])
 
 
 class TestAlignment:
