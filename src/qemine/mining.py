@@ -10,6 +10,12 @@ scored in blocks of ``SCORE_BLOCK`` rows, so memory holds one block of
 pair features, never one per pair.  Tie-breaking is fixed everywhere:
 argmax ties go to the lowest index / first occurrence, threshold ties
 to the largest threshold.
+
+Threshold tuning is one mutual-best selection with no threshold plus a
+sweep over the selected pairs' sorted scores.  That is exact because a
+threshold only drops entries below it: a pair that is mutual best with
+no threshold stays mutual best at every threshold up to its score, and
+no other pair becomes one.
 """
 
 from __future__ import annotations
@@ -167,9 +173,22 @@ def embed_and_similarity(filter_model, side_a, side_b,
     return ScoreMatrix(values, row_ids, col_ids)
 
 
-def _top_indices(values: np.ndarray, n: int) -> np.ndarray:
-    order = np.argsort(-values, kind="stable")
-    return np.sort(order[:n])
+def _top_n_per_row(values: np.ndarray, n: int) -> list:
+    """Ascending indices of the n largest entries of each row of ``values``.
+
+    The n-th largest value ``kth`` of a row splits it: every entry above
+    ``kth`` is kept, plus the first entries equal to it, lowest index
+    first, until the row has n.
+    """
+    rows, dim = values.shape
+    if n >= dim:
+        return [np.arange(dim) for _ in range(rows)]
+    kth = np.partition(values, dim - n, axis=1)[:, dim - n, None]
+    above = values > kth
+    ties = values == kth
+    room = n - above.sum(axis=1, keepdims=True)
+    keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
+    return list(np.nonzero(keep)[1].reshape(rows, n))
 
 
 def topn_candidates(matrix: ScoreMatrix, n: int):
@@ -179,10 +198,7 @@ def topn_candidates(matrix: ScoreMatrix, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = matrix.values
-    rows = [_top_indices(values[i], n) for i in range(values.shape[0])]
-    cols = [_top_indices(values[:, j], n) for j in range(values.shape[1])]
-    return rows, cols
+    return _top_n_per_row(matrix.values, n), _top_n_per_row(matrix.values.T, n)
 
 
 def _mutual_best(scored_pairs, threshold: float):
@@ -190,7 +206,8 @@ def _mutual_best(scored_pairs, threshold: float):
 
     For each left id the best-scoring right partner at or above the
     threshold (first occurrence wins ties), symmetrically for each right
-    id; the selection is the intersection of the two directed sets.
+    id; the selection is the intersection of the two directed sets.  A
+    repeated (a, b) pair counts with its highest score.
     """
     best_a: dict = {}
     best_b: dict = {}
@@ -245,22 +262,38 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
 
 def tune_threshold(scored_candidates, gold) -> float:
     """Threshold maximizing selection F1 over a grid of 0.01 steps plus
-    every distinct candidate score; ties return the largest threshold."""
+    every distinct candidate score; ties return the largest threshold.
+
+    A repeated (a, b) pair counts with its highest score.  One selection
+    with no threshold gives every pair that any threshold t selects: at
+    t the selection is exactly the pairs it holds that score at least t.
+    So the sweep counts the selected pairs and gold hits above each
+    threshold in two sorted score arrays, with ``f1_score``'s arithmetic.
+    """
     gold = set(gold)
     if not gold:
         raise ConfigError("cannot tune a threshold against an empty gold set")
     scored = list(scored_candidates)
+    best_score: dict = {}
+    for a, b, score in scored:
+        if (a, b) not in best_score or score > best_score[(a, b)]:
+            best_score[(a, b)] = score
+    _, _, selected = _mutual_best(scored, float("-inf"))
+    selected_scores = np.sort([float(best_score[pair]) for pair in selected])
+    hit_scores = np.sort([float(best_score[pair]) for pair in selected if pair in gold])
+
     grid = {k / 100.0 for k in range(101)}
     grid.update(float(s) for _, _, s in scored)
-    best_threshold = 0.0
-    best_f1 = -1.0
-    for threshold in sorted(grid):
-        _, _, selected = _mutual_best(scored, threshold)
-        _, _, f1 = f1_score(selected, gold)
-        if f1 >= best_f1:
-            best_f1 = f1
-            best_threshold = threshold
-    return best_threshold
+    thresholds = np.array(sorted(grid))
+    n = len(selected_scores) - np.searchsorted(selected_scores, thresholds, side="left")
+    hits = len(hit_scores) - np.searchsorted(hit_scores, thresholds, side="left")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = hits / n
+        recall = hits / len(gold)
+        f1 = 2.0 * precision * recall / (precision + recall)
+    f1[(n == 0) | (precision + recall == 0.0)] = 0.0
+    # the last maximum: ties go to the largest threshold
+    return float(thresholds[::-1][np.argmax(f1[::-1])])
 
 
 def f1_score(predicted, gold):

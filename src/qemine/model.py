@@ -170,11 +170,22 @@ def _digest(data) -> bytes:
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
-def _pack_frame(magic: bytes, header: bytes, arrays) -> bytes:
-    """The container: magic, version, header, <f4 arrays, digest."""
-    body = b"".join([magic, struct.pack("<H", VERSION), header,
-                     *(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)])
-    return body + _digest(body)
+def _frame(magic: bytes, header: bytes, arrays) -> list:
+    """The container as a list of buffers: magic, version, header, a byte
+    view of each array's <f4 data (no copy for a float32 array), digest.
+
+    Saving writes these views to the file one by one and so allocates no
+    copy of the weights.  A fresh multi-megabyte buffer costs a page
+    fault per 4 KiB whenever the allocator maps it anew, and whether it
+    does depends on what the process allocated before, so building the
+    file in memory made save times jump between runs.
+    """
+    chunks = [magic, struct.pack("<H", VERSION), header,
+              *(memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B") for a in arrays)]
+    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    for chunk in chunks:
+        digest.update(chunk)
+    return chunks + [digest.digest()]
 
 
 def _encoder_header(model: EncoderModel) -> bytes:
@@ -253,14 +264,18 @@ def model_to_bytes(model: EncoderModel, heads: HeadSet | None = None) -> bytes:
     """Serialize to the QEM2 layout; missing heads are stored as zeros."""
     if heads is None:
         heads = HeadSet.zeros(model.embedding_dim)
+    return b"".join(_model_frame(model, heads))
+
+
+def _model_frame(model: EncoderModel, heads: HeadSet) -> list:
     head_arrays = [heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w]
-    return _pack_frame(MAGIC, _encoder_header(model), _encoder_arrays(model) + head_arrays)
+    return _frame(MAGIC, _encoder_header(model), _encoder_arrays(model) + head_arrays)
 
 
 def save_model(model: EncoderModel, heads: HeadSet, path) -> None:
     """Write the QEM2 file described in the module docstring."""
     with open(path, "wb") as handle:
-        handle.write(model_to_bytes(model, heads))
+        handle.writelines(_model_frame(model, heads))
 
 
 def model_from_bytes(blob: bytes, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
@@ -287,7 +302,7 @@ def save_feature_model(model: FeatureStackModel, path) -> None:
     arrays = [array for backbone in model.backbones for array in _encoder_arrays(backbone)]
     arrays += [model.hidden_w, model.hidden_b, model.out_w, model.out_b]
     with open(path, "wb") as handle:
-        handle.write(_pack_frame(FEATURE_MAGIC, header, arrays))
+        handle.writelines(_frame(FEATURE_MAGIC, header, arrays))
 
 
 def load_feature_model(path) -> FeatureStackModel:

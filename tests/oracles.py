@@ -6,7 +6,11 @@ with their analytic derivatives define the objectives its ``*_batch``
 functions must agree with.  The text-pair scoring path at the end
 featurizes and embeds every text of every pair; the package's
 ``embed`` + ``score_embeddings`` path must reproduce its scores bit for
-bit.  The two-pass pair batches run the encoder once per side and add
+bit.  ``loop_topn_candidates`` and ``grid_tune_threshold`` are the
+per-row argsort shortlist and the threshold sweep that reruns the
+mutual-best selection at every grid point; the package's vectorized
+shortlist and single-selection sweep must return exactly their results.
+The two-pass pair batches run the encoder once per side and add
 the two sides' gradients; the package's stacked single pass must match
 them up to summation order.  They live here, not in the package,
 because only tests use them.
@@ -19,6 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from qemine import backprop, mining
+from qemine.errors import ConfigError
 from qemine.estimators import FeatureStackScorer
 from qemine.features import FeatureVector, featurize, featurize_all
 from qemine.model import TASKS, EncoderModel, HeadSet
@@ -225,14 +230,15 @@ def text_pair_score_matrix(scorer, references, hypotheses) -> np.ndarray:
 
 def text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold=None):
     """Two-stage mining whose shortlisted candidates are scored as two
-    per-candidate text lists.  Returns (selected pairs, threshold)."""
+    per-candidate text lists, shortlisted by ``loop_topn_candidates`` and
+    tuned by ``grid_tune_threshold``.  Returns (selected pairs, threshold)."""
     ids_a = list(corpus.side_a)
     ids_b = list(corpus.side_b)
     texts_a = [corpus.side_a[i] for i in ids_a]
     texts_b = [corpus.side_b[i] for i in ids_b]
     embedder = SimpleNamespace(embed=lambda texts: text_pair_embed(filter_model, texts))
     similarity = mining.embed_and_similarity(embedder, texts_a, texts_b)
-    row_cands, col_cands = mining.topn_candidates(similarity, config.top_n)
+    row_cands, col_cands = loop_topn_candidates(similarity, config.top_n)
     candidates = {(i, int(j)) for i, row in enumerate(row_cands) for j in row}
     candidates |= {(int(i), j) for j, col in enumerate(col_cands) for i in col}
     candidates = sorted(candidates)
@@ -240,12 +246,52 @@ def text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold=None):
                               [texts_b[j] for _, j in candidates])
     scored = [(ids_a[i], ids_b[j], float(s)) for (i, j), s in zip(candidates, scores)]
     if config.threshold == "auto":
-        threshold = mining.tune_threshold(scored, train_gold)
+        threshold = grid_tune_threshold(scored, train_gold)
     else:
         threshold = float(config.threshold)
     _, _, selected = mining._mutual_best(scored, threshold)
     score_of = {(a, b): s for a, b, s in scored}
     return tuple((a, b, score_of[(a, b)]) for a, b in sorted(selected)), threshold
+
+
+# -- mining selection: per-row shortlists and a selection per threshold ------
+
+
+def _top_indices(values: np.ndarray, n: int) -> np.ndarray:
+    order = np.argsort(-values, kind="stable")
+    return np.sort(order[:n])
+
+
+def loop_topn_candidates(matrix, n: int):
+    """Per row and per column, the ascending indices of the n largest
+    entries from a stable argsort; ties go to the lowest index."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    values = matrix.values
+    rows = [_top_indices(values[i], n) for i in range(values.shape[0])]
+    cols = [_top_indices(values[:, j], n) for j in range(values.shape[1])]
+    return rows, cols
+
+
+def grid_tune_threshold(scored_candidates, gold) -> float:
+    """Threshold maximizing selection F1 over a grid of 0.01 steps plus
+    every distinct candidate score, running the mutual-best selection
+    once per threshold; ties return the largest threshold."""
+    gold = set(gold)
+    if not gold:
+        raise ConfigError("cannot tune a threshold against an empty gold set")
+    scored = list(scored_candidates)
+    grid = {k / 100.0 for k in range(101)}
+    grid.update(float(s) for _, _, s in scored)
+    best_threshold = 0.0
+    best_f1 = -1.0
+    for threshold in sorted(grid):
+        _, _, selected = mining._mutual_best(scored, threshold)
+        _, _, f1 = mining.f1_score(selected, gold)
+        if f1 >= best_f1:
+            best_f1 = f1
+            best_threshold = threshold
+    return best_threshold
 
 
 # -- two-pass pair batches: one encoder forward and backward per side -------

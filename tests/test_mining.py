@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import grid_tune_threshold, loop_topn_candidates
 
+import qemine.mining
 from qemine.corpus import BuccCorpus
 from qemine.errors import ConfigError
 from qemine.mining import (
@@ -169,6 +173,19 @@ class TestEmbedAndSimilarity:
                 )
 
 
+@st.composite
+def _tied_matrices(draw):
+    """A matrix drawn from a few levels, so most rows and columns hold ties,
+    and an n that may reach or pass either dimension."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    levels = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1),
+                          min_size=rows * cols, max_size=rows * cols))
+    values = np.array([levels[k] for k in picks], dtype=np.float64).reshape(rows, cols)
+    return values, draw(st.integers(1, 11))
+
+
 class TestTopN:
     def test_n_past_dimension_returns_everything(self):
         rng = np.random.default_rng(6)
@@ -195,6 +212,17 @@ class TestTopN:
         for j in range(30):
             oracle = sorted(range(30), key=lambda i: (-values[i, j], i))[:5]
             assert set(cols[j]) == set(oracle)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tied_matrices())
+    def test_equals_argsort_loop(self, case):
+        values, n = case
+        rows, cols = topn_candidates(_matrix(values), n)
+        expected_rows, expected_cols = loop_topn_candidates(_matrix(values), n)
+        assert len(rows) == len(expected_rows) and len(cols) == len(expected_cols)
+        for got, expected in zip(rows + cols, expected_rows + expected_cols):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 def _corpus_from_size(rows, cols):
@@ -310,6 +338,60 @@ class TestTuneThreshold:
     def test_empty_gold_rejected(self):
         with pytest.raises(ConfigError):
             tune_threshold([("a", "b", 0.5)], set())
+
+    def test_repeated_pair_counts_with_its_highest_score(self):
+        candidates = [("a1", "b1", 0.3), ("a1", "b1", 0.8), ("a2", "b2", 0.5)]
+        gold = {("a1", "b1")}
+        assert tune_threshold(candidates, gold) == grid_tune_threshold(candidates, gold) == 0.8
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_grid_sweep(self, data):
+        levels = data.draw(st.lists(st.floats(-0.5, 1.5, allow_subnormal=False),
+                                    min_size=1, max_size=4), label="levels")
+        n_left = data.draw(st.integers(1, 6), label="n_left")
+        n_right = data.draw(st.integers(1, 6), label="n_right")
+        pair = st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1))
+        # pairs may repeat with different scores; the list may be empty (tuning
+        # then returns 1.0, the largest threshold)
+        drawn = data.draw(st.lists(st.tuples(pair, st.sampled_from(levels)), max_size=30),
+                          label="candidates")
+        candidates = [(f"a{i}", f"b{j}", score) for (i, j), score in drawn]
+        # gold may name pairs that are never candidates
+        gold = data.draw(st.sets(st.tuples(st.integers(0, n_left + 1), st.integers(0, n_right + 1)),
+                                 min_size=1, max_size=6), label="gold")
+        gold = {(f"a{i}", f"b{j}") for i, j in gold}
+        assert tune_threshold(candidates, gold) == grid_tune_threshold(candidates, gold)
+
+
+class TestSelectionCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Number of ``_mutual_best`` calls made so far."""
+        count = [0]
+        original = qemine.mining._mutual_best
+
+        def counting(scored_pairs, threshold):
+            count[0] += 1
+            return original(scored_pairs, threshold)
+
+        monkeypatch.setattr(qemine.mining, "_mutual_best", counting)
+        return count
+
+    def test_tune_threshold_selects_once(self, calls):
+        rng = np.random.default_rng(17)
+        candidates = [(f"a{i}", f"b{j}", float(rng.uniform())) for i in range(20) for j in range(20)]
+        tune_threshold(candidates, {(f"a{k}", f"b{k}") for k in range(10)})
+        assert calls[0] == 1
+
+    def test_auto_mine_bucc_selects_at_most_twice(self, calls):
+        rng = np.random.default_rng(18)
+        values = rng.uniform(size=(15, 15))
+        corpus = _corpus_from_size(15, 15)
+        scorer = _MatrixScorer(values, list(corpus.side_a.values()), list(corpus.side_b.values()))
+        gold = {(f"a{k}", f"b{k}") for k in range(8)}
+        mine_bucc(corpus, _RandomEmbedder(seed=8), scorer, MiningConfig(5, "auto"), gold)
+        assert 1 <= calls[0] <= 2
 
 
 class TestF1:

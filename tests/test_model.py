@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +216,46 @@ class TestModelFile:
         save_model(model, heads, p1)
         save_model(*load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_files_match_the_documented_layout(self, tmp_path):
+        # magic, version, header, <f4 arrays and digest, built by concatenation
+        def layout(magic, header, arrays):
+            return _resign(magic + struct.pack("<H", 2) + header
+                           + b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays))
+
+        def encoder_header(m):
+            return struct.pack("<IIII3Iq", m.w1.shape[1], m.w1.shape[0], m.w2.shape[0], 3, 1, 2, 3, 0)
+
+        def encoder_arrays(m):
+            return [m.w1, m.b1, m.w2, m.b2]
+
+        model = _random_model(seed=24)
+        heads = _random_heads(model.embedding_dim, seed=25)
+        save_model(model, heads, tmp_path / "m.qem")
+        expected = layout(b"QEM2", encoder_header(model), encoder_arrays(model)
+                          + [heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w])
+        assert (tmp_path / "m.qem").read_bytes() == model_to_bytes(model, heads) == expected
+
+        written = _feature_model_bytes(tmp_path / "s.qef")
+        stack = load_feature_model(tmp_path / "s.qef")
+        expected = layout(b"QEF2",
+                          struct.pack("<I", stack.hidden_w.shape[0])
+                          + b"".join(encoder_header(b) for b in stack.backbones),
+                          [a for b in stack.backbones for a in encoder_arrays(b)]
+                          + [stack.hidden_w, stack.hidden_b, stack.out_w, stack.out_b])
+        assert written == expected
+
+    def test_save_allocates_no_copy_of_the_weights(self, tmp_path):
+        model = _random_model(seed=26, n_features=65536)  # W1 is 2 MiB of float32
+        heads = _random_heads(model.embedding_dim, seed=27)
+        save_model(model, heads, tmp_path / "first.qem")
+        tracemalloc.start()
+        try:
+            save_model(model, heads, tmp_path / "m.qem")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.w1.nbytes // 16
 
     def test_wrong_magic(self, model_file):
         _, load, path = model_file
