@@ -64,11 +64,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _write_manifest(out_path, command, args, seed, inputs, outputs, started):
+def _write_manifest(args, out_path, inputs, outputs, started):
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": seed,
+        "seed": args.seed,
         "inputs": [str(p) for p in inputs if p],
         "outputs": [str(p) for p in outputs if p],
         "version": __version__,
@@ -83,7 +83,7 @@ def _tasks(spec: str) -> tuple:
     return tuple(t.strip().lower() for t in spec.split(",") if t.strip())
 
 
-def _cmd_train(args, started):
+def _cmd_train(args):
     qe = load_qe(args.qe, normalize=args.normalize) if args.qe else None
     sts = load_sts(args.sts) if args.sts else None
     nli = load_nli(args.nli) if args.nli else None
@@ -105,13 +105,10 @@ def _cmd_train(args, started):
     if args.history:
         with open(args.history, "w", encoding="utf-8") as handle:
             handle.write(history_to_csv(scorer.history_))
-    _write_manifest(args.out, "train", args, args.seed,
-                    [args.qe, args.sts, args.nli, args.validation],
-                    [args.out, args.history], started)
-    return 0
+    return args.out, [args.qe, args.sts, args.nli, args.validation], [args.out, args.history]
 
 
-def _cmd_augment(args, started):
+def _cmd_augment(args):
     records = load_qe(args.qe, normalize=args.normalize)
     config = AugmentConfig(args.n, args.cutoff, args.seed)
     if args.mode == "filter":
@@ -124,11 +121,10 @@ def _cmd_augment(args, started):
         f"({dataset.label_kind})",
         file=sys.stderr,
     )
-    _write_manifest(args.out, "augment", args, args.seed, [args.qe], [args.out], started)
-    return 0
+    return args.out, [args.qe], [args.out]
 
 
-def _cmd_train_filter(args, started):
+def _cmd_train_filter(args):
     records = load_qe(args.data)
     positives = [r for r in records if r.score == 1.0]
     negatives = [r for r in records if r.score == 0.0]
@@ -146,11 +142,10 @@ def _cmd_train_filter(args, started):
     )
     encoder.fit(positives, negatives)
     encoder.save(args.out)
-    _write_manifest(args.out, "train-filter", args, args.seed, [args.data], [args.out], started)
-    return 0
+    return args.out, [args.data], [args.out]
 
 
-def _cmd_align(args, started):
+def _cmd_align(args):
     model, heads = load_model(args.model)
     parallel = load_parallel(args.parallel)
     config = TrainConfig(epochs=args.epochs, finetune_epochs=0,
@@ -162,12 +157,10 @@ def _cmd_align(args, started):
         f"({report.heldout_size} pairs)",
         file=sys.stderr,
     )
-    _write_manifest(args.out, "align", args, args.seed,
-                    [args.model, args.parallel], [args.out], started)
-    return 0
+    return args.out, [args.model, args.parallel], [args.out]
 
 
-def _cmd_train_feature(args, started):
+def _cmd_train_feature(args):
     sts_backbone, _ = load_model(args.sts_backbone)
     nli_backbone, _ = load_model(args.nli_backbone)
     qe_backbone, _ = load_model(args.qe_backbone)
@@ -179,13 +172,10 @@ def _cmd_train_feature(args, started):
     )
     scorer.fit(records)
     save_feature_model(scorer.model_, args.out)
-    _write_manifest(args.out, "train-feature", args, args.seed,
-                    [args.sts_backbone, args.nli_backbone, args.qe_backbone, args.qe],
-                    [args.out], started)
-    return 0
+    return args.out, [args.sts_backbone, args.nli_backbone, args.qe_backbone, args.qe], [args.out]
 
 
-def _cmd_mine_tatoeba(args, started):
+def _cmd_mine_tatoeba(args):
     data = load_tatoeba(args.side_a, args.side_b)
     scorer = MultitaskScorer.load(args.model)
     matrix = score_matrix(scorer, data.references, data.hypotheses)
@@ -195,16 +185,10 @@ def _cmd_mine_tatoeba(args, started):
             handle.write(f"{row}\t{col}\t{matrix.values[row, col]!r}\n")
     accuracy = tatoeba_accuracy(predicted, data.size)
     print(f"{data.size} rows, accuracy {accuracy:.4f}", file=sys.stderr)
-    _write_manifest(args.out, "mine-tatoeba", args, args.seed,
-                    [args.side_a, args.side_b, args.model], [args.out], started)
-    return 0
+    return args.out, [args.side_a, args.side_b, args.model], [args.out]
 
 
-def _cmd_mine_bucc(args, started):
-    if args.threshold == "auto" and not args.train_gold:
-        print("error: the auto threshold cannot be resolved without --train-gold",
-              file=sys.stderr)
-        return USAGE_EXIT
+def _cmd_mine_bucc(args):
     corpus = load_bucc(args.side_a, args.side_b, args.gold)
     train_gold = load_gold(args.train_gold) if args.train_gold else None
     if train_gold is not None and os.path.samefile(args.train_gold, args.gold):
@@ -225,14 +209,11 @@ def _cmd_mine_bucc(args, started):
         f"threshold={result.threshold!r}, F1={f1:.4f} (P={precision:.4f} R={recall:.4f})",
         file=sys.stderr,
     )
-    _write_manifest(args.out, "mine-bucc", args, args.seed,
-                    [args.side_a, args.side_b, args.gold, args.train_gold,
-                     args.filter_model, args.model],
-                    [args.out], started)
-    return 0
+    inputs = [args.side_a, args.side_b, args.gold, args.train_gold, args.filter_model, args.model]
+    return args.out, inputs, [args.out]
 
 
-def _cmd_eval_qe(args, started):
+def _cmd_eval_qe(args):
     records = load_qe(args.qe, normalize=args.normalize)
     # Any QEF version goes to the feature-model reader, which reports its own errors.
     with open(args.model, "rb") as handle:
@@ -247,58 +228,49 @@ def _cmd_eval_qe(args, started):
         with open(args.out, "w", encoding="utf-8") as handle:
             for record, score in zip(records, predictions):
                 handle.write(f"{record.source}\t{record.target}\t{float(score)!r}\n")
-        _write_manifest(args.out, "eval-qe", args, args.seed,
-                        [args.qe, args.model], [args.out], started)
     print(f"pearson={correlation!r}")
-    return 0
+    return (args.out, [args.qe, args.model], [args.out]) if args.out else None
 
 
-def _cmd_williams(args, started):
+def _cmd_williams(args):
     result = williams_test(args.r12, args.r13, args.r23, args.n)
     print(f"t={result.t_statistic!r} df={result.degrees_of_freedom} p={result.p_value!r}")
-    return 0
 
 
-def _cmd_t_tail(args, started):
+def _cmd_t_tail(args):
     print(f"p={t_tail(args.t, args.df)!r}")
-    return 0
 
 
-def _cmd_hist(args, started):
+def _cmd_hist(args):
     records = load_qe(args.qe, normalize=args.normalize)
     counts = score_histogram([r.score for r in records], args.bins)
     csv = histogram_csv(counts)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(csv)
-        _write_manifest(args.out, "hist", args, args.seed, [args.qe], [args.out], started)
     else:
         sys.stdout.write(csv)
-    return 0
+    return (args.out, [args.qe], [args.out]) if args.out else None
 
 
-def _cmd_synth(args, started):
+def _cmd_synth(args):
     config = SynthConfig(
         vocab_size=args.vocab,
         corruption_rate=args.corruption,
         seed=args.seed,
     )
     bundle = generate_corpus(config, args.count)
-    prefix = args.out
-    save_qe(bundle.qe, f"{prefix}.qe.tsv")
-    save_parallel(bundle.parallel, f"{prefix}.parallel.tsv")
-    save_tatoeba(bundle.tatoeba, f"{prefix}.tatoeba.src", f"{prefix}.tatoeba.tgt")
-    save_bucc(bundle.bucc, f"{prefix}.bucc.a.tsv", f"{prefix}.bucc.b.tsv", f"{prefix}.bucc.gold.tsv")
-    outputs = [
-        f"{prefix}.qe.tsv", f"{prefix}.parallel.tsv",
-        f"{prefix}.tatoeba.src", f"{prefix}.tatoeba.tgt",
-        f"{prefix}.bucc.a.tsv", f"{prefix}.bucc.b.tsv", f"{prefix}.bucc.gold.tsv",
-    ]
-    _write_manifest(prefix, "synth", args, args.seed, [], outputs, started)
-    return 0
+    suffixes = ("qe.tsv", "parallel.tsv", "tatoeba.src", "tatoeba.tgt",
+                "bucc.a.tsv", "bucc.b.tsv", "bucc.gold.tsv")
+    outputs = [f"{args.out}.{suffix}" for suffix in suffixes]
+    save_qe(bundle.qe, outputs[0])
+    save_parallel(bundle.parallel, outputs[1])
+    save_tatoeba(bundle.tatoeba, *outputs[2:4])
+    save_bucc(bundle.bucc, *outputs[4:])
+    return args.out, [], outputs
 
 
-def _cmd_gradcheck(args, started):
+def _cmd_gradcheck(args):
     kinds = GRAD_CHECK_KINDS if args.loss == "all" else (args.loss,)
     rows = ["block,max_rel_error"]
     worst = 0.0
@@ -312,11 +284,10 @@ def _cmd_gradcheck(args, started):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(csv)
-        _write_manifest(args.out, "gradcheck", args, args.seed, [], [args.out], started)
     else:
         sys.stdout.write(csv)
     print(f"max relative error {worst:.2e}", file=sys.stderr)
-    return 0
+    return (args.out, [], [args.out]) if args.out else None
 
 
 def _add_net_flags(parser):
@@ -457,13 +428,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "mine-bucc" and args.threshold == "auto" and not args.train_gold:
+            parser.error("the auto threshold cannot be resolved without --train-gold")
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0
         return USAGE_EXIT
     started = time.monotonic()
     try:
-        return args.func(args, started)
+        # a command returns (out_path, inputs, outputs), or None if it wrote no file
+        written = args.func(args)
+        if written:
+            _write_manifest(args, *written, started)
+        return 0
     except OSError as exc:
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {reason}", file=sys.stderr)

@@ -213,10 +213,14 @@ def load_qe(path, normalize: bool = False) -> list[QERecord]:
     return records
 
 
-def save_qe(records, path) -> None:
+def _write_rows(path, rows) -> None:
+    """Write each row's columns tab-separated, one LF-terminated line per row."""
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(f"{record.source}\t{record.target}\t{record.score!r}\n")
+        handle.writelines("\t".join(row) + "\n" for row in rows)
+
+
+def save_qe(records, path) -> None:
+    _write_rows(path, ((r.source, r.target, repr(r.score)) for r in records))
 
 
 def load_sts(path) -> list[STSRecord]:
@@ -232,9 +236,7 @@ def load_sts(path) -> list[STSRecord]:
 
 
 def save_sts(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(f"{record.sentence1}\t{record.sentence2}\t{record.raw_score!r}\n")
+    _write_rows(path, ((r.sentence1, r.sentence2, repr(r.raw_score)) for r in records))
 
 
 def load_nli(path) -> list[NLIRecord]:
@@ -255,11 +257,7 @@ def load_nli(path) -> list[NLIRecord]:
 
 
 def save_nli(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                f"{record.premise}\t{record.hypothesis}\t{NLI_LABELS[record.label]}\n"
-            )
+    _write_rows(path, ((r.premise, r.hypothesis, NLI_LABELS[r.label]) for r in records))
 
 
 def load_parallel(path) -> ParallelSet:
@@ -276,9 +274,7 @@ def load_parallel(path) -> ParallelSet:
 
 
 def save_parallel(parallel: ParallelSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for source, target in parallel.pairs:
-            handle.write(f"{source}\t{target}\n")
+    _write_rows(path, parallel.pairs)
 
 
 def load_tatoeba(path_a, path_b) -> TatoebaSet:
@@ -295,10 +291,8 @@ def load_tatoeba(path_a, path_b) -> TatoebaSet:
 
 
 def save_tatoeba(data: TatoebaSet, path_a, path_b) -> None:
-    with open(path_a, "w", encoding="utf-8") as handle:
-        handle.writelines(f"{line}\n" for line in data.references)
-    with open(path_b, "w", encoding="utf-8") as handle:
-        handle.writelines(f"{line}\n" for line in data.hypotheses)
+    _write_rows(path_a, zip(data.references))
+    _write_rows(path_b, zip(data.hypotheses))
 
 
 def _load_bucc_side(path) -> dict:
@@ -323,12 +317,6 @@ def load_bucc(path_a, path_b, gold_path) -> BuccCorpus:
 
 
 def save_bucc(corpus: BuccCorpus, path_a, path_b, gold_path) -> None:
-    with open(path_a, "w", encoding="utf-8") as handle:
-        for sent_id, sentence in corpus.side_a.items():
-            handle.write(f"{sent_id}\t{sentence}\n")
-    with open(path_b, "w", encoding="utf-8") as handle:
-        for sent_id, sentence in corpus.side_b.items():
-            handle.write(f"{sent_id}\t{sentence}\n")
-    with open(gold_path, "w", encoding="utf-8") as handle:
-        for id_a, id_b in sorted(corpus.gold):
-            handle.write(f"{id_a}\t{id_b}\n")
+    _write_rows(path_a, corpus.side_a.items())
+    _write_rows(path_b, corpus.side_b.items())
+    _write_rows(gold_path, sorted(corpus.gold))

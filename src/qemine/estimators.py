@@ -36,7 +36,8 @@ __all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer"]
 
 
 class _EstimatorMixin:
-    """get_params/set_params over the constructor signature."""
+    """get_params/set_params over the constructor signature, and the
+    training config built from the shared optimizer hyperparameters."""
 
     @classmethod
     def _param_names(cls):
@@ -53,6 +54,10 @@ class _EstimatorMixin:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
+
+    def _train_config(self, **schedule) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                           learning_rate=self.learning_rate, seed=self.seed, **schedule)
 
 
 def _embed_texts(params: dict, featurizer: FeaturizerConfig, texts) -> np.ndarray:
@@ -139,22 +144,14 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.history_ = None
         self._params64 = None
 
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            finetune_epochs=self.finetune_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            tasks=tuple(self.tasks),
-            seed=self.seed,
-            until_convergence=self.until_convergence,
-            patience=self.patience,
+    def fit(self, qe=None, sts=None, nli=None, validation=None):
+        config = self._train_config(
+            finetune_epochs=self.finetune_epochs, tasks=tuple(self.tasks),
+            until_convergence=self.until_convergence, patience=self.patience,
             max_epochs=self.max_epochs,
         )
-
-    def fit(self, qe=None, sts=None, nli=None, validation=None):
         self.encoder_, self.heads_, self.history_ = multitask_train(
-            qe, sts, nli, self._train_config(), self._encoder_config(), validation
+            qe, sts, nli, config, self._encoder_config(), validation
         )
         self._params64 = None
         return self
@@ -222,15 +219,9 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
         self._params64 = None
 
     def fit(self, positives, negatives):
-        config = TrainConfig(
-            epochs=self.epochs,
-            finetune_epochs=0,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
         self.encoder_, self.history_ = train_filtration(
-            positives, negatives, config, ContrastiveConfig(self.margin), self._encoder_config()
+            positives, negatives, self._train_config(finetune_epochs=0),
+            ContrastiveConfig(self.margin), self._encoder_config(),
         )
         self._params64 = None
         return self
@@ -280,16 +271,9 @@ class FeatureStackScorer(_EstimatorMixin):
         for name in ("sts_backbone", "nli_backbone", "qe_backbone"):
             if getattr(self, name) is None:
                 raise ConfigError(f"{name} must be set before fitting")
-        config = TrainConfig(
-            epochs=self.epochs,
-            finetune_epochs=0,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
         self.model_, self.history_ = train_feature_stack(
             self.sts_backbone, self.nli_backbone, self.qe_backbone, qe,
-            config, self.hidden_units,
+            self._train_config(finetune_epochs=0), self.hidden_units,
         )
         return self
 

@@ -50,22 +50,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Dense reference-by-hypothesis score matrix with row/column ids."""
+    """Dense reference-by-hypothesis score matrix, indexed by input position."""
 
     values: np.ndarray
-    row_ids: tuple
-    col_ids: tuple
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
-        object.__setattr__(self, "col_ids", tuple(self.col_ids))
-        if values.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError(
-                f"matrix shape {values.shape} disagrees with id lists "
-                f"({len(self.row_ids)} x {len(self.col_ids)})"
-            )
+        if values.ndim != 2:
+            raise ValueError(f"score matrix must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("score matrix contains non-finite entries")
 
@@ -130,7 +123,7 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     n, m = len(references), len(hypotheses)
     rows, cols = np.divmod(np.arange(n * m), m)
     values = _score_index_pairs(scorer, references, hypotheses, rows, cols).reshape(n, m)
-    return ScoreMatrix(values, tuple(range(n)), tuple(range(m)))
+    return ScoreMatrix(values)
 
 
 def mine_tatoeba(matrix: ScoreMatrix) -> list[tuple[int, int]]:
@@ -149,8 +142,7 @@ def tatoeba_accuracy(predicted, size: int) -> float:
     return sum(1 for row, col in predicted if row == col) / size
 
 
-def embed_and_similarity(filter_model, side_a, side_b,
-                         row_ids=None, col_ids=None) -> ScoreMatrix:
+def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
     """Pairwise cosine matrix from one embedding pass per side.
 
     Embeddings are L2-normalized (zero vectors stay zero) so the matrix
@@ -166,11 +158,7 @@ def embed_and_similarity(filter_model, side_a, side_b,
         return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
 
     values = np.clip(_normalize(ua) @ _normalize(ub).T, -1.0, 1.0)
-    if row_ids is None:
-        row_ids = tuple(range(len(side_a)))
-    if col_ids is None:
-        col_ids = tuple(range(len(side_b)))
-    return ScoreMatrix(values, row_ids, col_ids)
+    return ScoreMatrix(values)
 
 
 def _top_n_per_row(values: np.ndarray, n: int) -> list:

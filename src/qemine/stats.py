@@ -42,70 +42,12 @@ def pearson(x, y) -> float:
     return float(dx @ dy) / (sx * sy)
 
 
-_FPMIN = 1e-300
-_CF_EPS = 1e-14
-_CF_MAXIT = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz's continued fraction for the incomplete beta integral.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_tail(t: float, df: int) -> float:
     """One-tailed tail probability P(T > t) of Student's t with df degrees."""
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    t = float(t)
-    x = df / (df + t * t)
-    half_two_sided = 0.5 * _reg_inc_beta(df / 2.0, 0.5, x)
-    return half_two_sided if t >= 0 else 1.0 - half_two_sided
+    from scipy.special import stdtr  # on first use: importing it costs every process ~5 MB
+    return float(stdtr(df, -float(t)))
 
 
 @dataclass(frozen=True)

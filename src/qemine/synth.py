@@ -14,6 +14,7 @@ are mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _rng(config: SynthConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed & _MASK64, tag])
 
 
-def _draw_words(rng, alphabet: str, count: int) -> list[str]:
+def _draw_words(rng, alphabet: str, count: int) -> tuple[str, ...]:
     words: list[str] = []
     seen = set()
     while len(words) < count:
@@ -74,11 +75,12 @@ def _draw_words(rng, alphabet: str, count: int) -> list[str]:
         if word not in seen:
             seen.add(word)
             words.append(word)
-    return words
+    return tuple(words)
 
 
+@lru_cache(maxsize=4)
 def _vocabularies(config: SynthConfig):
-    """Source vocab, its cipher image, and the noise vocab.
+    """Source vocab, its cipher image, and the noise vocab; cached per config.
 
     The target and noise vocabularies share the target alphabet but are
     disjoint word sets, so noise words look like fluent target text.
@@ -94,6 +96,10 @@ def _vocabularies(config: SynthConfig):
 def _sentence_indices(rng, config: SynthConfig) -> np.ndarray:
     length = int(rng.integers(config.min_words, config.max_words + 1))
     return rng.integers(0, config.vocab_size, length)
+
+
+def _sentence(rng, config: SynthConfig, vocab) -> str:
+    return " ".join(vocab[k] for k in _sentence_indices(rng, config))
 
 
 def generate_qe(config: SynthConfig, count: int) -> list[QERecord]:
@@ -113,52 +119,35 @@ def generate_qe(config: SynthConfig, count: int) -> list[QERecord]:
     return records
 
 
-def generate_parallel(config: SynthConfig, count: int) -> ParallelSet:
-    """Clean cipher pairs with the target language on the English side."""
+def _clean_pairs(rng, config: SynthConfig, count: int) -> list[tuple[str, str]]:
+    """``count`` (source sentence, its cipher translation) pairs."""
     source_vocab, target_vocab, _ = _vocabularies(config)
-    rng = _rng(config, _TAG_PARALLEL)
     pairs = []
     for _ in range(count):
         idx = _sentence_indices(rng, config)
-        pairs.append((
-            " ".join(source_vocab[k] for k in idx),
-            " ".join(target_vocab[k] for k in idx),
-        ))
-    return ParallelSet(tuple(pairs))
+        pairs.append((" ".join(source_vocab[k] for k in idx),
+                      " ".join(target_vocab[k] for k in idx)))
+    return pairs
+
+
+def generate_parallel(config: SynthConfig, count: int) -> ParallelSet:
+    """Clean cipher pairs with the target language on the English side."""
+    return ParallelSet(tuple(_clean_pairs(_rng(config, _TAG_PARALLEL), config, count)))
 
 
 def generate_tatoeba(config: SynthConfig, count: int) -> TatoebaSet:
     """Clean pairs for similarity search; line i translates line i."""
-    source_vocab, target_vocab, _ = _vocabularies(config)
-    rng = _rng(config, _TAG_TATOEBA)
-    refs, hyps = [], []
-    for _ in range(count):
-        idx = _sentence_indices(rng, config)
-        refs.append(" ".join(source_vocab[k] for k in idx))
-        hyps.append(" ".join(target_vocab[k] for k in idx))
-    return TatoebaSet(tuple(refs), tuple(hyps))
+    pairs = _clean_pairs(_rng(config, _TAG_TATOEBA), config, count)
+    return TatoebaSet(tuple(s for s, _ in pairs), tuple(t for _, t in pairs))
 
 
 def generate_bucc(config: SynthConfig, n_gold: int, n_distractors: int) -> BuccCorpus:
     """Gold cipher pairs injected among unrelated sentences on both sides."""
     source_vocab, target_vocab, _ = _vocabularies(config)
     rng = _rng(config, _TAG_BUCC)
-
-    gold_pairs = []
-    for _ in range(n_gold):
-        idx = _sentence_indices(rng, config)
-        gold_pairs.append((
-            " ".join(source_vocab[k] for k in idx),
-            " ".join(target_vocab[k] for k in idx),
-        ))
-    distractors_a = [
-        " ".join(source_vocab[k] for k in _sentence_indices(rng, config))
-        for _ in range(n_distractors)
-    ]
-    distractors_b = [
-        " ".join(target_vocab[k] for k in _sentence_indices(rng, config))
-        for _ in range(n_distractors)
-    ]
+    gold_pairs = _clean_pairs(rng, config, n_gold)
+    distractors_a = [_sentence(rng, config, source_vocab) for _ in range(n_distractors)]
+    distractors_b = [_sentence(rng, config, target_vocab) for _ in range(n_distractors)]
 
     def _inject(gold_texts, distractors, prefix):
         texts = gold_texts + distractors

@@ -24,7 +24,6 @@ from .backprop import (
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
 from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel
-from .model import load_feature_model, save_feature_model  # re-exported
 from .optim import Adam
 from .stats import pearson
 from .validation import as_nli_data, as_pair_scores, as_text_pairs
@@ -33,15 +32,12 @@ __all__ = [
     "TrainConfig",
     "ContrastiveConfig",
     "AlignmentReport",
-    "FeatureStackModel",
     "GradCheckReport",
     "multitask_train",
     "train_filtration",
     "align_encoders",
     "train_feature_stack",
     "feature_predict",
-    "save_feature_model",
-    "load_feature_model",
     "grad_check",
     "history_to_csv",
 ]
@@ -144,34 +140,31 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
-def _run_epochs(params, config: TrainConfig, stream: _BatchStream, task: str, batch):
-    """``config.epochs`` passes of Adam steps on ``batch(idx) -> (losses, grads)``;
-    returns the per-epoch mean-loss history."""
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        total, count = 0.0, 0
-        for _ in range(stream.batches_per_pass):
-            losses, grads = batch(stream.next_batch())
-            adam.step(params, grads)
-            total += float(losses.sum())
-            count += len(losses)
-        history.append({"epoch": epoch, "task": task, "mean_loss": total / count})
+def _adam(config: TrainConfig) -> Adam:
+    return Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+
+
+def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
+    """``epochs`` epochs of Adam steps; returns ``history`` with one
+    ``{"epoch", "task", "mean_loss"}`` row appended per epoch and task.
+
+    ``streams`` maps a task name to ``(stream, batch)``, where
+    ``batch(idx) -> (losses, grads)``.  The tasks take turns one batch at
+    a time, and the stream with the most batches per pass sets the
+    number of turns in an epoch; shorter streams reshuffle and recycle.
+    """
+    turns = max(stream.batches_per_pass for stream, _ in streams.values())
+    for epoch in range(first_epoch, first_epoch + epochs):
+        sums = dict.fromkeys(streams, 0.0)
+        counts = dict.fromkeys(streams, 0)
+        for _ in range(turns):
+            for task, (stream, batch) in streams.items():
+                losses, grads = batch(stream.next_batch())
+                adam.step(params, grads)
+                sums[task] += float(losses.sum())
+                counts[task] += len(losses)
+        history += [{"epoch": epoch, "task": t, "mean_loss": sums[t] / counts[t]} for t in streams]
     return history
-
-
-def _prepare_task(task, data, featurizer):
-    if task == "nli":
-        a, b, y = as_nli_data(data)
-    else:
-        a, b, y = as_pair_scores(data)
-    return (*_featurize_sides(a, b, featurizer), y)
-
-
-def _task_step(task, params, Xa, Xb, y, idx):
-    if task == "nli":
-        return nli_batch(params, Xa[idx], Xb[idx], y[idx])
-    return regression_batch(params, task, Xa[idx], Xb[idx], y[idx])
 
 
 def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConfig(),
@@ -199,39 +192,24 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
         raise ConfigError("until_convergence training requires a validation set")
 
     featurizer = encoder.featurizer
-    data = {}
+    params = init_params(encoder, _rng(config.seed, _TAG_INIT))
+
+    def task_batch(task, Xa, Xb, y):
+        if task == "nli":
+            return lambda idx: nli_batch(params, Xa[idx], Xb[idx], y[idx])
+        return lambda idx: regression_batch(params, task, Xa[idx], Xb[idx], y[idx])
+
     streams = {}
     for task in TASKS:
         if raw[task]:
-            data[task] = _prepare_task(task, raw[task], featurizer)
-            streams[task] = _BatchStream(
-                len(data[task][2]), config.batch_size, _rng(config.seed, _TAG_STREAM[task])
-            )
-
-    params = init_params(encoder, _rng(config.seed, _TAG_INIT))
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-    history = []
+            a, b, y = (as_nli_data if task == "nli" else as_pair_scores)(raw[task])
+            stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_STREAM[task]))
+            streams[task] = (stream, task_batch(task, *_featurize_sides(a, b, featurizer), y))
+    phase1 = {task: streams[task] for task in config.tasks}
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
         vXa, vXb = _featurize_sides(va, vb, featurizer)
-
-    def run_epoch(epoch, tasks):
-        sums = {t: 0.0 for t in tasks}
-        counts = {t: 0 for t in tasks}
-        slots = max(streams[t].batches_per_pass for t in tasks)
-        for _ in range(slots):
-            for task in tasks:
-                idx = streams[task].next_batch()
-                Xa, Xb, y = data[task]
-                losses, grads = _task_step(task, params, Xa, Xb, y, idx)
-                adam.step(params, grads)
-                sums[task] += float(losses.sum())
-                counts[task] += len(losses)
-        for task in tasks:
-            history.append(
-                {"epoch": epoch, "task": task, "mean_loss": sums[task] / counts[task]}
-            )
 
     def validation_pearson():
         pred, _ = backprop.regression_head(params, "qe", embed(params, vXa), embed(params, vXb))
@@ -240,14 +218,16 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
         except ValueError:
             return float("-inf")
 
+    adam = _adam(config)
+    history = []
     epoch = 0
     if config.until_convergence:
         best_score = float("-inf")
         best_params = {k: v.copy() for k, v in params.items()}
         wait = 0
-        while epoch < config.max_epochs:
+        while epoch < config.max_epochs and wait < config.patience:
             epoch += 1
-            run_epoch(epoch, config.tasks)
+            _run_epochs(params, adam, phase1, 1, history, epoch)
             score = validation_pearson()
             if score > best_score:
                 best_score = score
@@ -255,18 +235,14 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
                 wait = 0
             else:
                 wait += 1
-                if wait >= config.patience:
-                    break
         params.update(best_params)
-        adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        adam = _adam(config)
     else:
-        for _ in range(config.epochs):
-            epoch += 1
-            run_epoch(epoch, config.tasks)
+        _run_epochs(params, adam, phase1, config.epochs, history)
+        epoch = config.epochs
 
-    for _ in range(config.finetune_epochs):
-        epoch += 1
-        run_epoch(epoch, ("qe",))
+    if config.finetune_epochs:
+        _run_epochs(params, adam, {"qe": streams["qe"]}, config.finetune_epochs, history, epoch + 1)
 
     model = backprop.model_from_params(params, featurizer)
     heads = backprop.heads_from_params(params)
@@ -291,10 +267,8 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
     stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_FILTER))
-    history = _run_epochs(
-        params, config, stream, "contrastive",
-        lambda idx: contrastive_batch(params, Xa[idx], Xb[idx], y[idx], contrastive.margin),
-    )
+    batch = lambda idx: contrastive_batch(params, Xa[idx], Xb[idx], y[idx], contrastive.margin)
+    history = _run_epochs(params, _adam(config), {"contrastive": (stream, batch)}, config.epochs, [])
     return backprop.model_from_params(params, featurizer), history
 
 
@@ -336,8 +310,8 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
 
     stream = _BatchStream(len(train), config.batch_size, _rng(config.seed, _TAG_ALIGN))
     Xs_train = Xs[train]
-    _run_epochs(params, config, stream, "alignment",
-                lambda idx: alignment_batch(params, Xs_train[idx], targets[idx]))
+    batch = lambda idx: alignment_batch(params, Xs_train[idx], targets[idx])
+    _run_epochs(params, _adam(config), {"alignment": (stream, batch)}, config.epochs, [])
     after = _mean_cosine(params, Xs[held], Xt[held])
     aligned = backprop.model_from_params(params, featurizer)
     return aligned, AlignmentReport(before, after, heldout_size)
@@ -381,7 +355,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
         return diff * diff, {"o_w": hidden.T @ dz, "o_b": np.array([dz.sum()]),
                              "h_w": d_hidden.T @ f, "h_b": d_hidden.sum(axis=0)}
 
-    history = _run_epochs(params, config, stream, "qe-feature", batch)
+    history = _run_epochs(params, _adam(config), {"qe-feature": (stream, batch)}, config.epochs, [])
     model = FeatureStackModel(sts_backbone, nli_backbone, qe_backbone,
                               params["h_w"], params["h_b"], params["o_w"], params["o_b"])
     return model, history
@@ -422,7 +396,6 @@ GRAD_CHECK_KINDS = ("qe-mse", "sts-mse", "nli-ce", "contrastive", "alignment")
 
 
 def _random_texts(rng, count):
-    words = []
     alphabet = "abcdefgh"
     texts = []
     for _ in range(count):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,18 @@ NET = ["--features", "512", "--hidden", "8", "--dim", "6"]
 
 def _run(argv, capsys=None):
     return main([str(a) for a in argv])
+
+
+def _check_manifest(out, command, seed, inputs, outputs):
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == [str(p) for p in inputs]
+    assert manifest["outputs"] == [str(p) for p in outputs]
+
+
+def _manifests(root):
+    return sorted(p.name for p in Path(root).rglob("*.manifest.json"))
 
 
 @pytest.fixture
@@ -33,6 +46,7 @@ class TestExitCodes:
                      "--out", tmp_path / "m.qem"])
         assert code == 2
         assert "absent.tsv" in capsys.readouterr().err
+        assert _manifests(tmp_path) == []
 
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -55,6 +69,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ")
         assert "cannot read" not in err
+        assert _manifests(tmp_path) == ["corpus.manifest.json"]
 
     def test_auto_threshold_without_train_gold_is_usage_error(self, synth_prefix, tmp_path, capsys):
         code = _run(["mine-bucc",
@@ -66,6 +81,7 @@ class TestExitCodes:
                      "--out", tmp_path / "mined.tsv"])
         assert code == 1
         assert "train-gold" in capsys.readouterr().err
+        assert _manifests(tmp_path) == ["corpus.manifest.json"]
 
 
 class TestSynth:
@@ -115,6 +131,8 @@ class TestTrainPipeline:
         predictions = tmp_path / "pred.tsv"
         assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model,
                      "--out", predictions]) == 0
+        _check_manifest(predictions, "eval-qe", 42, [f"{synth_prefix}.qe.tsv", model],
+                        [predictions])
         reported = float(capsys.readouterr().out.strip().split("=")[1])
         predicted = [r.score for r in load_qe(predictions)]
         labels = [r.score for r in load_qe(f"{synth_prefix}.qe.tsv")]
@@ -137,6 +155,7 @@ class TestAugmentAndFilter:
         out = tmp_path / "aug.tsv"
         assert _run(["augment", "--qe", f"{synth_prefix}.qe.tsv", "--mode", "scorer",
                      "--n", 2, "--seed", 9, "--out", out]) == 0
+        _check_manifest(out, "augment", 9, [f"{synth_prefix}.qe.tsv"], [out])
         records = load_qe(out)
         assert len(records) == 60 + 120
         assert sum(1 for r in records if r.score == 0.0) >= 120
@@ -155,6 +174,7 @@ class TestAugmentAndFilter:
         _run(args + ["--out", tmp_path / "f1.qem"])
         _run(args + ["--out", tmp_path / "f2.qem"])
         assert (tmp_path / "f1.qem").read_bytes() == (tmp_path / "f2.qem").read_bytes()
+        _check_manifest(tmp_path / "f1.qem", "train-filter", 2, [aug], [tmp_path / "f1.qem"])
 
 
 class TestAlignCli:
@@ -167,6 +187,8 @@ class TestAlignCli:
         _run(args + ["--out", tmp_path / "al1.qem"])
         _run(args + ["--out", tmp_path / "al2.qem"])
         assert (tmp_path / "al1.qem").read_bytes() == (tmp_path / "al2.qem").read_bytes()
+        _check_manifest(tmp_path / "al1.qem", "align", 6,
+                        [model, f"{synth_prefix}.parallel.tsv"], [tmp_path / "al1.qem"])
 
 
 class TestMineCli:
@@ -181,6 +203,9 @@ class TestMineCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 12  # count // 5
         assert "accuracy" in capsys.readouterr().err
+        _check_manifest(out, "mine-tatoeba", 42,
+                        [f"{synth_prefix}.tatoeba.src", f"{synth_prefix}.tatoeba.tgt", model],
+                        [out])
 
     @staticmethod
     def _mining_models(synth_prefix, tmp_path):
@@ -242,31 +267,53 @@ class TestMineCli:
 
 
 class TestStatsCli:
-    def test_williams_output_format(self, capsys):
+    def test_williams_output_format(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert _run(["williams", "--r12", 0.5, "--r13", 0.7, "--r23", 0.6, "--n", 30]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t=")
         assert " df=27 " in out
         assert "p=" in out
+        assert _manifests(tmp_path) == []
 
-    def test_hist_csv(self, synth_prefix, tmp_path):
+    def test_t_tail_output_format(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _run(["t-tail", "--t", 0.0, "--df", 5]) == 0
+        assert capsys.readouterr().out == "p=0.5\n"
+        assert _manifests(tmp_path) == []
+
+    def test_hist_csv(self, synth_prefix, tmp_path, monkeypatch, capsys):
         out = tmp_path / "hist.csv"
         assert _run(["hist", "--qe", f"{synth_prefix}.qe.tsv", "--bins", 5,
                      "--out", out]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 60
+        _check_manifest(out, "hist", 42, [f"{synth_prefix}.qe.tsv"], [out])
 
-    def test_gradcheck_single_loss(self, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert _run(["hist", "--qe", f"{synth_prefix}.qe.tsv", "--bins", 5]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert _manifests(tmp_path) == ["corpus.manifest.json", "hist.csv.manifest.json"]
+
+    def test_gradcheck_single_loss(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "gc.csv"
         assert _run(["gradcheck", "--loss", "contrastive", "--seed", 1, "--out", out]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "block,max_rel_error"
         assert all(float(line.split(",")[1]) < 1e-3 for line in lines[1:])
+        _check_manifest(out, "gradcheck", 1, [], [out])
+
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert _run(["gradcheck", "--loss", "contrastive", "--seed", 1]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert _manifests(tmp_path) == ["gc.csv.manifest.json"]
 
 
 class TestFeaturePipeline:
-    def test_train_feature_and_eval(self, synth_prefix, tmp_path, capsys):
+    def test_train_feature_and_eval(self, synth_prefix, tmp_path, monkeypatch, capsys):
         backbones = []
         for seed in (1, 2, 3):
             path = tmp_path / f"bb{seed}.qem"
@@ -279,5 +326,9 @@ class TestFeaturePipeline:
                      "--qe-backbone", backbones[2], "--qe", f"{synth_prefix}.qe.tsv",
                      "--epochs", 2, "--seed", 4, "--out", out])
         assert code == 0
+        _check_manifest(out, "train-feature", 4, [*backbones, f"{synth_prefix}.qe.tsv"], [out])
+        written = _manifests(tmp_path)
+        monkeypatch.chdir(tmp_path)
         assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", out]) == 0
         assert "pearson=" in capsys.readouterr().out
+        assert _manifests(tmp_path) == written

@@ -60,7 +60,7 @@ class _RandomEmbedder:
 
 def _matrix(values):
     values = np.asarray(values, dtype=np.float64)
-    return ScoreMatrix(values, tuple(range(values.shape[0])), tuple(range(values.shape[1])))
+    return ScoreMatrix(values)
 
 
 def _brute_force_mutual_best(values, threshold=0.0):

@@ -117,8 +117,10 @@ class TestTTail:
             assert t_tail(t, df) == pytest.approx(float(scipy_stats.t.sf(t, df)), rel=1e-9, abs=1e-12)
 
     def test_monotone_decreasing_in_t(self):
-        values = [t_tail(t, 8) for t in np.linspace(-5, 5, 101)]
+        grid = [-math.inf, *np.linspace(-5, 5, 101), math.inf]
+        values = [t_tail(t, 8) for t in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+        assert (values[0], values[-1]) == (1.0, 0.0)
 
     def test_rejects_bad_df(self):
         with pytest.raises(ValueError):
@@ -158,6 +160,13 @@ class TestWilliams:
             result = williams_test(0.5, r13, 0.3, 40)
             assert result.p_value < previous
             previous = result.p_value
+
+    def test_zero_denominator_gives_infinite_t(self):
+        # r13 = -r23 and a singular correlation matrix (K = 0) zero the denominator
+        result = williams_test(0.5, 0.5, -0.5, 20)
+        assert (result.t_statistic, result.p_value) == (math.inf, 0.0)
+        result = williams_test(0.5, -0.5, 0.5, 20)
+        assert (result.t_statistic, result.p_value) == (-math.inf, 1.0)
 
     def test_rejects_non_psd_triple(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from qemine.augment import AugmentConfig, augment_filtration
 from qemine.corpus import ParallelSet
 from qemine.errors import ConfigError
 from qemine.features import featurize_all
-from qemine.model import model_to_bytes
+from qemine.model import load_feature_model, model_to_bytes, save_feature_model
 from qemine.optim import Adam
 from qemine.synth import SynthConfig, generate_parallel, generate_qe
 from qemine.training import (
@@ -24,9 +24,7 @@ from qemine.training import (
     feature_predict,
     grad_check,
     history_to_csv,
-    load_feature_model,
     multitask_train,
-    save_feature_model,
     train_filtration,
     train_feature_stack,
 )
@@ -106,6 +104,70 @@ class TestMultitaskSchedule:
         assert [row["mean_loss"] for row in history] == pytest.approx(trace, abs=0)
         reference = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
         assert model_to_bytes(model, heads) == model_to_bytes(reference, backprop.heads_from_params(params))
+
+    def test_three_tasks_match_round_robin_schedule(self, tiny_qe_records):
+        """Three tasks of unequal size plus fine-tuning, reproduced from the
+        documented schedule: per epoch, the tasks take turns one batch at a
+        time for as many turns as the longest task needs for one pass
+        (shorter streams reshuffle and recycle), then QE-only epochs
+        continue the QE stream."""
+        rng = np.random.default_rng(7)
+        sts = _sts_records(rng, 7)
+        nli = _nli_records(rng, 17)
+        config = TrainConfig(epochs=2, finetune_epochs=1, batch_size=4, seed=13)
+        model, heads, history = multitask_train(
+            qe=tiny_qe_records, sts=sts, nli=nli, config=config, encoder=SMALL_ENCODER
+        )
+
+        featurizer = SMALL_ENCODER.featurizer
+        data = {
+            "qe": [(r.source, r.target, r.score) for r in tiny_qe_records],
+            "sts": sts,
+            "nli": nli,
+        }
+        arrays = {}
+        for task, rows in data.items():
+            Xa = featurize_all([row[0] for row in rows], featurizer)
+            Xb = featurize_all([row[1] for row in rows], featurizer)
+            y = np.array([row[2] for row in rows], dtype=np.int64 if task == "nli" else np.float64)
+            arrays[task] = (Xa, Xb, y)
+
+        def batches(task):
+            stream_rng = _rng(13, _TAG_STREAM[task])
+            size = len(data[task])
+            while True:
+                order = stream_rng.permutation(size)
+                for start in range(0, size, 4):
+                    yield order[start : start + 4]
+
+        streams = {task: batches(task) for task in data}
+        params = backprop.init_params(SMALL_ENCODER, _rng(13, _TAG_INIT))
+        adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        expected = []
+        for epoch, tasks in ((1, ("qe", "sts", "nli")), (2, ("qe", "sts", "nli")), (3, ("qe",))):
+            turns = max(-(-len(data[task]) // 4) for task in tasks)
+            totals = {task: [0.0, 0] for task in tasks}
+            for _ in range(turns):
+                for task in tasks:
+                    idx = next(streams[task])
+                    Xa, Xb, y = arrays[task]
+                    if task == "nli":
+                        losses, grads = backprop.nli_batch(params, Xa[idx], Xb[idx], y[idx])
+                    else:
+                        losses, grads = backprop.regression_batch(
+                            params, task, Xa[idx], Xb[idx], y[idx]
+                        )
+                    adam.step(params, grads)
+                    totals[task][0] += float(losses.sum())
+                    totals[task][1] += len(losses)
+            expected += [{"epoch": epoch, "task": task, "mean_loss": total / count}
+                         for task, (total, count) in totals.items()]
+
+        assert history == expected
+        reference = backprop.model_from_params(params, featurizer)
+        assert model_to_bytes(model, heads) == model_to_bytes(
+            reference, backprop.heads_from_params(params)
+        )
 
     def test_disabled_task_data_has_no_effect(self, tiny_qe_records):
         rng = np.random.default_rng(0)
