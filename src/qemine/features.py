@@ -7,6 +7,12 @@ Each n-gram is hashed with 64-bit FNV-1a over its UTF-8 bytes (the seed
 is XORed into the offset basis) and masked to ``n_features - 1``, so
 ``n_features`` must be a power of two.  Bucket counts are L2-normalized;
 empty or whitespace-only text maps to the zero vector.
+
+``featurize_all`` keeps two caches that live for one call: each distinct
+word's list of bucket ids, and each gram's bucket, filled only when a
+new word is met.  It collects one flat bucket-id list and builds the CSR
+matrix from it with numpy, so memory grows with the call's own distinct
+words and grams.  The per-text path it replaces is the test oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-__all__ = ["FeaturizerConfig", "FeatureVector", "distinct_texts", "featurize", "fnv1a_64",
-           "stack_features"]
+__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all", "fnv1a_64"]
 
 WORD_MARKER = "▁"
 
@@ -55,76 +60,48 @@ class FeaturizerConfig:
         object.__setattr__(self, "ngram_orders", orders)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse L2-normalized bucket-count vector.
-
-    ``indices`` is strictly increasing; ``values`` are positive and the
-    vector has unit L2 norm unless it is empty (zero vector).
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-    n_features: int = 32768
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n_features)
-        dense[self.indices] = self.values
-        return dense
-
-
-def _iter_ngrams(text: str, orders: tuple[int, ...]):
-    for word in text.lower().split():
-        marked = WORD_MARKER + word + WORD_MARKER
-        n = len(marked)
-        for k in orders:
-            for i in range(n - k + 1):
-                yield marked[i : i + k]
-
-
-def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
-    """Hash the text's character n-grams into a normalized sparse vector."""
-    mask = config.n_features - 1
-    counts: dict[int, int] = {}
-    for gram in _iter_ngrams(text, config.ngram_orders):
-        bucket = fnv1a_64(gram.encode("utf-8"), config.hash_seed) & mask
-        counts[bucket] = counts.get(bucket, 0) + 1
-    if not counts:
-        empty = np.empty(0)
-        return FeatureVector(empty.astype(np.int64), empty, config.n_features)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    values /= np.sqrt(np.dot(values, values))
-    return FeatureVector(indices, values, config.n_features)
-
-
-def stack_features(vectors: list[FeatureVector], n_features: int | None = None) -> sparse.csr_matrix:
-    """Stack feature vectors into one CSR matrix, one row per vector."""
-    if not vectors:
-        raise ValueError("cannot stack an empty list of feature vectors")
-    if n_features is None:
-        n_features = vectors[0].n_features
-    if any(fv.n_features != n_features for fv in vectors):
-        raise ValueError("feature vectors disagree on n_features")
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([fv.nnz for fv in vectors])
-    if indptr[-1] == 0:
-        return sparse.csr_matrix((len(vectors), n_features), dtype=np.float64)
-    indices = np.concatenate([fv.indices for fv in vectors if fv.nnz])
-    data = np.concatenate([fv.values for fv in vectors if fv.nnz])
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), n_features))
-
-
 def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
-    """Featurize a sequence of texts into a CSR matrix."""
-    return stack_features([featurize(t, config) for t in texts], config.n_features)
+    """Featurize a sequence of texts into a CSR matrix, one row per text.
+
+    A word's bucket ids are computed once per call, and a gram is hashed
+    only when a new word contains it.  Raises ``ValueError`` on no texts.
+    """
+    mask = config.n_features - 1
+    word_buckets: dict[str, list[int]] = {}
+    gram_buckets: dict[str, int] = {}
+    ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        start = len(ids)
+        for word in text.lower().split():
+            buckets = word_buckets.get(word)
+            if buckets is None:
+                marked = WORD_MARKER + word + WORD_MARKER
+                buckets = []
+                for k in config.ngram_orders:
+                    for i in range(len(marked) - k + 1):
+                        gram = marked[i : i + k]
+                        bucket = gram_buckets.get(gram)
+                        if bucket is None:
+                            bucket = fnv1a_64(gram.encode("utf-8"), config.hash_seed) & mask
+                            gram_buckets[gram] = bucket
+                        buckets.append(bucket)
+                word_buckets[word] = buckets
+            ids.extend(buckets)
+        lengths.append(len(ids) - start)
+    if not lengths:
+        raise ValueError("cannot featurize an empty list of texts")
+    n_rows, n_features = len(lengths), config.n_features
+    offsets = np.repeat(np.arange(n_rows, dtype=np.int64) * n_features, lengths)
+    keys, counts = np.unique(offsets + np.array(ids, dtype=np.int64), return_counts=True)
+    rows = keys // n_features
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    # Integer counts make every row's sum of squares exact, so the rows
+    # are normalized bit for bit as by one dot product per row.
+    values = counts.astype(np.float64)
+    values /= np.sqrt(np.bincount(rows, weights=values * values, minlength=n_rows))[rows]
+    return sparse.csr_matrix((values, keys & mask, indptr), shape=(n_rows, n_features))
 
 
 def distinct_texts(texts) -> tuple[list, np.ndarray]:

@@ -199,9 +199,11 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
             return lambda idx: nli_batch(params, Xa[idx], Xb[idx], y[idx])
         return lambda idx: regression_batch(params, task, Xa[idx], Xb[idx], y[idx])
 
+    # Only the tasks that train get a stream; each stream's RNG is seeded
+    # by its own task tag, so skipping the others changes no model.
     streams = {}
-    for task in TASKS:
-        if raw[task]:
+    for task in config.tasks + (("qe",) if config.finetune_epochs > 0 else ()):
+        if task not in streams:
             a, b, y = (as_nli_data if task == "nli" else as_pair_scores)(raw[task])
             stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_STREAM[task]))
             streams[task] = (stream, task_batch(task, *_featurize_sides(a, b, featurizer), y))

@@ -1,5 +1,8 @@
 """Reference implementations that the package code is checked against.
 
+``featurize`` hashes one text's n-grams into a ``FeatureVector``, with
+no cache, and ``stack_features`` stacks such vectors into a CSR matrix;
+``qemine.features.featurize_all`` must return exactly their matrix.
 The per-example encoder, pair features and task heads mirror
 ``qemine.backprop``'s batched forward passes, and the per-example losses
 with their analytic derivatives define the objectives its ``*_batch``
@@ -18,17 +21,86 @@ because only tests use them.
 
 import logging
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
 
 from qemine import backprop, mining
 from qemine.errors import ConfigError
 from qemine.estimators import FeatureStackScorer
-from qemine.features import FeatureVector, featurize, featurize_all
+from qemine.features import WORD_MARKER, FeaturizerConfig, featurize_all, fnv1a_64
 from qemine.model import TASKS, EncoderModel, HeadSet
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """Sparse L2-normalized bucket-count vector.
+
+    ``indices`` is strictly increasing; ``values`` are positive and the
+    vector has unit L2 norm unless it is empty (zero vector).
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+    n_features: int = 32768
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.dot(self.values, self.values)))
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros(self.n_features)
+        dense[self.indices] = self.values
+        return dense
+
+
+def iter_ngrams(text: str, orders: tuple[int, ...]):
+    for word in text.lower().split():
+        marked = WORD_MARKER + word + WORD_MARKER
+        n = len(marked)
+        for k in orders:
+            for i in range(n - k + 1):
+                yield marked[i : i + k]
+
+
+def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
+    """Hash the text's character n-grams into a normalized sparse vector."""
+    mask = config.n_features - 1
+    counts: dict[int, int] = {}
+    for gram in iter_ngrams(text, config.ngram_orders):
+        bucket = fnv1a_64(gram.encode("utf-8"), config.hash_seed) & mask
+        counts[bucket] = counts.get(bucket, 0) + 1
+    if not counts:
+        empty = np.empty(0)
+        return FeatureVector(empty.astype(np.int64), empty, config.n_features)
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    values /= np.sqrt(np.dot(values, values))
+    return FeatureVector(indices, values, config.n_features)
+
+
+def stack_features(vectors: list[FeatureVector], n_features: int | None = None) -> sparse.csr_matrix:
+    """Stack feature vectors into one CSR matrix, one row per vector."""
+    if not vectors:
+        raise ValueError("cannot stack an empty list of feature vectors")
+    if n_features is None:
+        n_features = vectors[0].n_features
+    if any(fv.n_features != n_features for fv in vectors):
+        raise ValueError("feature vectors disagree on n_features")
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([fv.nnz for fv in vectors])
+    if indptr[-1] == 0:
+        return sparse.csr_matrix((len(vectors), n_features), dtype=np.float64)
+    indices = np.concatenate([fv.indices for fv in vectors if fv.nnz])
+    data = np.concatenate([fv.values for fv in vectors if fv.nnz])
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), n_features))
 
 
 def encode(model: EncoderModel, fv: FeatureVector) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qemine import backprop
-from qemine.features import featurize, featurize_all
+from qemine.features import featurize_all
 from qemine.training import _rng  # deterministic stream helper
 
 from qemine.features import FeaturizerConfig
@@ -14,6 +14,7 @@ from conftest import SMALL_ENCODER
 from oracles import (
     contrastive_loss,
     cosine_similarity,
+    featurize,
     forward_heads,
     task_loss,
     two_pass_contrastive_batch,

@@ -1,7 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qemine.features import FeaturizerConfig, featurize, featurize_all, fnv1a_64
+from oracles import featurize, iter_ngrams, stack_features
+from qemine import features
+from qemine.features import FeaturizerConfig, featurize_all, fnv1a_64
 
 
 def _reference_fnv1a(data: bytes, seed: int = 0) -> int:
@@ -113,10 +119,61 @@ class TestStack:
             dense = featurize(text, cfg).to_dense()
             assert np.allclose(X[row].toarray().ravel(), dense)
 
-    def test_rejects_mismatched_widths(self):
-        from qemine.features import stack_features
 
-        a = featurize("x", FeaturizerConfig((1,), 64, 0))
-        b = featurize("x", FeaturizerConfig((1,), 128, 0))
+def _assert_bit_equal(X, Y):
+    assert X.shape == Y.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(X, name), getattr(Y, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert X.has_sorted_indices and Y.has_sorted_indices
+
+
+# Words over a small alphabet repeat across texts; it covers case folding
+# ("İ" lowercases to two code points), non-ASCII and CJK characters.
+_ALPHABET = "abcAB\u00e9\u00dc\u0130\u00df\u4f60\u597d\u4e16"
+_WORDS = st.text(_ALPHABET, min_size=1, max_size=6)
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", " \u3000"])
+_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "\t\n", "   "]),
+    st.lists(st.tuples(_WORDS, _SPACES), max_size=8).map(lambda ws: "".join(w + s for w, s in ws)),
+)
+
+
+class TestFeaturizeAll:
+    """``featurize_all`` is bit-equal to stacking the per-text oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=12),
+           orders=st.sets(st.integers(1, 5), min_size=1, max_size=4),
+           log_width=st.integers(0, 15), seed=st.integers(0, 2**64 - 1))
+    @example(texts=[""], orders={1, 2, 3, 4}, log_width=15, seed=0)
+    @example(texts=["", " ", "\t\n"], orders={1, 3}, log_width=1, seed=9)
+    @example(texts=["İİ", "i̇i̇", "İ i̇"], orders={1, 2, 3, 4}, log_width=15, seed=0)
+    @example(texts=["你好 世界 你好", "Straße STRASSE", "a a a a a"], orders={1, 3}, log_width=1,
+             seed=9)
+    def test_matches_oracle(self, texts, orders, log_width, seed):
+        # Widths down to one bucket make grams collide, so counts exceed 1.
+        cfg = FeaturizerConfig(tuple(orders), 1 << log_width, seed)
+        oracle = stack_features([featurize(t, cfg) for t in texts], cfg.n_features)
+        _assert_bit_equal(featurize_all(texts, cfg), oracle)
+
+    def test_hashes_each_distinct_gram_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(data, seed=0):
+            calls[data, seed] += 1
+            return fnv1a_64(data, seed)
+
+        monkeypatch.setattr(features, "fnv1a_64", counting)
+        cfg = FeaturizerConfig((1, 2, 3), 64, 5)
+        texts = ["the cat sat", "The CAT sat on the mat", "", "mat the"] * 3
+        X = featurize_all(texts, cfg)
+        grams = {g.encode("utf-8") for t in texts for g in iter_ngrams(t, cfg.ngram_orders)}
+        assert set(calls) == {(g, 5) for g in grams}
+        assert max(calls.values()) == 1
+        _assert_bit_equal(X, stack_features([featurize(t, cfg) for t in texts], 64))
+
+    def test_rejects_no_texts(self):
         with pytest.raises(ValueError):
-            stack_features([a, b])
+            featurize_all([], FeaturizerConfig((1,), 64, 0))

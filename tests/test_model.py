@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qemine.errors import ModelCorruptionError, ModelFormatError
-from qemine.features import FeaturizerConfig, featurize
+from qemine.features import FeaturizerConfig
 from qemine.model import (
     EncoderModel,
     FeatureStackModel,
@@ -18,7 +18,7 @@ from qemine.model import (
     save_model,
 )
 
-from oracles import cosine_similarity, encode, forward_heads
+from oracles import cosine_similarity, encode, featurize, forward_heads
 
 
 def _random_model(seed=0, n_features=256, hidden=8, dim=6, orders=(1, 2, 3)):

@@ -384,6 +384,15 @@ class TestFeaturizeOnce:
                                     validation=validation)
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
 
+    def test_multitask_train_skips_disabled_tasks(self, tiny_qe_records, featurized):
+        qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
+        sts = [(f"sts left {k}", f"sts right {k}", 0.5) for k in range(50)]
+        config = TrainConfig(epochs=1, finetune_epochs=1, batch_size=4, tasks=("qe",), seed=5)
+        trained = multitask_train(qe=qe, sts=sts, config=config, encoder=SMALL_ENCODER)
+        assert featurized == Counter({t for row in qe for t in row[:2]})
+        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER)
+        assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
+
     def test_train_filtration(self, featurized, monkeypatch):
         records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.3, seed=4), 20)
         positives = [(r.source, r.target) for r in records]
