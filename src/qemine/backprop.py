@@ -25,7 +25,7 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
     hidden = config.hidden_units
     dim = config.embedding_dim
     params = {
-        "W1": rng.normal(0.0, 0.5, size=(hidden, n_features)),
+        "W1": np.asfortranarray(rng.normal(0.0, 0.5, size=(hidden, n_features))),
         "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(dim, hidden)),
         "b1": np.zeros(hidden),
         "b2": np.zeros(dim),
@@ -40,7 +40,7 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
 
 def params_from_model(model: EncoderModel, heads: HeadSet | None = None) -> dict:
     params = {
-        "W1": model.w1.astype(np.float64),
+        "W1": np.asfortranarray(model.w1, dtype=np.float64),
         "b1": model.b1.astype(np.float64),
         "W2": model.w2.astype(np.float64),
         "b2": model.b2.astype(np.float64),

@@ -225,7 +225,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     epoch = 0
     if config.until_convergence:
         best_score = float("-inf")
-        best_params = {k: v.copy() for k, v in params.items()}
+        best_params = {k: np.copy(v) for k, v in params.items()}
         wait = 0
         while epoch < config.max_epochs and wait < config.patience:
             epoch += 1
@@ -233,7 +233,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
             score = validation_pearson()
             if score > best_score:
                 best_score = score
-                best_params = {k: v.copy() for k, v in params.items()}
+                best_params = {k: np.copy(v) for k, v in params.items()}
                 wait = 0
             else:
                 wait += 1
@@ -410,6 +410,15 @@ def _random_texts(rng, count):
     return texts
 
 
+def _flat_view(array: np.ndarray) -> np.ndarray:
+    """1-D view of a C- or F-contiguous array in its memory order: writing
+    an entry of the view writes the array."""
+    flat = array.reshape(-1, order="A")
+    if not np.shares_memory(flat, array):
+        raise ValueError("parameter block is neither C- nor F-contiguous")
+    return flat
+
+
 def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients of one loss against central finite differences.
 
@@ -460,10 +469,10 @@ def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckRep
 
     report = GradCheckReport(loss_kind, eps)
     for name, analytic in grads.items():
-        analytic = np.ascontiguousarray(analytic, dtype=np.float64)
-        numeric = np.zeros(analytic.shape)
-        flat_p = params[name].reshape(-1)
-        flat_n = numeric.reshape(-1)
+        analytic = np.asarray(analytic, dtype=np.float64)
+        numeric = np.zeros_like(params[name])
+        flat_p = _flat_view(params[name])
+        flat_n = _flat_view(numeric)
         for i in range(flat_p.size):
             original = flat_p[i]
             flat_p[i] = original + eps
