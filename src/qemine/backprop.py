@@ -4,11 +4,19 @@ and inference share.
 
 Parameters are plain dicts of float64 arrays keyed by block name
 ('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
+``W1`` has shape (H, F) and is feature-major: the F-ordered view of a
+C-contiguous (F, H) array.  ``X.dot(W1.T)`` then runs without copying
+the block, and one feature column of ``W1`` is one contiguous row of
+``W1.T``.
+
 Every *_batch function returns per-example losses plus the gradient of
 the batch MEAN loss; the gradient checker in ``training`` verifies all
-of them against central finite differences.  Pair objectives make one
-encoder pass over the stacked rows [Xa; Xb], forward and backward, and
-add their head's gradients to the dict that ``embed_backward`` returns.
+of them against central finite differences.  ``W1``'s gradient is an
+``optim.ColumnGrad`` over the feature columns the batch uses, which
+``optim.Adam`` applies lazily; every other block's is a dense array.
+Pair objectives make one encoder pass over the stacked rows [Xa; Xb],
+forward and backward, and add their head's gradients to the dict that
+``embed_backward`` returns.
 """
 
 from __future__ import annotations
@@ -18,9 +26,11 @@ from scipy import sparse
 
 from .features import FeaturizerConfig
 from .model import EncoderConfig, EncoderModel, HeadSet
+from .optim import ColumnGrad
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Seeded float64 parameter dict; heads start at zero (neutral outputs)."""
+    """Seeded float64 parameter dict with a feature-major ``W1``; heads
+    start at zero (neutral outputs)."""
     n_features = config.featurizer.n_features
     hidden = config.hidden_units
     dim = config.embedding_dim
@@ -93,10 +103,17 @@ def embed(params: dict, X) -> np.ndarray:
 
 
 def embed_backward(params: dict, X, hidden: np.ndarray, d_emb: np.ndarray) -> dict:
-    """Encoder-block gradients for the embeddings' upstream gradient ``d_emb``."""
+    """Encoder-block gradients for the embeddings' upstream gradient ``d_emb``.
+
+    ``W1``'s gradient is a ``ColumnGrad`` over the feature columns that
+    ``X`` uses: ``X`` is remapped to those k columns and the k×H block
+    is ``Xc.T @ d_pre``, so no F×H array is built.
+    """
     d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
-    return {"b2": d_emb.sum(axis=0), "W2": d_emb.T @ hidden,
-            "b1": d_pre.sum(axis=0), "W1": X.T.dot(d_pre).T}
+    cols, local = np.unique(X.indices, return_inverse=True)
+    Xc = sparse.csr_matrix((X.data, local, X.indptr), shape=(X.shape[0], len(cols)))
+    return {"b2": d_emb.sum(axis=0), "W2": d_emb.T @ hidden, "b1": d_pre.sum(axis=0),
+            "W1": ColumnGrad(cols, Xc.T.dot(d_pre), params["W1"].shape)}
 
 
 def _pair_forward(params: dict, Xa, Xb):

@@ -15,8 +15,10 @@ mutual-best selection at every grid point; the package's vectorized
 shortlist and single-selection sweep must return exactly their results.
 The two-pass pair batches run the encoder once per side and add
 the two sides' gradients; the package's stacked single pass must match
-them up to summation order.  They live here, not in the package,
-because only tests use them.
+them up to summation order.  ``DenseAdam`` updates every entry of every
+block at every step, densifying a ``ColumnGrad``; on steps that touch
+every column, the package's lazy ``W1`` update must equal it bit for
+bit.  They live here, not in the package, because only tests use them.
 """
 
 import logging
@@ -28,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from qemine import backprop, mining
-from qemine.errors import ConfigError
+from qemine.errors import ConfigError, TrainingError
 from qemine.estimators import FeatureStackScorer
 from qemine.features import WORD_MARKER, FeaturizerConfig, featurize_all, fnv1a_64
 from qemine.model import TASKS, EncoderModel, HeadSet
@@ -372,7 +374,7 @@ def grid_tune_threshold(scored_candidates, gold) -> float:
 def _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub) -> dict:
     grads = backprop.embed_backward(params, Xa, ha, d_ua)
     for name, value in backprop.embed_backward(params, Xb, hb, d_ub).items():
-        grads[name] += value
+        grads[name] = np.asarray(grads[name]) + np.asarray(value)
     return grads
 
 
@@ -424,3 +426,35 @@ def two_pass_contrastive_batch(params, Xa, Xb, y, margin):
     d_cos = ((1 - y) * cos - y * hinge) / n
     d_ua, d_ub = backprop._cos_backward(d_cos, cache)
     return losses, _two_pass_backward(params, Xa, ha, d_ua, Xb, hb, d_ub)
+
+
+class DenseAdam:
+    """Adam over whole blocks: every entry's moments and step count advance
+    at every step, also where the gradient is zero."""
+
+    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self._state: dict[str, tuple] = {}
+
+    def step(self, params: dict, grads: dict) -> None:
+        for name, grad in grads.items():
+            grad = np.asarray(grad, dtype=np.float64)
+            if not np.all(np.isfinite(grad)):
+                raise TrainingError(f"non-finite gradient in parameter block {name!r}")
+            if name in self._state:
+                m, v, t = self._state[name]
+            else:
+                m = np.zeros_like(grad)
+                v = np.zeros_like(grad)
+                t = 0
+            t += 1
+            m += (1.0 - self.beta1) * (grad - m)
+            v += (1.0 - self.beta2) * (grad * grad - v)
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._state[name] = (m, v, t)

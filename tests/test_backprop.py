@@ -198,6 +198,16 @@ class TestStackedPairPass:
             else:
                 assert _scaled_error(grads[name], ref) <= STACKED_TOLERANCE, name
 
+    def test_column_gradient_is_the_dense_gradient_on_touched_columns(self):
+        params, featurizer, texts_a, texts_b, rng = _stacked_setup(256, 8, 6)
+        X = featurize_all(texts_a + texts_b, featurizer)
+        _, hidden = backprop.embed_forward(params, X)
+        d_emb = rng.normal(size=(X.shape[0], 6))
+        grad = backprop.embed_backward(params, X, hidden, d_emb)["W1"]
+        d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
+        assert np.array_equal(grad.cols, np.unique(X.indices))
+        assert np.array_equal(np.asarray(grad), X.T.dot(d_pre).T)
+
     @pytest.mark.parametrize("objective", sorted(PAIR_OBJECTIVES) + ["alignment"])
     def test_one_encoder_pass_per_batch(self, objective, monkeypatch):
         calls = {"forward": 0, "backward": 0}

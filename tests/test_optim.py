@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 
 from qemine.errors import TrainingError
-from qemine.optim import Adam
+from qemine.optim import Adam, ColumnGrad
+
+from oracles import DenseAdam
+
+
+def _scalar_adam(theta, g, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Independent re-simulation of the update rule in pure Python floats:
+    ``theta`` after ``steps`` steps of the constant gradient ``g``."""
+    m = v = 0.0
+    for t in range(1, steps + 1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        theta -= lr * m_hat / (v_hat**0.5 + eps)
+    return theta
 
 
 class TestAdam:
@@ -13,18 +28,10 @@ class TestAdam:
         assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
     def test_constant_gradient_matches_scalar_recurrence(self):
-        # Independent re-simulation of the update rule in pure Python floats.
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         g = 0.37
         theta = 1.5
-        m = v = 0.0
-        expected = theta
-        for t in range(1, 26):
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            expected -= lr * m_hat / (v_hat**0.5 + eps)
+        expected = _scalar_adam(theta, g, 25, lr, b1, b2, eps)
 
         params = {"w": np.array([theta])}
         adam = Adam(lr, b1, b2, eps)
@@ -64,3 +71,89 @@ class TestAdam:
     def test_rejects_nonpositive_learning_rate(self):
         with pytest.raises(ValueError):
             Adam(0.0)
+
+
+def _feature_major(rng, hidden, n_features):
+    return np.asfortranarray(rng.normal(size=(hidden, n_features)))
+
+
+def _column_grad(rng, cols, hidden, n_features, scale=1.0):
+    cols = np.asarray(cols)
+    return ColumnGrad(cols, rng.normal(0.0, scale, size=(len(cols), hidden)), (hidden, n_features))
+
+
+class TestLazyAdam:
+    """The lazy update of a feature-major block against dense Adam."""
+
+    def test_every_column_touched_equals_dense_adam(self):
+        # 64 hidden units and 1,200 columns: the lazy update runs in several chunks
+        hidden, n_features = 64, 1200
+        rng = np.random.default_rng(0)
+        lazy = {"W1": _feature_major(rng, hidden, n_features), "b1": rng.normal(size=hidden)}
+        dense = {name: np.copy(value) for name, value in lazy.items()}
+        lazy_adam, dense_adam = Adam(1e-2), DenseAdam(1e-2)
+        for step in range(40):
+            scale = 10.0 ** rng.uniform(-6, 2)
+            grads = {"W1": _column_grad(rng, np.arange(n_features), hidden, n_features, scale),
+                     "b1": rng.normal(size=hidden)}
+            lazy_adam.step(lazy, grads)
+            dense_adam.step(dense, grads)
+            for name in lazy:
+                assert lazy[name].tobytes() == dense[name].tobytes(), (name, step)
+        assert lazy["W1"].T.flags.c_contiguous
+
+    def test_untouched_columns_keep_value_and_state(self):
+        hidden, n_features = 5, 40
+        rng = np.random.default_rng(1)
+        params = {"W1": _feature_major(rng, hidden, n_features)}
+        adam = Adam(1e-2)
+        adam.step(params, {"W1": _column_grad(rng, np.arange(0, n_features, 2), hidden, n_features)})
+        for _ in range(10):
+            cols = np.sort(rng.choice(n_features, 12, replace=False))
+            untouched = np.setdiff1d(np.arange(n_features), cols)
+            m, v, t = adam._state["W1"]
+            before = [a[untouched].tobytes() for a in (params["W1"].T, m, v, t)]
+            adam.step(params, {"W1": _column_grad(rng, cols, hidden, n_features)})
+            after = [a[untouched].tobytes() for a in (params["W1"].T, m, v, t)]
+            assert after == before
+            assert np.all(adam._state["W1"][2][cols] >= 1)
+
+    def test_column_first_touched_late_is_corrected_from_its_first_step(self):
+        lr, g, theta = 1e-3, 0.37, 1.5
+        params = {"W1": np.asfortranarray([[0.2, theta]])}
+        adam = Adam(lr)
+        for _ in range(4):
+            adam.step(params, {"W1": ColumnGrad(np.array([0]), np.array([[-0.5]]), (1, 2))})
+        assert params["W1"][0, 1] == theta
+        for _ in range(25):
+            adam.step(params, {"W1": ColumnGrad(np.array([0, 1]), np.array([[-0.5], [g]]), (1, 2))})
+        assert adam._state["W1"][2].tolist() == [29, 25]
+        assert params["W1"][0, 1] == pytest.approx(_scalar_adam(theta, g, 25, lr), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_touched_gradient_names_W1(self, bad):
+        rng = np.random.default_rng(2)
+        params = {"W1": _feature_major(rng, 3, 8)}
+        original = params["W1"].copy()
+        grad = _column_grad(rng, [1, 4, 6], 3, 8)
+        grad.rows[1, 2] = bad
+        with pytest.raises(TrainingError, match="W1"):
+            Adam(1e-3).step(params, {"W1": grad})
+        assert np.array_equal(params["W1"], original)
+
+    def test_rejects_a_block_that_is_not_feature_major(self):
+        rng = np.random.default_rng(3)
+        params = {"W1": rng.normal(size=(3, 8))}
+        with pytest.raises(TrainingError, match="feature-major"):
+            Adam(1e-3).step(params, {"W1": _column_grad(rng, [0, 5], 3, 8)})
+
+    def test_column_grad_densifies_feature_major(self):
+        rng = np.random.default_rng(4)
+        grad = _column_grad(rng, [0, 3, 7], 2, 9)
+        dense = np.asarray(grad)
+        assert dense.shape == grad.shape == (2, 9)
+        assert dense.T.flags.c_contiguous
+        assert np.array_equal(dense[:, [0, 3, 7]], grad.rows.T)
+        assert not dense[:, [1, 2, 4, 5, 6, 8]].any()
+        assert grad.size == 6
+

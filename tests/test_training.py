@@ -20,6 +20,7 @@ from qemine.training import (
     _rng,
     _TAG_INIT,
     _TAG_STREAM,
+    _flat_view,
     align_encoders,
     feature_predict,
     grad_check,
@@ -68,6 +69,18 @@ class TestGradCheck:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             grad_check("bleu")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_flat_view_perturbs_the_block_in_place(self, order):
+        block = np.arange(12.0).reshape(3, 4).copy(order=order)
+        flat = _flat_view(block)
+        assert np.shares_memory(flat, block)
+        flat[5] = -1.0
+        assert np.count_nonzero(block == -1.0) == 1
+
+    def test_flat_view_rejects_a_strided_block(self):
+        with pytest.raises(ValueError):
+            _flat_view(np.zeros((4, 6))[::2, :3])
 
 
 class TestMultitaskSchedule:
@@ -291,6 +304,30 @@ class TestMultitaskSchedule:
             validation=validation,
         )
         assert 1 <= max(r["epoch"] for r in history) <= 6
+
+    def test_until_convergence_keeps_w1_feature_major(self, monkeypatch):
+        """The best-epoch snapshot is restored before fine-tuning; W1 must
+        stay feature-major through the restore, at every Adam step."""
+        layouts = []
+        step = Adam.step
+
+        def recording_step(self, params, grads):
+            layouts.append(params["W1"].T.flags.c_contiguous)
+            return step(self, params, grads)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 80)
+        validation = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)[80:]
+        _, _, history = multitask_train(
+            qe=records,
+            config=TrainConfig(tasks=("qe",), until_convergence=True, patience=1,
+                               max_epochs=4, finetune_epochs=1, batch_size=16, seed=1),
+            encoder=SMALL_ENCODER,
+            validation=validation,
+        )
+        phase1_epochs = max(r["epoch"] for r in history) - 1
+        assert len(layouts) == (phase1_epochs + 1) * 5
+        assert all(layouts)
 
 
 class TestBatchStream:
