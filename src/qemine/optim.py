@@ -53,7 +53,7 @@ class ColumnGrad:
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a ColumnGrad has no dense array to view without a copy")
-        dense = np.zeros(self.shape[::-1], dtype=dtype or self.rows.dtype)
+        dense = np.zeros(self.shape[::-1], dtype=self.rows.dtype if dtype is None else dtype)
         dense[self.cols] = self.rows
         return dense.T
 
@@ -136,9 +136,9 @@ class Adam:
             np.sqrt(v, out=v)
             v += self.eps
             m /= v
-            step = table[cols]
-            step -= m
-            table[cols] = step
+            updated = table[cols]
+            updated -= m
+            table[cols] = updated
 
     def _bias_corrections(self, t: np.ndarray) -> np.ndarray:
         """(1 - beta1**t, 1 - beta2**t) for an array of step counts."""
