@@ -1,6 +1,7 @@
 """Batched forward/backward passes for every training objective, and the
 QE/STS and NLI heads (``regression_head``, ``nli_head``) that training
-and inference share.
+and inference share, plus ``regression_head_grid``, the QE/STS head over
+every pair of two embedding sets.
 
 Parameters are plain dicts of float64 arrays keyed by block name
 ('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial.distance import cdist
 
 from .features import FeaturizerConfig
 from .model import EncoderConfig, EncoderModel, HeadSet
@@ -174,6 +176,32 @@ def regression_head(params: dict, task: str, ua: np.ndarray, ub: np.ndarray):
     feats, cache = _reg_features_forward(ua, ub)
     z = feats @ params[f"{task}_w"] + params[f"{task}_b"][0]
     return _sigmoid(z), (feats, cache)
+
+
+def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """QE or STS scores of every (ua row, ub row) pair, as a len(ua) × len(ub) array.
+
+    The head is linear before its sigmoid, so no pair features are built:
+    the ``u∘v`` term is ``(ua * w) @ ub.T``, the cosine is ``ua @ ub.T``
+    over the outer product of the row norms (0 where that is 0, as in
+    ``_cos_forward``), and the ``|u−v|`` term is a weighted cityblock
+    distance over the positive-weight dimensions minus one over the
+    negative-weight dimensions, since ``cdist`` takes no negative weights.
+    Equal to ``regression_head`` up to summation order.
+    """
+    if task not in ("qe", "sts"):
+        raise ValueError(f"no grid head for task {task!r}; expected 'qe' or 'sts'")
+    w, dim = params[f"{task}_w"], ua.shape[1]
+    w_abs, w_prod = w[:dim], w[dim : 2 * dim]
+    denom = np.outer(np.linalg.norm(ua, axis=1), np.linalg.norm(ub, axis=1))
+    cos = np.divide(ua @ ub.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    z = (ua * w_prod) @ ub.T
+    z += w[2 * dim] * cos
+    z += params[f"{task}_b"][0]
+    pos, neg = w_abs > 0.0, w_abs < 0.0
+    z += cdist(ua[:, pos], ub[:, pos], "cityblock", w=w_abs[pos])
+    z -= cdist(ua[:, neg], ub[:, neg], "cityblock", w=-w_abs[neg])
+    return _sigmoid(z)
 
 
 def nli_head(params: dict, ua: np.ndarray, ub: np.ndarray):

@@ -9,7 +9,9 @@ Every model exposes ``embed(texts)``: one embedding row per text, in
 input order, with each distinct text featurized and embedded once by
 ``_embed_texts``.  Scorers add ``score_embeddings(ua, ub)``, the quality
 head over aligned embedding rows.  Mining and all text-level inference
-(``predict*``, ``score_pairs``, ``score_matrix``) go through these two.
+(``predict*``, ``score_pairs``, ``score_matrix``) go through these two;
+``MultitaskScorer.score_grid(ua, ub)`` scores every pair of two embedding
+sets, which ``mining.score_matrix`` uses in place of aligned blocks.
 """
 
 from __future__ import annotations
@@ -168,6 +170,11 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
             return backprop.nli_head(params, ua, ub)[0]
         return backprop.regression_head(params, task, ua, ub)[0]
 
+    def score_grid(self, ua, ub, task="qe") -> np.ndarray:
+        """QE (default) or STS scores of every (ua row, ub row) pair, a
+        len(ua) × len(ub) array; ``task="nli"`` raises ``ValueError``."""
+        return backprop.regression_head_grid(self._require_fitted(), task, ua, ub)
+
     def score_pairs(self, texts_a, texts_b) -> np.ndarray:
         return self.score_embeddings(self.embed(texts_a), self.embed(texts_b))
 
@@ -266,6 +273,7 @@ class FeatureStackScorer(_EstimatorMixin):
         self.seed = seed
         self.model_ = None
         self.history_ = None
+        self._params64 = None
 
     def fit(self, qe):
         for name in ("sts_backbone", "nli_backbone", "qe_backbone"):
@@ -280,11 +288,19 @@ class FeatureStackScorer(_EstimatorMixin):
     def _backbones(self):
         return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
 
+    def _backbone_params(self) -> list:
+        """Float64 parameters of each backbone, converted once per backbone
+        object: a backbone replaced by ``set_params`` is converted anew."""
+        cached = self._params64 or [(None, None)] * 3
+        self._params64 = [(b, p if b is old else backprop.params_from_model(b))
+                          for b, (old, p) in zip(self._backbones(), cached)]
+        return [p for _, p in self._params64]
+
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""
         texts = list(texts)
-        return np.hstack([_embed_texts(backprop.params_from_model(b), b.featurizer, texts)
-                          for b in self._backbones()])
+        return np.hstack([_embed_texts(p, b.featurizer, texts)
+                          for p, b in zip(self._backbone_params(), self._backbones())])
 
     def pair_features(self, ua, ub) -> np.ndarray:
         """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""

@@ -5,6 +5,9 @@ every text of every pair, and each distinct text must be featurized
 only once per model.
 """
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,11 @@ def _corpus():
 SCORERS = {"multitask": _multitask, "feature-stack": _feature_stack}
 
 
+def _aligned_only(scorer):
+    """The scorer's embed and score_embeddings without its score_grid."""
+    return SimpleNamespace(embed=scorer.embed, score_embeddings=scorer.score_embeddings)
+
+
 @pytest.fixture(params=sorted(SCORERS))
 def scorer(request):
     return SCORERS[request.param]()
@@ -104,12 +112,15 @@ class TestBitwiseAgainstTextPairs:
         assert np.array_equal(scorer.predict_nli(pairs),
                               text_pair_scores(scorer, texts_a, texts_b, task="nli"))
 
+    # The aligned-block path of score_matrix, which the grid is checked against:
+    # the wrapper hides MultitaskScorer.score_grid.
     def test_score_matrix(self, scorer):
         pairs = _pairs()
         references = [a for a, _ in pairs]
         hypotheses = [b for _, b in pairs][:15]
         expected = text_pair_score_matrix(scorer, references, hypotheses)
-        assert np.array_equal(score_matrix(scorer, references, hypotheses).values, expected)
+        assert np.array_equal(score_matrix(_aligned_only(scorer), references, hypotheses).values,
+                              expected)
 
     def test_score_matrix_across_blocks(self, scorer, monkeypatch):
         assert qemine.mining.SCORE_BLOCK % 4 == 0
@@ -118,7 +129,8 @@ class TestBitwiseAgainstTextPairs:
         references = [a for a, _ in pairs][:9]
         hypotheses = [b for _, b in pairs]
         expected = text_pair_score_matrix(scorer, references, hypotheses)
-        assert np.array_equal(score_matrix(scorer, references, hypotheses).values, expected)
+        assert np.array_equal(score_matrix(_aligned_only(scorer), references, hypotheses).values,
+                              expected)
 
     @pytest.mark.parametrize("threshold", ["auto", "median"])
     def test_mine_bucc(self, scorer, threshold):
@@ -137,6 +149,116 @@ class TestBitwiseAgainstTextPairs:
         assert result.threshold == tuned
         assert result.pairs == pairs
         assert 0 < len(pairs) < len(everything)
+
+
+def _assert_grid_close(grid, aligned):
+    """The grid head's tolerance: its sums run in another order than the
+    aligned head's, so scores agree to 1e-12 and every row's argmax is equal."""
+    assert grid.shape == aligned.shape
+    assert np.max(np.abs(grid - aligned)) <= 1e-12
+    assert np.array_equal(grid.argmax(axis=1), aligned.argmax(axis=1))
+
+
+def _aligned_grid(scorer, ua, ub, task="qe"):
+    """The aligned head on every (row, column) index pair, as an n × m array."""
+    rows, cols = np.divmod(np.arange(len(ua) * len(ub)), len(ub))
+    return scorer.score_embeddings(ua[rows], ub[cols], task=task).reshape(len(ua), len(ub))
+
+
+def _signed_multitask(signs, seed=30, dim=9):
+    """A MultitaskScorer whose QE and STS weights are all positive, all
+    negative, all zero or of mixed sign."""
+    params, featurizer = _random_params(seed, dim=dim)
+    for task in ("qe", "sts"):
+        w = params[f"{task}_w"]
+        params[f"{task}_w"] = {"positive": np.abs(w), "negative": -np.abs(w),
+                               "zero": np.zeros_like(w), "mixed": w}[signs]
+    scorer = MultitaskScorer()
+    scorer.encoder_ = backprop.model_from_params(params, featurizer)
+    scorer.heads_ = backprop.heads_from_params(params)
+    return scorer
+
+
+class TestScoreGrid:
+    def test_score_matrix(self):
+        scorer = _multitask()
+        pairs = _pairs()
+        references = [a for a, _ in pairs]
+        hypotheses = [b for _, b in pairs][:15]
+        expected = text_pair_score_matrix(scorer, references, hypotheses)
+        _assert_grid_close(score_matrix(scorer, references, hypotheses).values, expected)
+
+    def test_score_matrix_across_blocks(self, monkeypatch):
+        # 64 * SCORE_BLOCK // 19 hypotheses = 3 rows per block: 19 rows in 7 blocks
+        monkeypatch.setattr(qemine.mining, "SCORE_BLOCK", 1)
+        calls = []
+        scorer = _multitask()
+        original = scorer.score_grid
+        scorer.score_grid = lambda ua, ub: calls.append(len(ua)) or original(ua, ub)
+        pairs = _pairs()
+        references = [a for a, _ in pairs]
+        hypotheses = [b for _, b in pairs]
+        expected = text_pair_score_matrix(scorer, references, hypotheses)
+        _assert_grid_close(score_matrix(scorer, references, hypotheses).values, expected)
+        assert calls == [3] * 6 + [1]
+
+    @pytest.mark.parametrize("signs", ["positive", "negative", "mixed", "zero"])
+    @pytest.mark.parametrize("task", ["qe", "sts"])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (37, 5)])
+    def test_matches_aligned_head(self, signs, task, shape):
+        scorer = _signed_multitask(signs)
+        rng = np.random.default_rng(shape)
+        ua = rng.normal(size=(shape[0], 9))
+        ub = rng.normal(size=(shape[1], 9))
+        ua[shape[0] // 2] = 0.0
+        ub[-1] = 0.0
+        grid = scorer.score_grid(ua, ub, task=task)
+        _assert_grid_close(grid, _aligned_grid(scorer, ua, ub, task))
+
+    def test_nli_has_no_grid(self):
+        u = np.ones((2, 6))
+        with pytest.raises(ValueError, match="nli"):
+            _multitask().score_grid(u, u, task="nli")
+
+    def test_score_matrix_peak_memory(self):
+        """At 1000×1000 the grid path holds the float64 result plus one row
+        block, about 10 bytes per pair; two n·m index arrays, as the aligned
+        path once built, take 25."""
+        scorer = _multitask()
+        references = [f"source sentence {i} with words {i % 7} {i % 13}" for i in range(1000)]
+        hypotheses = [f"target line {j} holding {j % 11} {j % 5}" for j in range(1000)]
+        scorer.embed(references[:1])  # converts the parameters before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matrix = score_matrix(scorer, references, hypotheses)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (1000, 1000)
+        assert peak < 12 * 1000 * 1000
+
+
+def test_feature_stack_converts_each_backbone_once(monkeypatch):
+    stack = _feature_stack()
+    pairs = _pairs()
+    texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
+    expected = text_pair_scores(stack, texts_a, texts_b)
+    replacement = backprop.model_from_params(*_random_params(99, 128, 6, 4))
+    replaced = FeatureStackScorer(replacement, *stack._backbones()[1:])
+    replaced.model_ = stack.model_
+    expected_replaced = replaced.predict(pairs)
+
+    calls = []
+    original = backprop.params_from_model
+    monkeypatch.setattr(backprop, "params_from_model",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    assert np.array_equal(stack.predict(pairs), expected)
+    assert np.array_equal(stack.predict(pairs), expected)
+    assert calls == list(stack._backbones())
+    stack.set_params(sts_backbone=replacement)
+    assert np.array_equal(stack.predict(pairs), expected_replaced)
+    assert len(calls) == 4 and calls[-1] is replacement
 
 
 class TestFeaturizationCount:
