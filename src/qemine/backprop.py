@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
 from .features import FeaturizerConfig
 from .model import EncoderConfig, EncoderModel, HeadSet
@@ -182,25 +181,24 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
     """QE or STS scores of every (ua row, ub row) pair, as a len(ua) × len(ub) array.
 
     The head is linear before its sigmoid, so no pair features are built:
-    the ``u∘v`` term is ``(ua * w) @ ub.T``, the cosine is ``ua @ ub.T``
+    the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine is ``ua @ ub.T``
     over the outer product of the row norms (0 where that is 0, as in
-    ``_cos_forward``), and the ``|u−v|`` term is a weighted cityblock
-    distance over the positive-weight dimensions minus one over the
-    negative-weight dimensions, since ``cdist`` takes no negative weights.
-    Equal to ``regression_head`` up to summation order.
+    ``_cos_forward``).  The weighted ``|u−v|`` term is taken over 256 KiB
+    chunks of (row, column, dimension) differences.  Equal to
+    ``regression_head`` up to summation order.
     """
     if task not in ("qe", "sts"):
         raise ValueError(f"no grid head for task {task!r}; expected 'qe' or 'sts'")
     w, dim = params[f"{task}_w"], ua.shape[1]
-    w_abs, w_prod = w[:dim], w[dim : 2 * dim]
     denom = np.outer(np.linalg.norm(ua, axis=1), np.linalg.norm(ub, axis=1))
-    cos = np.divide(ua @ ub.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    z = (ua * w_prod) @ ub.T
-    z += w[2 * dim] * cos
+    z = np.divide(ua @ ub.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    z *= w[2 * dim]
+    z += (ua * w[dim : 2 * dim]) @ ub.T
     z += params[f"{task}_b"][0]
-    pos, neg = w_abs > 0.0, w_abs < 0.0
-    z += cdist(ua[:, pos], ub[:, pos], "cityblock", w=w_abs[pos])
-    z -= cdist(ua[:, neg], ub[:, neg], "cityblock", w=-w_abs[neg])
+    step = max(1, (1 << 15) // max(1, ub.size))
+    for start in range(0, len(ua), step):
+        diff = ua[start : start + step, None, :] - ub[None, :, :]
+        z[start : start + step] += np.abs(diff, out=diff) @ w[:dim]
     return _sigmoid(z)
 
 

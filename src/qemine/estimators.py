@@ -273,7 +273,7 @@ class FeatureStackScorer(_EstimatorMixin):
         self.seed = seed
         self.model_ = None
         self.history_ = None
-        self._params64 = None
+        self._backbone_params64 = None
 
     def fit(self, qe):
         for name in ("sts_backbone", "nli_backbone", "qe_backbone"):
@@ -291,10 +291,10 @@ class FeatureStackScorer(_EstimatorMixin):
     def _backbone_params(self) -> list:
         """Float64 parameters of each backbone, converted once per backbone
         object: a backbone replaced by ``set_params`` is converted anew."""
-        cached = self._params64 or [(None, None)] * 3
-        self._params64 = [(b, p if b is old else backprop.params_from_model(b))
-                          for b, (old, p) in zip(self._backbones(), cached)]
-        return [p for _, p in self._params64]
+        cached = self._backbone_params64 or [(None, None)] * 3
+        self._backbone_params64 = [(b, p if b is old else backprop.params_from_model(b))
+                                   for b, (old, p) in zip(self._backbones(), cached)]
+        return [p for _, p in self._backbone_params64]
 
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""
