@@ -204,7 +204,8 @@ class TestScoreGrid:
 
     @pytest.mark.parametrize("signs", ["positive", "negative", "mixed", "zero"])
     @pytest.mark.parametrize("task", ["qe", "sts"])
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (37, 5)])
+    # (41, 1200): the |u−v| term runs in chunks of 3 rows, the last one of 2
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (37, 5), (41, 1200)])
     def test_matches_aligned_head(self, signs, task, shape):
         scorer = _signed_multitask(signs)
         rng = np.random.default_rng(shape)
