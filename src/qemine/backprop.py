@@ -1,7 +1,8 @@
 """Batched forward/backward passes for every training objective, and the
-QE/STS and NLI heads (``regression_head``, ``nli_head``) that training
-and inference share, plus ``regression_head_grid``, the QE/STS head over
-every pair of two embedding sets.
+QE/STS and NLI heads (``regression_head``, ``nli_head``) and the
+feature-stack head (``feature_head``) that training and inference share,
+plus ``regression_head_grid``, the QE/STS head over every pair of two
+embedding sets.
 
 Parameters are plain dicts of float64 arrays keyed by block name
 ('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
@@ -11,8 +12,9 @@ the block, and one feature column of ``W1`` is one contiguous row of
 ``W1.T``.
 
 Every *_batch function returns per-example losses plus the gradient of
-the batch MEAN loss; the gradient checker in ``training`` verifies all
-of them against central finite differences.  ``W1``'s gradient is an
+the batch MEAN loss; the gradient checker in ``training`` verifies the
+encoder objectives against central finite differences, and the tests
+check ``feature_head_batch`` the same way.  ``W1``'s gradient is an
 ``optim.ColumnGrad`` over the feature columns the batch uses, which
 ``optim.Adam`` applies lazily; every other block's is a dense array.
 Pair objectives make one encoder pass over the stacked rows [Xa; Xb],
@@ -265,3 +267,21 @@ def alignment_batch(params: dict, X, targets: np.ndarray):
     losses = 1.0 - cos
     d_u, _ = _cos_backward(np.full(n, -1.0 / n), cache)
     return losses, embed_backward(params, X, hidden, d_u)
+
+
+def feature_head(feats: np.ndarray, h_w, h_b, o_w, o_b):
+    """Feature-stack QE scores in (0,1) from a tanh hidden layer and a
+    logistic output over stacked pair features, plus the hidden layer."""
+    hidden = np.tanh(feats @ h_w.T + h_b)
+    return _sigmoid(hidden @ o_w + o_b[0]), hidden
+
+
+def feature_head_batch(params: dict, feats: np.ndarray, y: np.ndarray):
+    """Squared-error batch for the feature-stack head over the blocks
+    'h_w', 'h_b', 'o_w' and 'o_b'; returns (losses, grads)."""
+    p, hidden = feature_head(feats, **params)
+    diff = p - y
+    dz = 2.0 * diff * p * (1.0 - p) / len(y)
+    d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
+    return diff * diff, {"o_w": hidden.T @ dz, "o_b": np.array([dz.sum()]),
+                         "h_w": d_hidden.T @ feats, "h_b": d_hidden.sum(axis=0)}

@@ -27,7 +27,6 @@ from .model import EncoderConfig, HeadSet, load_model, save_model
 from .training import (
     ContrastiveConfig,
     TrainConfig,
-    _feature_head_forward,
     multitask_train,
     train_filtration,
     train_feature_stack,
@@ -91,10 +90,14 @@ class _EncoderParams:
         return EncoderConfig(featurizer, self.hidden_units, self.embedding_dim)
 
     def _require_fitted(self):
+        """Float64 parameters of the fitted model, converted once per model
+        object: reassigning ``encoder_`` or ``heads_`` converts them anew."""
         check_is_fitted(self, *self._fitted)
-        if self._params64 is None:
-            self._params64 = backprop.params_from_model(self.encoder_, getattr(self, "heads_", None))
-        return self._params64
+        models = [getattr(self, name) for name in self._fitted]
+        if self._params64 is None or any(m is not c for m, c in zip(models, self._params64[0])):
+            heads = getattr(self, "heads_", None)
+            self._params64 = (models, backprop.params_from_model(self.encoder_, heads))
+        return self._params64[1]
 
     @classmethod
     def _from_encoder(cls, model):
@@ -155,7 +158,6 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.encoder_, self.heads_, self.history_ = multitask_train(
             qe, sts, nli, config, self._encoder_config(), validation
         )
-        self._params64 = None
         return self
 
     def embed(self, texts) -> np.ndarray:
@@ -230,7 +232,6 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
             positives, negatives, self._train_config(finetune_epochs=0),
             ContrastiveConfig(self.margin), self._encoder_config(),
         )
-        self._params64 = None
         return self
 
     def embed(self, texts) -> np.ndarray:
@@ -314,7 +315,7 @@ class FeatureStackScorer(_EstimatorMixin):
         _check_aligned(ua, ub)
         m = self.model_
         head = (m.hidden_w, m.hidden_b, m.out_w, m.out_b)
-        return _feature_head_forward(self.pair_features(ua, ub),
+        return backprop.feature_head(self.pair_features(ua, ub),
                                      *(w.astype(np.float64) for w in head))[0]
 
     def predict(self, pairs) -> np.ndarray:

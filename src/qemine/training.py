@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .backprop import (
     alignment_batch,
     contrastive_batch,
     embed,
+    feature_head_batch,
     init_params,
     nli_batch,
     regression_batch,
@@ -68,9 +70,6 @@ class TrainConfig:
     finetune_epochs: int = 1
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     tasks: tuple = ("qe", "sts", "nli")
     seed: int = 42
     until_convergence: bool = False
@@ -110,27 +109,22 @@ class AlignmentReport:
     heldout_size: int
 
 
-class _BatchStream:
-    """Endless batch index iterator; reshuffles whenever the pass completes."""
+def _batches(size: int, batch_size: int, rng: np.random.Generator):
+    """Endless batch indices: each pass draws a fresh permutation of
+    ``range(size)`` and slices it in order."""
+    while True:
+        order = rng.permutation(size)
+        for start in range(0, size, batch_size):
+            yield order[start : start + batch_size]
 
-    def __init__(self, size: int, batch_size: int, rng: np.random.Generator):
-        self.size = size
-        self.batch_size = batch_size
-        self.rng = rng
-        self._order = None
-        self._pos = 0
 
-    @property
-    def batches_per_pass(self) -> int:
-        return -(-self.size // self.batch_size)
-
-    def next_batch(self) -> np.ndarray:
-        if self._order is None or self._pos >= self.size:
-            self._order = self.rng.permutation(self.size)
-            self._pos = 0
-        batch = self._order[self._pos : self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return batch
+def _stream(config: TrainConfig, tag: int, objective, *rows):
+    """One task's input to ``_run_epochs``: its batches per pass, its batch
+    indices (from the generator seeded by ``tag``) and ``batch(idx)``,
+    which is ``objective`` over those rows of every array in ``rows``."""
+    size = rows[0].shape[0]  # len() of a CSR matrix raises
+    batches = _batches(size, config.batch_size, _rng(config.seed, tag))
+    return -(-size // config.batch_size), batches, lambda idx: objective(*(r[idx] for r in rows))
 
 
 def _featurize_sides(texts_a, texts_b, featurizer):
@@ -140,26 +134,23 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
-def _adam(config: TrainConfig) -> Adam:
-    return Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-
-
 def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
     """``epochs`` epochs of Adam steps; returns ``history`` with one
     ``{"epoch", "task", "mean_loss"}`` row appended per epoch and task.
 
-    ``streams`` maps a task name to ``(stream, batch)``, where
-    ``batch(idx) -> (losses, grads)``.  The tasks take turns one batch at
-    a time, and the stream with the most batches per pass sets the
-    number of turns in an epoch; shorter streams reshuffle and recycle.
+    ``streams`` maps a task name to the ``_stream`` triple
+    ``(batches_per_pass, batches, batch)``, where ``batch(idx) -> (losses,
+    grads)``.  The tasks take turns one batch at a time, and the stream
+    with the most batches per pass sets the number of turns in an epoch;
+    shorter streams reshuffle and recycle.
     """
-    turns = max(stream.batches_per_pass for stream, _ in streams.values())
+    turns = max(per_pass for per_pass, _, _ in streams.values())
     for epoch in range(first_epoch, first_epoch + epochs):
         sums = dict.fromkeys(streams, 0.0)
         counts = dict.fromkeys(streams, 0)
         for _ in range(turns):
-            for task, (stream, batch) in streams.items():
-                losses, grads = batch(stream.next_batch())
+            for task, (_, batches, batch) in streams.items():
+                losses, grads = batch(next(batches))
                 adam.step(params, grads)
                 sums[task] += float(losses.sum())
                 counts[task] += len(losses)
@@ -194,19 +185,17 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     featurizer = encoder.featurizer
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
 
-    def task_batch(task, Xa, Xb, y):
-        if task == "nli":
-            return lambda idx: nli_batch(params, Xa[idx], Xb[idx], y[idx])
-        return lambda idx: regression_batch(params, task, Xa[idx], Xb[idx], y[idx])
-
     # Only the tasks that train get a stream; each stream's RNG is seeded
     # by its own task tag, so skipping the others changes no model.
     streams = {}
     for task in config.tasks + (("qe",) if config.finetune_epochs > 0 else ()):
         if task not in streams:
-            a, b, y = (as_nli_data if task == "nli" else as_pair_scores)(raw[task])
-            stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_STREAM[task]))
-            streams[task] = (stream, task_batch(task, *_featurize_sides(a, b, featurizer), y))
+            is_nli = task == "nli"
+            a, b, y = (as_nli_data if is_nli else as_pair_scores)(raw[task])
+            objective = (partial(nli_batch, params) if is_nli
+                         else partial(regression_batch, params, task))
+            streams[task] = _stream(config, _TAG_STREAM[task], objective,
+                                    *_featurize_sides(a, b, featurizer), y)
     phase1 = {task: streams[task] for task in config.tasks}
 
     if validation is not None:
@@ -220,7 +209,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
         except ValueError:
             return float("-inf")
 
-    adam = _adam(config)
+    adam = Adam(config.learning_rate)
     history = []
     epoch = 0
     if config.until_convergence:
@@ -238,7 +227,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
             else:
                 wait += 1
         params.update(best_params)
-        adam = _adam(config)
+        adam = Adam(config.learning_rate)
     else:
         _run_epochs(params, adam, phase1, config.epochs, history)
         epoch = config.epochs
@@ -268,9 +257,9 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     featurizer = encoder.featurizer
     Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
-    stream = _BatchStream(len(y), config.batch_size, _rng(config.seed, _TAG_FILTER))
-    batch = lambda idx: contrastive_batch(params, Xa[idx], Xb[idx], y[idx], contrastive.margin)
-    history = _run_epochs(params, _adam(config), {"contrastive": (stream, batch)}, config.epochs, [])
+    objective = partial(contrastive_batch, params, margin=contrastive.margin)
+    streams = {"contrastive": _stream(config, _TAG_FILTER, objective, Xa, Xb, y)}
+    history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     return backprop.model_from_params(params, featurizer), history
 
 
@@ -310,18 +299,12 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     before = _mean_cosine(params, Xs[held], Xt[held])
     targets = embed(params, Xt[train])
 
-    stream = _BatchStream(len(train), config.batch_size, _rng(config.seed, _TAG_ALIGN))
-    Xs_train = Xs[train]
-    batch = lambda idx: alignment_batch(params, Xs_train[idx], targets[idx])
-    _run_epochs(params, _adam(config), {"alignment": (stream, batch)}, config.epochs, [])
+    streams = {"alignment": _stream(config, _TAG_ALIGN, partial(alignment_batch, params),
+                                    Xs[train], targets)}
+    _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     after = _mean_cosine(params, Xs[held], Xt[held])
     aligned = backprop.model_from_params(params, featurizer)
     return aligned, AlignmentReport(before, after, heldout_size)
-
-
-def _feature_head_forward(feats, h_w, h_b, o_w, o_b):
-    hidden = np.tanh(feats @ h_w.T + h_b)
-    return backprop._sigmoid(hidden @ o_w + o_b[0]), hidden
 
 
 def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
@@ -337,7 +320,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     stack = FeatureStackScorer(sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
     feats = stack.pair_features(stack.embed(sources), stack.embed(targets))
-    n, width = feats.shape
+    width = feats.shape[1]
 
     rng = _rng(config.seed, _TAG_FEATURE)
     params = {
@@ -346,18 +329,9 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
         "o_w": np.zeros(hidden_units),
         "o_b": np.zeros(1),
     }
-    stream = _BatchStream(n, config.batch_size, _rng(config.seed, _TAG_FEATURE + 100))
-
-    def batch(idx):
-        f = feats[idx]
-        p, hidden = _feature_head_forward(f, **params)
-        diff = p - y[idx]
-        dz = 2.0 * diff * p * (1.0 - p) / len(idx)
-        d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
-        return diff * diff, {"o_w": hidden.T @ dz, "o_b": np.array([dz.sum()]),
-                             "h_w": d_hidden.T @ f, "h_b": d_hidden.sum(axis=0)}
-
-    history = _run_epochs(params, _adam(config), {"qe-feature": (stream, batch)}, config.epochs, [])
+    objective = partial(feature_head_batch, params)
+    streams = {"qe-feature": _stream(config, _TAG_FEATURE + 100, objective, feats, y)}
+    history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     model = FeatureStackModel(sts_backbone, nli_backbone, qe_backbone,
                               params["h_w"], params["h_b"], params["o_w"], params["o_b"])
     return model, history

@@ -288,7 +288,7 @@ def test_criterion_10_schedule_contracts(tiny_qe_records):
     Xa = featurize_all([r.source for r in tiny_qe_records], encoder.featurizer)
     Xb = featurize_all([r.target for r in tiny_qe_records], encoder.featurizer)
     params = backprop.init_params(encoder, _rng(3, _TAG_INIT))
-    adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = Adam(config.learning_rate)
     stream_rng = _rng(3, _TAG_STREAM["qe"])
     trace = []
     for _ in range(3):

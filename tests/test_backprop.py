@@ -230,3 +230,31 @@ class TestStackedPairPass:
         else:
             _run_pair_batch(objective, PAIR_OBJECTIVES[objective][0], params, Xa, Xb, rng)
         assert calls == {"forward": 1, "backward": 1}
+
+
+class TestFeatureHeadBatch:
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(7, 5))
+        y = rng.uniform(0.05, 0.95, 7)
+        # o_w is non-zero: at the pipeline's zero initialisation the h_w and
+        # h_b gradients vanish, and the check would pass for any formula
+        params = {"h_w": rng.normal(0.0, 0.5, (4, 5)), "h_b": rng.normal(0.0, 0.3, 4),
+                  "o_w": rng.normal(0.0, 1.0, 4), "o_b": rng.normal(0.0, 0.3, 1)}
+        _, grads = backprop.feature_head_batch(params, feats, y)
+        assert sorted(grads) == sorted(params)
+        eps = 1e-6
+        for name, analytic in grads.items():
+            flat = params[name].reshape(-1)
+            numeric = np.empty(flat.size)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + eps
+                up = backprop.feature_head_batch(params, feats, y)[0].mean()
+                flat[i] = original - eps
+                down = backprop.feature_head_batch(params, feats, y)[0].mean()
+                flat[i] = original
+                numeric[i] = (up - down) / (2.0 * eps)
+            scale = np.max(np.abs(numeric))
+            assert scale > 1e-4, name
+            assert np.max(np.abs(analytic.reshape(-1) - numeric)) <= 1e-6 * scale, name

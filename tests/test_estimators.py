@@ -4,7 +4,8 @@ import pytest
 from qemine.augment import AugmentConfig, augment_filtration
 from qemine.errors import NotFittedError
 from qemine.estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
-from qemine.synth import SynthConfig, generate_qe
+from qemine.synth import SynthConfig, generate_parallel, generate_qe
+from qemine.training import TrainConfig, align_encoders
 
 from oracles import forward_heads
 
@@ -85,6 +86,24 @@ class TestMultitaskScorer:
         assert np.array_equal(scorer.predict(pairs), loaded.predict(pairs))
         assert loaded.get_params()["n_features"] == 256
 
+    def test_reassigned_model_after_predict_matches_fresh_scorer(self):
+        records = _records(13)
+        scorer = MultitaskScorer(tasks=("qe",), epochs=1, seed=8, **SMALL).fit(records)
+        pairs = [(r.source, r.target) for r in records[:10]]
+        before = scorer.predict(pairs)
+        parallel = generate_parallel(SynthConfig(vocab_size=30, seed=13), 40)
+        scorer.encoder_ = align_encoders(scorer.encoder_, parallel, TrainConfig(epochs=1))[0]
+        fresh = MultitaskScorer(**SMALL)
+        fresh.encoder_, fresh.heads_ = scorer.encoder_, scorer.heads_
+        aligned = scorer.predict(pairs)
+        assert not np.array_equal(aligned, before)
+        assert np.array_equal(aligned, fresh.predict(pairs))
+        scorer.heads_ = MultitaskScorer(tasks=("qe",), epochs=1, seed=9, **SMALL).fit(records).heads_
+        fresh = MultitaskScorer(**SMALL)
+        fresh.encoder_, fresh.heads_ = scorer.encoder_, scorer.heads_
+        assert not np.array_equal(scorer.predict(pairs), aligned)
+        assert np.array_equal(scorer.predict(pairs), fresh.predict(pairs))
+
 
 class TestContrastiveFilter:
     def _fitted(self, seed=8):
@@ -110,6 +129,16 @@ class TestContrastiveFilter:
         loaded = ContrastiveFilter.load(path)
         texts = [r.source for r in records[:9]]
         assert np.array_equal(encoder.embed(texts), loaded.embed(texts))
+
+    def test_reassigned_encoder_after_embed_matches_fresh_filter(self):
+        encoder, records = self._fitted(seed=11)
+        texts = [r.source for r in records[:9]]
+        before = encoder.embed(texts)
+        encoder.encoder_ = self._fitted(seed=12)[0].encoder_
+        fresh = ContrastiveFilter(**SMALL)
+        fresh.encoder_ = encoder.encoder_
+        assert not np.array_equal(encoder.embed(texts), before)
+        assert np.array_equal(encoder.embed(texts), fresh.embed(texts))
 
     def test_pair_cosines_bounded(self):
         encoder, records = self._fitted(seed=10)

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qemine
 from qemine.errors import RangeError
 from qemine.stats import histogram_csv, pearson, score_histogram, t_tail, williams_test
 
@@ -211,3 +217,17 @@ class TestHistogram:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 3
         assert lines[1].split(",") == ["0.0", "0.5", "1"]
+
+
+def test_import_loads_no_heavy_scipy_module():
+    """``import qemine`` loads none of scipy.spatial, scipy.special or
+    scipy.stats: each adds megabytes to the peak RSS of every process
+    (scipy.spatial about 15 MB), so ``t_tail`` imports scipy.special on use."""
+    code = "import json, sys, qemine; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(qemine.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    loaded = json.loads(out)
+    assert "qemine" in loaded
+    heavy = ("scipy.spatial", "scipy.special", "scipy.stats")
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []

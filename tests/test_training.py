@@ -16,7 +16,7 @@ from qemine.training import (
     GRAD_CHECK_KINDS,
     ContrastiveConfig,
     TrainConfig,
-    _BatchStream,
+    _batches,
     _rng,
     _TAG_INIT,
     _TAG_STREAM,
@@ -101,7 +101,7 @@ class TestMultitaskSchedule:
         Xa = featurize_all(texts_a, SMALL_ENCODER.featurizer)
         Xb = featurize_all(texts_b, SMALL_ENCODER.featurizer)
         params = backprop.init_params(SMALL_ENCODER, _rng(3, _TAG_INIT))
-        adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        adam = Adam(config.learning_rate)
         stream_rng = _rng(3, _TAG_STREAM["qe"])
         trace = []
         for _ in range(2):
@@ -155,7 +155,7 @@ class TestMultitaskSchedule:
 
         streams = {task: batches(task) for task in data}
         params = backprop.init_params(SMALL_ENCODER, _rng(13, _TAG_INIT))
-        adam = Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        adam = Adam(config.learning_rate)
         expected = []
         for epoch, tasks in ((1, ("qe", "sts", "nli")), (2, ("qe", "sts", "nli")), (3, ("qe",))):
             turns = max(-(-len(data[task]) // 4) for task in tasks)
@@ -332,14 +332,14 @@ class TestMultitaskSchedule:
 
 class TestBatchStream:
     def test_one_pass_covers_every_index(self):
-        stream = _BatchStream(10, 4, np.random.default_rng(0))
-        seen = np.concatenate([stream.next_batch() for _ in range(stream.batches_per_pass)])
+        batches = _batches(10, 4, np.random.default_rng(0))
+        seen = np.concatenate([next(batches) for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(10))
 
     def test_recycles_with_reshuffle(self):
-        stream = _BatchStream(6, 6, np.random.default_rng(1))
-        first = stream.next_batch().tolist()
-        second = stream.next_batch().tolist()
+        batches = _batches(6, 6, np.random.default_rng(1))
+        first = next(batches).tolist()
+        second = next(batches).tolist()
         assert sorted(first) == sorted(second) == list(range(6))
         assert first != second  # overwhelmingly likely under reshuffle
 
