@@ -4,12 +4,16 @@ feature-stack head (``feature_head``) that training and inference share,
 plus ``regression_head_grid``, the QE/STS head over every pair of two
 embedding sets.
 
-Parameters are plain dicts of float64 arrays keyed by block name
-('W1', 'b1', 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w').
-``W1`` has shape (H, F) and is feature-major: the F-ordered view of a
-C-contiguous (F, H) array.  ``X.dot(W1.T)`` then runs without copying
-the block, and one feature column of ``W1`` is one contiguous row of
-``W1.T``.
+Parameters are plain dicts of arrays keyed by block name ('W1', 'b1',
+'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w'); a model's own
+float32 arrays come from ``EncoderModel.params`` and ``HeadSet.params``.
+Every function computes in the dtype of the parameters it is given:
+the values of a feature matrix and the labels are cast to it, so that
+float32 models train and score in float32 and the gradient checker can
+run the same code in float64.  ``W1`` has shape (H, F) and is
+feature-major: the F-ordered view of a C-contiguous (F, H) array.
+``X.dot(W1.T)`` then runs without copying the block, and one feature
+column of ``W1`` is one contiguous row of ``W1.T``.
 
 Every *_batch function returns per-example losses plus the gradient of
 the batch MEAN loss; the gradient checker in ``training`` verifies the
@@ -27,56 +31,22 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .features import FeaturizerConfig
-from .model import EncoderConfig, EncoderModel, HeadSet
+from .model import EncoderConfig, HeadSet
 from .optim import ColumnGrad
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Seeded float64 parameter dict with a feature-major ``W1``; heads
+    """Seeded float32 parameter dict with a feature-major ``W1``; heads
     start at zero (neutral outputs)."""
     n_features = config.featurizer.n_features
     hidden = config.hidden_units
     dim = config.embedding_dim
     params = {
-        "W1": np.asfortranarray(rng.normal(0.0, 0.5, size=(hidden, n_features))),
-        "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(dim, hidden)),
-        "b1": np.zeros(hidden),
-        "b2": np.zeros(dim),
-        "qe_w": np.zeros(2 * dim + 1),
-        "qe_b": np.zeros(1),
-        "sts_w": np.zeros(2 * dim + 1),
-        "sts_b": np.zeros(1),
-        "nli_w": np.zeros((3, 4 * dim + 1)),
+        "W1": np.asfortranarray(rng.normal(0.0, 0.5, size=(hidden, n_features)), dtype=np.float32),
+        "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(dim, hidden)).astype(np.float32),
+        "b1": np.zeros(hidden, dtype=np.float32),
+        "b2": np.zeros(dim, dtype=np.float32),
     }
-    return params
-
-
-def params_from_model(model: EncoderModel, heads: HeadSet | None = None) -> dict:
-    params = {
-        "W1": np.asfortranarray(model.w1, dtype=np.float64),
-        "b1": model.b1.astype(np.float64),
-        "W2": model.w2.astype(np.float64),
-        "b2": model.b2.astype(np.float64),
-    }
-    if heads is not None:
-        params.update(
-            qe_w=heads.qe_w.astype(np.float64),
-            qe_b=heads.qe_b.astype(np.float64),
-            sts_w=heads.sts_w.astype(np.float64),
-            sts_b=heads.sts_b.astype(np.float64),
-            nli_w=heads.nli_w.astype(np.float64),
-        )
-    return params
-
-
-def model_from_params(params: dict, featurizer: FeaturizerConfig) -> EncoderModel:
-    return EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
-
-
-def heads_from_params(params: dict) -> HeadSet:
-    return HeadSet(
-        params["qe_w"], params["qe_b"], params["sts_w"], params["sts_b"], params["nli_w"]
-    )
+    return {**params, **HeadSet.zeros(dim).params()}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -96,6 +66,8 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def embed_forward(params: dict, X) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings and the hidden-layer cache for a CSR feature matrix."""
+    data = X.data.astype(params["W1"].dtype, copy=False)
+    X = sparse.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
     pre = X.dot(params["W1"].T) + params["b1"]
     hidden = np.tanh(pre)
     return hidden @ params["W2"].T + params["b2"], hidden
@@ -114,7 +86,8 @@ def embed_backward(params: dict, X, hidden: np.ndarray, d_emb: np.ndarray) -> di
     """
     d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
     cols, local = np.unique(X.indices, return_inverse=True)
-    Xc = sparse.csr_matrix((X.data, local, X.indptr), shape=(X.shape[0], len(cols)))
+    data = X.data.astype(params["W1"].dtype, copy=False)
+    Xc = sparse.csr_matrix((data, local, X.indptr), shape=(X.shape[0], len(cols)))
     return {"b2": d_emb.sum(axis=0), "W2": d_emb.T @ hidden, "b1": d_pre.sum(axis=0),
             "W1": ColumnGrad(cols, Xc.T.dot(d_pre), params["W1"].shape)}
 
@@ -185,8 +158,8 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
     The head is linear before its sigmoid, so no pair features are built:
     the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine is ``ua @ ub.T``
     over the outer product of the row norms (0 where that is 0, as in
-    ``_cos_forward``).  The weighted ``|u−v|`` term is taken over 256 KiB
-    chunks of (row, column, dimension) differences.  Equal to
+    ``_cos_forward``).  The weighted ``|u−v|`` term is taken over chunks of
+    2**15 (row, column, dimension) differences.  Equal to
     ``regression_head`` up to summation order.
     """
     if task not in ("qe", "sts"):
@@ -217,7 +190,7 @@ def regression_batch(params: dict, task: str, Xa, Xb, y: np.ndarray):
     ua, ub, enc_cache = _pair_forward(params, Xa, Xb)
     p, (feats, cache) = regression_head(params, task, ua, ub)
     w_name, b_name = f"{task}_w", f"{task}_b"
-    diff = p - y
+    diff = p - y.astype(p.dtype, copy=False)
     losses = diff * diff
     dz = 2.0 * diff * p * (1.0 - p) / n
     d_feats = dz[:, None] * params[w_name][None, :]
@@ -253,6 +226,7 @@ def contrastive_batch(params: dict, Xa, Xb, y: np.ndarray, margin: float):
     n = len(y)
     ua, ub, enc_cache = _pair_forward(params, Xa, Xb)
     cos, cache = _cos_forward(ua, ub)
+    y = y.astype(cos.dtype, copy=False)
     hinge = np.maximum(0.0, margin - cos)
     losses = (1 - y) * 0.5 * cos * cos + y * 0.5 * hinge * hinge
     d_cos = ((1 - y) * cos - y * hinge) / n
@@ -263,10 +237,19 @@ def alignment_batch(params: dict, X, targets: np.ndarray):
     """Alignment batch: mean (1 - cos(embedding, fixed target))."""
     n = targets.shape[0]
     u, hidden = embed_forward(params, X)
-    cos, cache = _cos_forward(u, targets)
+    cos, cache = _cos_forward(u, targets.astype(u.dtype, copy=False))
     losses = 1.0 - cos
-    d_u, _ = _cos_backward(np.full(n, -1.0 / n), cache)
+    d_u, _ = _cos_backward(np.full(n, -1.0 / n, dtype=u.dtype), cache)
     return losses, embed_backward(params, X, hidden, d_u)
+
+
+def stacked_pair_features(ua: np.ndarray, ub: np.ndarray, dims) -> np.ndarray:
+    """The feature-stack head's input: for aligned rows of side-by-side
+    backbone embeddings (``dims`` columns each), every backbone's
+    regression pair features, side by side."""
+    splits = np.cumsum(dims)[:-1]
+    pieces = zip(np.split(ua, splits, axis=1), np.split(ub, splits, axis=1))
+    return np.hstack([_reg_features_forward(a, b)[0] for a, b in pieces])
 
 
 def feature_head(feats: np.ndarray, h_w, h_b, o_w, o_b):
@@ -280,7 +263,7 @@ def feature_head_batch(params: dict, feats: np.ndarray, y: np.ndarray):
     """Squared-error batch for the feature-stack head over the blocks
     'h_w', 'h_b', 'o_w' and 'o_b'; returns (losses, grads)."""
     p, hidden = feature_head(feats, **params)
-    diff = p - y
+    diff = p - y.astype(p.dtype, copy=False)
     dz = 2.0 * diff * p * (1.0 - p) / len(y)
     d_hidden = np.outer(dz, params["o_w"]) * (1.0 - hidden * hidden)
     return diff * diff, {"o_w": hidden.T @ dz, "o_b": np.array([dz.sum()]),

@@ -41,14 +41,13 @@ from .mining import (
     score_matrix,
     tatoeba_accuracy,
 )
-from .model import FEATURE_MAGIC, load_feature_model, load_model, save_feature_model, save_model
+from .model import FEATURE_MAGIC, load_model, save_feature_model, save_model
 from .stats import histogram_csv, pearson, score_histogram, t_tail, williams_test
 from .synth import SynthConfig, generate_corpus
 from .training import (
     GRAD_CHECK_KINDS,
     TrainConfig,
     align_encoders,
-    feature_predict,
     grad_check,
     history_to_csv,
 )
@@ -219,7 +218,7 @@ def _cmd_eval_qe(args):
     with open(args.model, "rb") as handle:
         is_feature_model = handle.read(3) == FEATURE_MAGIC[:3]
     if is_feature_model:
-        predictions = feature_predict(load_feature_model(args.model), records)
+        predictions = FeatureStackScorer.load(args.model).predict(records)
     else:
         predictions = MultitaskScorer.load(args.model).predict(records)
     labels = np.array([r.score for r in records])

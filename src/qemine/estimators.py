@@ -12,6 +12,8 @@ head over aligned embedding rows.  Mining and all text-level inference
 (``predict*``, ``score_pairs``, ``score_matrix``) go through these two;
 ``MultitaskScorer.score_grid(ua, ub)`` scores every pair of two embedding
 sets, which ``mining.score_matrix`` uses in place of aligned blocks.
+Inference reads the fitted models' own float32 arrays at every call, so
+a reassigned model is used at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import backprop, mining
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
-from .model import EncoderConfig, HeadSet, load_model, save_model
+from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
 from .training import (
     ContrastiveConfig,
     TrainConfig,
@@ -89,15 +91,13 @@ class _EncoderParams:
         featurizer = FeaturizerConfig(tuple(self.ngram_orders), self.n_features, self.hash_seed)
         return EncoderConfig(featurizer, self.hidden_units, self.embedding_dim)
 
-    def _require_fitted(self):
-        """Float64 parameters of the fitted model, converted once per model
-        object: reassigning ``encoder_`` or ``heads_`` converts them anew."""
+    def _require_fitted(self) -> dict:
+        """The fitted models' own arrays under ``backprop``'s block names."""
         check_is_fitted(self, *self._fitted)
-        models = [getattr(self, name) for name in self._fitted]
-        if self._params64 is None or any(m is not c for m, c in zip(models, self._params64[0])):
-            heads = getattr(self, "heads_", None)
-            self._params64 = (models, backprop.params_from_model(self.encoder_, heads))
-        return self._params64[1]
+        params = self.encoder_.params()
+        if "heads_" in self._fitted:
+            params.update(self.heads_.params())
+        return params
 
     @classmethod
     def _from_encoder(cls, model):
@@ -147,7 +147,6 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.encoder_ = None
         self.heads_ = None
         self.history_ = None
-        self._params64 = None
 
     def fit(self, qe=None, sts=None, nli=None, validation=None):
         config = self._train_config(
@@ -225,7 +224,6 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
         self.seed = seed
         self.encoder_ = None
         self.history_ = None
-        self._params64 = None
 
     def fit(self, positives, negatives):
         self.encoder_, self.history_ = train_filtration(
@@ -274,7 +272,6 @@ class FeatureStackScorer(_EstimatorMixin):
         self.seed = seed
         self.model_ = None
         self.history_ = None
-        self._backbone_params64 = None
 
     def fit(self, qe):
         for name in ("sts_backbone", "nli_backbone", "qe_backbone"):
@@ -289,35 +286,32 @@ class FeatureStackScorer(_EstimatorMixin):
     def _backbones(self):
         return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
 
-    def _backbone_params(self) -> list:
-        """Float64 parameters of each backbone, converted once per backbone
-        object: a backbone replaced by ``set_params`` is converted anew."""
-        cached = self._backbone_params64 or [(None, None)] * 3
-        self._backbone_params64 = [(b, p if b is old else backprop.params_from_model(b))
-                                   for b, (old, p) in zip(self._backbones(), cached)]
-        return [p for _, p in self._backbone_params64]
-
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""
         texts = list(texts)
-        return np.hstack([_embed_texts(p, b.featurizer, texts)
-                          for p, b in zip(self._backbone_params(), self._backbones())])
+        return np.hstack([_embed_texts(b.params(), b.featurizer, texts)
+                          for b in self._backbones()])
 
     def pair_features(self, ua, ub) -> np.ndarray:
         """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""
-        splits = np.cumsum([b.embedding_dim for b in self._backbones()])[:-1]
-        pieces = zip(np.split(ua, splits, axis=1), np.split(ub, splits, axis=1))
-        return np.hstack([backprop._reg_features_forward(a, b)[0] for a, b in pieces])
+        return backprop.stacked_pair_features(ua, ub, [b.embedding_dim for b in self._backbones()])
 
     def score_embeddings(self, ua, ub) -> np.ndarray:
         """QE scores in (0,1) for aligned ``embed`` rows."""
         check_is_fitted(self, "model_")
         _check_aligned(ua, ub)
         m = self.model_
-        head = (m.hidden_w, m.hidden_b, m.out_w, m.out_b)
         return backprop.feature_head(self.pair_features(ua, ub),
-                                     *(w.astype(np.float64) for w in head))[0]
+                                     m.hidden_w, m.hidden_b, m.out_w, m.out_b)[0]
 
     def predict(self, pairs) -> np.ndarray:
         check_is_fitted(self, "model_")
         return _score_text_pairs(self, pairs)
+
+    @classmethod
+    def load(cls, path) -> "FeatureStackScorer":
+        """A fitted scorer over the backbones and head of a QEF file."""
+        model = load_feature_model(path)
+        est = cls(*model.backbones, hidden_units=model.hidden_w.shape[0])
+        est.model_ = model
+        return est

@@ -132,7 +132,7 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     ua, ub = scorer.embed(references), scorer.embed(hypotheses)
     values = np.empty((n, m))
     if hasattr(scorer, "score_grid"):
-        # 64 * SCORE_BLOCK pairs: 256 KiB per float64 temporary.  On a 400×400
+        # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
         # grid of 64-dim rows, 81-row blocks ran as fast as one block of 400
         # rows, and 2.5 times as fast as one-row blocks.
         step = max(1, 64 * SCORE_BLOCK // m)

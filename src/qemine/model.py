@@ -7,17 +7,24 @@ features built from the two sentence embeddings u and v:
     regression (QE, STS): logistic(w . [|u-v|, u*v, cos(u,v)] + b)
     inference (NLI):      softmax(N @ [u, v, |u-v|, u*v, 1])
 
-Weights are stored as float32 (matching the file format exactly, so a
-save/load round trip is bitwise); all arithmetic is done in float64.
+Weights are float32, as the files hold them, so a save/load round trip
+is bitwise.  Training updates these same arrays in place (``params``
+returns them under ``backprop``'s block names), and inference reads
+them.  ``W1`` has shape (H, F) and is feature-major: it is the
+transpose of a C-contiguous (F, H) array, so one feature's H weights
+are contiguous.
 
 Both model files are one little-endian container: magic, version u16,
 header fields, row-major float32 arrays, and the 8-byte BLAKE2b digest
 of all preceding bytes.  An encoder header is dims (F, H, d) as u32 and
 the featurizer block (u32 order count, u32 orders, i64 hash seed); its
-arrays are W1, b1, W2, b2.  ``QEM2``: one encoder header; the encoder
-and QE/STS/NLI head arrays.  ``QEF2``: the head's hidden width (u32) and
-the STS, NLI, QE encoder headers; the three encoders' arrays, then
-hidden_w, hidden_b, out_w, out_b.  Version-1 files are rejected.
+arrays are W1 as its (F, H) transpose, b1, W2, b2.  ``QEM2``: one
+encoder header; the encoder and QE/STS/NLI head arrays.  ``QEF2``: the
+head's hidden width (u32) and the STS, NLI, QE encoder headers; the
+three encoders' arrays, then hidden_w, hidden_b, out_w, out_b.  Files
+are written at version 3.  Version 2 differs only in storing W1 as
+(H, F); it still loads, through one transposing copy.  Version-1 files
+are rejected.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ TASKS = ("qe", "sts", "nli")
 
 MAGIC = b"QEM2"
 FEATURE_MAGIC = b"QEF2"
-VERSION = 2
+VERSION = 3
 _DIGEST_SIZE = 8
 
 
@@ -73,7 +80,8 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class EncoderModel:
-    """Featurizer config plus the four backbone weight arrays (float32)."""
+    """Featurizer config plus the four backbone weight arrays (float32,
+    ``w1`` feature-major; arrays already in that form are not copied)."""
 
     featurizer: FeaturizerConfig
     w1: np.ndarray
@@ -82,7 +90,8 @@ class EncoderModel:
     b2: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
+        object.__setattr__(self, "w1", np.asfortranarray(self.w1, dtype=np.float32))
+        for name in ("b1", "w2", "b2"):
             object.__setattr__(self, name, _f32(getattr(self, name)))
         hidden, n_features = self.w1.shape
         dim = self.w2.shape[0]
@@ -104,6 +113,11 @@ class EncoderModel:
 
     def config(self) -> EncoderConfig:
         return EncoderConfig(self.featurizer, self.hidden_units, self.embedding_dim)
+
+    def params(self) -> dict:
+        """The model's own arrays (not copies) under the block names
+        'W1', 'b1', 'W2' and 'b2'."""
+        return {"W1": self.w1, "b1": self.b1, "W2": self.w2, "b2": self.b2}
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,10 @@ class HeadSet:
             raise ValueError("head biases must have shape (1,)")
         if self.nli_w.shape != (3, 4 * dim + 1):
             raise ValueError(f"NLI head must be 3 x (4d+1), got {self.nli_w.shape}")
+
+    def params(self) -> dict:
+        """The head arrays themselves (not copies), keyed by field name."""
+        return {name: getattr(self, name) for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w")}
 
     @classmethod
     def zeros(cls, embedding_dim: int) -> "HeadSet":
@@ -172,7 +190,8 @@ def _digest(data) -> bytes:
 
 def _frame(magic: bytes, header: bytes, arrays) -> list:
     """The container as a list of buffers: magic, version, header, a byte
-    view of each array's <f4 data (no copy for a float32 array), digest.
+    view of each array's <f4 data (no copy for a C-contiguous float32
+    array, which every array written is), digest.
 
     Saving writes these views to the file one by one and so allocates no
     copy of the weights.  A fresh multi-megabyte buffer costs a page
@@ -196,7 +215,7 @@ def _encoder_header(model: EncoderModel) -> bytes:
 
 
 def _encoder_arrays(model: EncoderModel) -> list:
-    return [model.w1, model.b1, model.w2, model.b2]
+    return [model.w1.T, model.b1, model.w2, model.b2]
 
 
 class _FrameReader:
@@ -212,9 +231,9 @@ class _FrameReader:
             raise ModelFormatError(f"{path}: version-1 model file ({found!r}); retrain the model")
         if found != magic:
             raise ModelFormatError(f"{path}: bad magic bytes {found!r}")
-        (version,) = struct.unpack_from("<H", blob, 4)
-        if version != VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {version}")
+        (self.version,) = struct.unpack_from("<H", blob, 4)
+        if self.version not in (2, VERSION):
+            raise ModelFormatError(f"{path}: unsupported version {self.version}")
         self.body = memoryview(blob)[:-_DIGEST_SIZE]
         if _digest(self.body) != blob[-_DIGEST_SIZE:]:
             raise ModelCorruptionError(f"{path}: checksum mismatch")
@@ -231,11 +250,13 @@ class _FrameReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def view(self, shape) -> np.ndarray:
+        return np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+
     def arrays(self, shapes) -> list[np.ndarray]:
         # Copies: views would be misaligned (the header is 2 mod 4 bytes
         # long) and would keep the whole file buffer alive.
-        return [np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
-                for shape in shapes]
+        return [self.view(shape).copy() for shape in shapes]
 
     def finish(self) -> None:
         if self.offset != len(self.body):
@@ -256,8 +277,12 @@ class _FrameReader:
 
     def encoder(self, header) -> EncoderModel:
         featurizer, hidden, dim = header
-        shapes = [(hidden, featurizer.n_features), (hidden,), (dim, hidden), (dim,)]
-        return self.build(EncoderModel, featurizer, *self.arrays(shapes))
+        n_features = featurizer.n_features
+        # W1 is stored as (F, H), or as (H, F) in version 2: one copy either way
+        w1 = (self.view((n_features, hidden)).copy().T if self.version == VERSION
+              else np.asfortranarray(self.view((hidden, n_features))))
+        rest = self.arrays([(hidden,), (dim, hidden), (dim,)])
+        return self.build(EncoderModel, featurizer, w1, *rest)
 
 
 def model_to_bytes(model: EncoderModel, heads: HeadSet | None = None) -> bytes:

@@ -1,8 +1,8 @@
 """Adaptive-moment gradient descent over named parameter blocks.
 
-State (first/second moments and step count) is kept per block, so a
-block that is frozen for some phase of training keeps its bias
-correction consistent when it resumes.
+State (first/second moments and step count) is kept per block, in the
+block's dtype, so a block that is frozen for some phase of training
+keeps its bias correction consistent when it resumes.
 
 A block whose gradient is a ``ColumnGrad`` (the encoder's ``W1``) is
 updated lazily, with the semantics of TensorFlow's LazyAdam and
@@ -27,7 +27,7 @@ from .errors import TrainingError
 
 __all__ = ["Adam", "ColumnGrad"]
 
-# Entries per chunk of a lazy update (256 KiB of float64)
+# Entries per chunk of a lazy update (128 KiB of float32 per temporary)
 _CHUNK_ELEMS = 1 << 15
 
 
@@ -78,7 +78,7 @@ class Adam:
             if isinstance(grad, ColumnGrad):
                 self._column_step(name, params[name], grad)
                 continue
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=params[name].dtype)
             if not np.all(np.isfinite(grad)):
                 raise TrainingError(f"non-finite gradient in parameter block {name!r}")
             if name in self._state:
@@ -109,12 +109,14 @@ class Adam:
             raise TrainingError(f"non-finite gradient in parameter block {name!r}")
         if name not in self._state:
             # np.zeros maps pages lazily: only touched columns take memory
-            self._state[name] = (np.zeros(table.shape), np.zeros(table.shape),
+            self._state[name] = (np.zeros(table.shape, table.dtype),
+                                 np.zeros(table.shape, table.dtype),
                                  np.zeros(len(table), dtype=np.int64))
         m_all, v_all, t_all = self._state[name]
         t = t_all[grad.cols] + 1
         t_all[grad.cols] = t
-        c1, c2 = self._bias_corrections(t)
+        # in the block's dtype, as the dense update rounds its Python-float divisors
+        c1, c2 = self._bias_corrections(t).astype(table.dtype)
         chunk = max(1, _CHUNK_ELEMS // table.shape[1])
         for lo in range(0, len(t), chunk):
             cols = grad.cols[lo : lo + chunk]

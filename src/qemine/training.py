@@ -3,6 +3,8 @@
 All training here is single-threaded and fully deterministic: every
 random draw comes from a generator derived from (seed, stream tag), so
 identical inputs and configs produce bit-identical serialized models.
+Training runs in float32 on the arrays that the returned models hold:
+the models are built around the trained arrays without a copy.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .backprop import (
     init_params,
     nli_batch,
     regression_batch,
+    stacked_pair_features,
 )
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
-from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel
+from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel, HeadSet
 from .optim import Adam
 from .stats import pearson
 from .validation import as_nli_data, as_pair_scores, as_text_pairs
@@ -39,7 +42,6 @@ __all__ = [
     "train_filtration",
     "align_encoders",
     "train_feature_stack",
-    "feature_predict",
     "grad_check",
     "history_to_csv",
 ]
@@ -214,7 +216,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     epoch = 0
     if config.until_convergence:
         best_score = float("-inf")
-        best_params = {k: np.copy(v) for k, v in params.items()}
+        best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
         wait = 0
         while epoch < config.max_epochs and wait < config.patience:
             epoch += 1
@@ -226,7 +228,8 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
                 wait = 0
             else:
                 wait += 1
-        params.update(best_params)
+        for name, best in best_params.items():
+            params[name][...] = best
         adam = Adam(config.learning_rate)
     else:
         _run_epochs(params, adam, phase1, config.epochs, history)
@@ -235,8 +238,8 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     if config.finetune_epochs:
         _run_epochs(params, adam, {"qe": streams["qe"]}, config.finetune_epochs, history, epoch + 1)
 
-    model = backprop.model_from_params(params, featurizer)
-    heads = backprop.heads_from_params(params)
+    model = EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
+    heads = HeadSet(params["qe_w"], params["qe_b"], params["sts_w"], params["sts_b"], params["nli_w"])
     return model, heads, history
 
 
@@ -260,7 +263,8 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     objective = partial(contrastive_batch, params, margin=contrastive.margin)
     streams = {"contrastive": _stream(config, _TAG_FILTER, objective, Xa, Xb, y)}
     history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
-    return backprop.model_from_params(params, featurizer), history
+    model = EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
+    return model, history
 
 
 def _mean_cosine(params, Xa, Xb) -> float:
@@ -278,7 +282,7 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     source/target cosine before and after, both with the model being
     evaluated at that moment.
 
-    Returns (EncoderModel, AlignmentReport).
+    Returns (EncoderModel, AlignmentReport); ``model`` is left unchanged.
     """
     pairs = parallel.pairs if hasattr(parallel, "pairs") else as_text_pairs(parallel)
     total = len(pairs)
@@ -292,9 +296,10 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     if len(train) == 0:
         raise ConfigError("no training pairs left after the held-out split")
 
-    featurizer = model.featurizer
-    Xs, Xt = _featurize_sides(*zip(*pairs), featurizer)
-    params = backprop.params_from_model(model)
+    Xs, Xt = _featurize_sides(*zip(*pairs), model.featurizer)
+    arrays = (model.w1, model.b1, model.w2, model.b2)
+    aligned = EncoderModel(model.featurizer, *map(np.copy, arrays))  # np.copy keeps W1's layout
+    params = aligned.params()
 
     before = _mean_cosine(params, Xs[held], Xt[held])
     targets = embed(params, Xt[train])
@@ -303,7 +308,6 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
                                     Xs[train], targets)}
     _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     after = _mean_cosine(params, Xs[held], Xt[held])
-    aligned = backprop.model_from_params(params, featurizer)
     return aligned, AlignmentReport(before, after, heldout_size)
 
 
@@ -315,35 +319,24 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     three backbones; only the two-layer head (tanh hidden layer,
     logistic output) is trained.  Returns (FeatureStackModel, history).
     """
-    from .estimators import FeatureStackScorer  # estimators imports this module
-
-    stack = FeatureStackScorer(sts_backbone, nli_backbone, qe_backbone)
+    backbones = (sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    feats = stack.pair_features(stack.embed(sources), stack.embed(targets))
+    sides = [_featurize_sides(sources, targets, b.featurizer) for b in backbones]
+    ua = np.hstack([embed(b.params(), Xa) for b, (Xa, _) in zip(backbones, sides)])
+    ub = np.hstack([embed(b.params(), Xb) for b, (_, Xb) in zip(backbones, sides)])
+    feats = stacked_pair_features(ua, ub, [b.embedding_dim for b in backbones])
     width = feats.shape[1]
 
     rng = _rng(config.seed, _TAG_FEATURE)
-    params = {
-        "h_w": rng.normal(0.0, 1.0 / np.sqrt(width), size=(hidden_units, width)),
-        "h_b": np.zeros(hidden_units),
-        "o_w": np.zeros(hidden_units),
-        "o_b": np.zeros(1),
-    }
+    h_w = rng.normal(0.0, 1.0 / np.sqrt(width), size=(hidden_units, width))
+    params = {"h_w": h_w.astype(np.float32), "h_b": np.zeros(hidden_units, np.float32),
+              "o_w": np.zeros(hidden_units, np.float32), "o_b": np.zeros(1, np.float32)}
     objective = partial(feature_head_batch, params)
     streams = {"qe-feature": _stream(config, _TAG_FEATURE + 100, objective, feats, y)}
     history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     model = FeatureStackModel(sts_backbone, nli_backbone, qe_backbone,
                               params["h_w"], params["h_b"], params["o_w"], params["o_b"])
     return model, history
-
-
-def feature_predict(model: FeatureStackModel, pairs) -> np.ndarray:
-    """Quality scores from a feature-extraction predictor."""
-    from .estimators import FeatureStackScorer  # estimators imports this module
-
-    scorer = FeatureStackScorer(*model.backbones)
-    scorer.model_ = model
-    return scorer.predict(pairs)
 
 
 @dataclass
@@ -408,7 +401,8 @@ def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckRep
     n_pairs = 4
 
     for _ in range(50):
-        params = init_params(encoder, rng)
+        # float64 (astype keeps W1's layout): central differences at eps 1e-4 need it
+        params = {name: a.astype(np.float64) for name, a in init_params(encoder, rng).items()}
         for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"):
             params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
         texts_a = _random_texts(rng, n_pairs)

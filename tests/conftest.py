@@ -2,9 +2,25 @@ import numpy as np
 import pytest
 
 from qemine import EncoderConfig, FeaturizerConfig, QERecord
+from qemine.model import EncoderModel, HeadSet
 
 SMALL_FEATURIZER = FeaturizerConfig((1, 2, 3), 256, 0)
 SMALL_ENCODER = EncoderConfig(SMALL_FEATURIZER, hidden_units=8, embedding_dim=6)
+
+
+def encoder_model(params, featurizer) -> EncoderModel:
+    """The float32 model of a parameter dict's 'W1', 'b1', 'W2' and 'b2'."""
+    return EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
+
+
+def head_set(params) -> HeadSet:
+    """The float32 heads of a parameter dict."""
+    return HeadSet(params["qe_w"], params["qe_b"], params["sts_w"], params["sts_b"], params["nli_w"])
+
+
+def as_float64(params) -> dict:
+    """float64 copies of a parameter dict's blocks (astype keeps W1 feature-major)."""
+    return {name: a.astype(np.float64) for name, a in params.items()}
 
 
 @pytest.fixture

@@ -18,7 +18,8 @@ the two sides' gradients; the package's stacked single pass must match
 them up to summation order.  ``DenseAdam`` updates every entry of every
 block at every step, densifying a ``ColumnGrad``; on steps that touch
 every column, the package's lazy ``W1`` update must equal it bit for
-bit.  They live here, not in the package, because only tests use them.
+bit, in float32 and in float64.  They live here, not in the package,
+because only tests use them.
 """
 
 import logging
@@ -262,8 +263,7 @@ def _embed_each(params, featurizer, texts) -> np.ndarray:
 def text_pair_embed(encoder, texts) -> np.ndarray:
     """Embeddings of a fitted ContrastiveFilter or MultitaskScorer, one
     featurization per text, repeats included."""
-    return _embed_each(backprop.params_from_model(encoder.encoder_), encoder.encoder_.featurizer,
-                       texts)
+    return _embed_each(encoder._require_fitted(), encoder.encoder_.featurizer, texts)
 
 
 def text_pair_scores(scorer, texts_a, texts_b, task="qe") -> np.ndarray:
@@ -274,16 +274,14 @@ def text_pair_scores(scorer, texts_a, texts_b, task="qe") -> np.ndarray:
         model = scorer.model_
         blocks = []
         for backbone in model.backbones:
-            p = backprop.params_from_model(backbone)
+            p = backbone.params()
             ua = _embed_each(p, backbone.featurizer, texts_a)
             ub = _embed_each(p, backbone.featurizer, texts_b)
             blocks.append(backprop._reg_features_forward(ua, ub)[0])
         feats = np.concatenate(blocks, axis=1)
-        hidden = np.tanh(feats @ model.hidden_w.astype(np.float64).T
-                         + model.hidden_b.astype(np.float64))
-        z = hidden @ model.out_w.astype(np.float64) + model.out_b.astype(np.float64)[0]
-        return backprop._sigmoid(z)
-    params = backprop.params_from_model(scorer.encoder_, scorer.heads_)
+        hidden = np.tanh(feats @ model.hidden_w.T + model.hidden_b)
+        return backprop._sigmoid(hidden @ model.out_w + model.out_b[0])
+    params = scorer._require_fitted()
     ua = _embed_each(params, scorer.encoder_.featurizer, texts_a)
     ub = _embed_each(params, scorer.encoder_.featurizer, texts_b)
     if task == "nli":
@@ -442,7 +440,7 @@ class DenseAdam:
 
     def step(self, params: dict, grads: dict) -> None:
         for name, grad in grads.items():
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.asarray(grad, dtype=params[name].dtype)
             if not np.all(np.isfinite(grad)):
                 raise TrainingError(f"non-finite gradient in parameter block {name!r}")
             if name in self._state:

@@ -298,7 +298,7 @@ def test_criterion_10_schedule_contracts(tiny_qe_records):
             idx = order[start : start + 4]
             losses, grads = backprop.regression_batch(params, "qe", Xa[idx], Xb[idx], y[idx])
             adam.step(params, grads)
-            total += losses.sum()
+            total += float(losses.sum())  # as _run_epochs sums: in Python floats
         trace.append(total / len(y))
     assert [row["mean_loss"] for row in history] == trace
     _report("10 schedule contracts",

@@ -10,7 +10,7 @@ from qemine.training import _rng  # deterministic stream helper
 from qemine.features import FeaturizerConfig
 from qemine.model import EncoderConfig
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, as_float64, encoder_model, head_set
 from oracles import (
     contrastive_loss,
     cosine_similarity,
@@ -25,7 +25,7 @@ from oracles import (
 
 def _setup(seed=0, n_pairs=6):
     rng = _rng(seed, 12345)
-    params = backprop.init_params(SMALL_ENCODER, rng)
+    params = as_float64(backprop.init_params(SMALL_ENCODER, rng))
     for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"):
         params[name] = rng.normal(0, 0.4, params[name].shape)
     alphabet = "abcdefgh"
@@ -48,8 +48,8 @@ class TestEngineMatchesScalarOps:
         losses, _ = backprop.regression_batch(params, "qe", Xa, Xb, y)
         # Rebuild through the public single-pair path with float32 weights;
         # quantization keeps agreement to ~1e-6 rather than exact.
-        model = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
-        heads = backprop.heads_from_params(params)
+        model = encoder_model(params, SMALL_ENCODER.featurizer)
+        heads = head_set(params)
         for k, (a, b) in enumerate(zip(texts_a, texts_b)):
             p = forward_heads(model, heads, (a, b), "qe")
             expected, _ = task_loss("qe", p, y[k])
@@ -86,9 +86,9 @@ class TestEngineMatchesScalarOps:
 
     def test_predict_regression_matches_forward_heads(self):
         params, texts_a, texts_b, Xa, Xb, _ = _setup(seed=4)
-        model = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
-        heads = backprop.heads_from_params(params)
-        params32 = backprop.params_from_model(model, heads)
+        model = encoder_model(params, SMALL_ENCODER.featurizer)
+        heads = head_set(params)
+        params32 = as_float64({**model.params(), **heads.params()})
         preds, _ = backprop.regression_head(
             params32, "sts", backprop.embed(params32, Xa), backprop.embed(params32, Xb)
         )
@@ -103,8 +103,8 @@ class TestEmbedBatch:
         from oracles import encode
 
         params, texts_a, _, Xa, _, _ = _setup(seed=5)
-        model = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
-        params32 = backprop.params_from_model(model)
+        model = encoder_model(params, SMALL_ENCODER.featurizer)
+        params32 = as_float64(model.params())
         batch = backprop.embed(params32, Xa)
         for k, text in enumerate(texts_a):
             single = encode(model, featurize(text, SMALL_ENCODER.featurizer))
@@ -139,7 +139,7 @@ _WORDS = "kafo limba melo daki bemu cela norz pyrt quvo rusk strix tovan".split(
 def _stacked_setup(n_features, hidden, dim, seed=0):
     rng = np.random.default_rng(seed)
     encoder = EncoderConfig(FeaturizerConfig((1, 2, 3, 4), n_features, 0), hidden, dim)
-    params = backprop.init_params(encoder, rng)
+    params = as_float64(backprop.init_params(encoder, rng))
     for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"):
         params[name] = rng.normal(0, 0.4, params[name].shape)
     texts = [" ".join(rng.choice(_WORDS, rng.integers(1, 6))) for _ in range(2 * 9)]

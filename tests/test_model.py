@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qemine.errors import ModelCorruptionError, ModelFormatError
+from qemine.estimators import MultitaskScorer
 from qemine.features import FeaturizerConfig
 from qemine.model import (
     EncoderModel,
@@ -167,6 +168,37 @@ def _resign(body: bytes) -> bytes:
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
+# The documented layouts, built by concatenation: magic, version, header,
+# <f4 arrays in C order and the digest.  W1 is stored as its (F, H)
+# transpose from version 3 on, and as (H, F) in version 2.
+
+
+def _layout(magic, version, header, arrays) -> bytes:
+    return _resign(magic + struct.pack("<H", version) + header
+                   + b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays))
+
+
+def _encoder_header(m) -> bytes:
+    return struct.pack("<IIII3Iq", m.w1.shape[1], m.w1.shape[0], m.w2.shape[0], 3, 1, 2, 3, 0)
+
+
+def _encoder_arrays(m, version) -> list:
+    return [m.w1.T if version >= 3 else m.w1, m.b1, m.w2, m.b2]
+
+
+def _documented_qem(model, heads, version) -> bytes:
+    return _layout(b"QEM2", version, _encoder_header(model), _encoder_arrays(model, version)
+                   + [heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w])
+
+
+def _documented_qef(stack, version) -> bytes:
+    header = struct.pack("<I", stack.hidden_w.shape[0])
+    header += b"".join(_encoder_header(b) for b in stack.backbones)
+    arrays = [a for b in stack.backbones for a in _encoder_arrays(b, version)]
+    return _layout(b"QEF2", version, header,
+                   arrays + [stack.hidden_w, stack.hidden_b, stack.out_w, stack.out_b])
+
+
 def _feature_model_bytes(path) -> bytes:
     rng = np.random.default_rng(30)
     backbones = [_random_model(seed=31), _random_model(seed=32, dim=4), _random_model(seed=33)]
@@ -209,6 +241,16 @@ class TestModelFile:
             assert np.array_equal(a, b)
         assert loaded_model.featurizer == model.featurizer
 
+    def test_weights_are_float32_and_w1_feature_major(self):
+        rng = np.random.default_rng(38)
+        w1 = np.asfortranarray(rng.normal(size=(8, 256)), dtype=np.float32)
+        arrays = [w1, *(rng.normal(size=s).astype(np.float32) for s in [8, (6, 8), 6])]
+        model = EncoderModel(FeaturizerConfig((1, 2, 3), 256, 0), *arrays)
+        assert all(a is b for a, b in zip(model.params().values(), arrays))
+        assert model.params() == {"W1": model.w1, "b1": model.b1, "W2": model.w2, "b2": model.b2}
+        converted = _random_model(seed=38)  # float64 C-ordered input
+        assert converted.w1.dtype == np.float32 and converted.w1.T.flags.c_contiguous
+
     def test_save_load_save_byte_identical(self, tmp_path):
         model = _random_model(seed=22)
         heads = _random_heads(model.embedding_dim, seed=23)
@@ -218,32 +260,56 @@ class TestModelFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_files_match_the_documented_layout(self, tmp_path):
-        # magic, version, header, <f4 arrays and digest, built by concatenation
-        def layout(magic, header, arrays):
-            return _resign(magic + struct.pack("<H", 2) + header
-                           + b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays))
-
-        def encoder_header(m):
-            return struct.pack("<IIII3Iq", m.w1.shape[1], m.w1.shape[0], m.w2.shape[0], 3, 1, 2, 3, 0)
-
-        def encoder_arrays(m):
-            return [m.w1, m.b1, m.w2, m.b2]
-
         model = _random_model(seed=24)
         heads = _random_heads(model.embedding_dim, seed=25)
         save_model(model, heads, tmp_path / "m.qem")
-        expected = layout(b"QEM2", encoder_header(model), encoder_arrays(model)
-                          + [heads.qe_w, heads.qe_b, heads.sts_w, heads.sts_b, heads.nli_w])
-        assert (tmp_path / "m.qem").read_bytes() == model_to_bytes(model, heads) == expected
+        assert (tmp_path / "m.qem").read_bytes() == model_to_bytes(model, heads) \
+            == _documented_qem(model, heads, version=3)
 
         written = _feature_model_bytes(tmp_path / "s.qef")
+        assert written == _documented_qef(load_feature_model(tmp_path / "s.qef"), version=3)
+
+    def test_version_two_files_load_to_identical_weights(self, tmp_path):
+        model = _random_model(seed=34)
+        heads = _random_heads(model.embedding_dim, seed=35)
+        (tmp_path / "v2.qem").write_bytes(_documented_qem(model, heads, version=2))
+        loaded, loaded_heads = load_model(tmp_path / "v2.qem")
+        assert loaded.w1.T.flags.c_contiguous
+        assert model_to_bytes(loaded, loaded_heads) == model_to_bytes(model, heads)
+
+        _feature_model_bytes(tmp_path / "s.qef")
         stack = load_feature_model(tmp_path / "s.qef")
-        expected = layout(b"QEF2",
-                          struct.pack("<I", stack.hidden_w.shape[0])
-                          + b"".join(encoder_header(b) for b in stack.backbones),
-                          [a for b in stack.backbones for a in encoder_arrays(b)]
-                          + [stack.hidden_w, stack.hidden_b, stack.out_w, stack.out_b])
-        assert written == expected
+        (tmp_path / "v2.qef").write_bytes(_documented_qef(stack, version=2))
+        save_feature_model(load_feature_model(tmp_path / "v2.qef"), tmp_path / "again.qef")
+        assert (tmp_path / "again.qef").read_bytes() == (tmp_path / "s.qef").read_bytes()
+
+    def test_version_two_file_predicts_as_version_three(self, tmp_path):
+        model = _random_model(seed=36)
+        heads = _random_heads(model.embedding_dim, seed=37)
+        save_model(model, heads, tmp_path / "v3.qem")
+        (tmp_path / "v2.qem").write_bytes(_documented_qem(model, heads, version=2))
+        pairs = [("a small example", "another one"), ("", "text"), ("same", "same")]
+        expected = MultitaskScorer.load(tmp_path / "v3.qem").predict(pairs)
+        assert np.array_equal(MultitaskScorer.load(tmp_path / "v2.qem").predict(pairs), expected)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_load_allocates_one_copy_of_the_weights(self, tmp_path, version):
+        """Load holds the file's bytes, the arrays it returns (one copy of
+        W1, made straight from the file buffer in both versions) and the
+        one-byte-per-weight mask of the finiteness check.  A second copy of
+        W1 would add W1.nbytes."""
+        model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
+        heads = _random_heads(model.embedding_dim, seed=29)
+        path = tmp_path / "m.qem"
+        path.write_bytes(_documented_qem(model, heads, version))
+        load_model(path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + model.w1.nbytes * 3 // 2
 
     def test_save_allocates_no_copy_of_the_weights(self, tmp_path):
         model = _random_model(seed=26, n_features=65536)  # W1 is 2 MiB of float32

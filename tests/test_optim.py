@@ -85,22 +85,35 @@ def _column_grad(rng, cols, hidden, n_features, scale=1.0):
 class TestLazyAdam:
     """The lazy update of a feature-major block against dense Adam."""
 
-    def test_every_column_touched_equals_dense_adam(self):
+    @staticmethod
+    def _every_column_against_dense(dtype):
         # 64 hidden units and 1,200 columns: the lazy update runs in several chunks
         hidden, n_features = 64, 1200
         rng = np.random.default_rng(0)
         lazy = {"W1": _feature_major(rng, hidden, n_features), "b1": rng.normal(size=hidden)}
+        lazy = {name: value.astype(dtype) for name, value in lazy.items()}
         dense = {name: np.copy(value) for name, value in lazy.items()}
         lazy_adam, dense_adam = Adam(1e-2), DenseAdam(1e-2)
         for step in range(40):
             scale = 10.0 ** rng.uniform(-6, 2)
-            grads = {"W1": _column_grad(rng, np.arange(n_features), hidden, n_features, scale),
-                     "b1": rng.normal(size=hidden)}
+            grad = _column_grad(rng, np.arange(n_features), hidden, n_features, scale)
+            grads = {"W1": ColumnGrad(grad.cols, grad.rows.astype(dtype), grad.shape),
+                     "b1": rng.normal(size=hidden).astype(dtype)}
             lazy_adam.step(lazy, grads)
             dense_adam.step(dense, grads)
             for name in lazy:
+                assert lazy[name].dtype == dtype
                 assert lazy[name].tobytes() == dense[name].tobytes(), (name, step)
         assert lazy["W1"].T.flags.c_contiguous
+        assert all(m.dtype == dtype for m, _, _ in lazy_adam._state.values())
+
+    def test_every_column_touched_equals_dense_adam(self):
+        self._every_column_against_dense(np.float64)
+
+    def test_every_column_touched_equals_dense_adam_in_float32(self):
+        """float32 is the training dtype: the moments stay float32 and the
+        bias corrections are rounded as the dense update rounds them."""
+        self._every_column_against_dense(np.float32)
 
     def test_untouched_columns_keep_value_and_state(self):
         hidden, n_features = 5, 40

@@ -21,6 +21,7 @@ from qemine.mining import MiningConfig, mine_bucc, score_matrix
 from qemine.model import EncoderConfig, FeatureStackModel
 from qemine.synth import SynthConfig, generate_bucc, generate_qe
 
+from conftest import as_float64, encoder_model, head_set
 from oracles import text_pair_mine_bucc, text_pair_score_matrix, text_pair_scores
 
 
@@ -36,21 +37,21 @@ def _random_params(seed, n_features=256, hidden=8, dim=6):
 def _multitask(seed=0, **sizes):
     params, featurizer = _random_params(seed, **sizes)
     scorer = MultitaskScorer()
-    scorer.encoder_ = backprop.model_from_params(params, featurizer)
-    scorer.heads_ = backprop.heads_from_params(params)
+    scorer.encoder_ = encoder_model(params, featurizer)
+    scorer.heads_ = head_set(params)
     return scorer
 
 
 def _filter(seed=10, **sizes):
     params, featurizer = _random_params(seed, **sizes)
     encoder = ContrastiveFilter()
-    encoder.encoder_ = backprop.model_from_params(params, featurizer)
+    encoder.encoder_ = encoder_model(params, featurizer)
     return encoder
 
 
 def _feature_stack(seed=20, hidden_units=5):
     backbones = [
-        backprop.model_from_params(*_random_params(seed + k, 128 << k, 6 + k, 4 + k))
+        encoder_model(*_random_params(seed + k, 128 << k, 6 + k, 4 + k))
         for k in range(3)
     ]
     width = sum(2 * b.embedding_dim + 1 for b in backbones)
@@ -174,14 +175,29 @@ def _signed_multitask(signs, seed=30, dim=9):
         params[f"{task}_w"] = {"positive": np.abs(w), "negative": -np.abs(w),
                                "zero": np.zeros_like(w), "mixed": w}[signs]
     scorer = MultitaskScorer()
-    scorer.encoder_ = backprop.model_from_params(params, featurizer)
-    scorer.heads_ = backprop.heads_from_params(params)
+    scorer.encoder_ = encoder_model(params, featurizer)
+    scorer.heads_ = head_set(params)
     return scorer
+
+
+class _Float64Scorer(MultitaskScorer):
+    """Embeds and scores with float64 copies of its float32 arrays (the
+    text-pair oracle reads them the same way), so that the grid and the
+    aligned head can be compared at float64 rounding."""
+
+    def _require_fitted(self):
+        return as_float64(super()._require_fitted())
+
+
+def _float64_multitask():
+    scorer, float64 = _multitask(), _Float64Scorer()
+    float64.encoder_, float64.heads_ = scorer.encoder_, scorer.heads_
+    return float64
 
 
 class TestScoreGrid:
     def test_score_matrix(self):
-        scorer = _multitask()
+        scorer = _float64_multitask()
         pairs = _pairs()
         references = [a for a, _ in pairs]
         hypotheses = [b for _, b in pairs][:15]
@@ -192,7 +208,7 @@ class TestScoreGrid:
         # 64 * SCORE_BLOCK // 19 hypotheses = 3 rows per block: 19 rows in 7 blocks
         monkeypatch.setattr(qemine.mining, "SCORE_BLOCK", 1)
         calls = []
-        scorer = _multitask()
+        scorer = _float64_multitask()
         original = scorer.score_grid
         scorer.score_grid = lambda ua, ub: calls.append(len(ua)) or original(ua, ub)
         pairs = _pairs()
@@ -228,7 +244,7 @@ class TestScoreGrid:
         scorer = _multitask()
         references = [f"source sentence {i} with words {i % 7} {i % 13}" for i in range(1000)]
         hypotheses = [f"target line {j} holding {j % 11} {j % 5}" for j in range(1000)]
-        scorer.embed(references[:1])  # converts the parameters before tracing
+        scorer.embed(references[:1])  # warm-up outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -240,26 +256,39 @@ class TestScoreGrid:
         assert peak < 12 * 1000 * 1000
 
 
-def test_feature_stack_converts_each_backbone_once(monkeypatch):
+def test_feature_stack_scores_with_replaced_weights():
+    """Every prediction reads the backbones and head the scorer holds at
+    that moment, also after an earlier prediction."""
     stack = _feature_stack()
     pairs = _pairs()
     texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
-    expected = text_pair_scores(stack, texts_a, texts_b)
-    replacement = backprop.model_from_params(*_random_params(99, 128, 6, 4))
+    before = stack.predict(pairs)
+    assert np.array_equal(before, text_pair_scores(stack, texts_a, texts_b))
+
+    replacement = encoder_model(*_random_params(99, 128, 6, 4))
+    stack.set_params(sts_backbone=replacement)
     replaced = FeatureStackScorer(replacement, *stack._backbones()[1:])
     replaced.model_ = stack.model_
-    expected_replaced = replaced.predict(pairs)
+    after = stack.predict(pairs)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, replaced.predict(pairs))
 
-    calls = []
-    original = backprop.params_from_model
-    monkeypatch.setattr(backprop, "params_from_model",
-                        lambda *args: calls.append(args[0]) or original(*args))
-    assert np.array_equal(stack.predict(pairs), expected)
-    assert np.array_equal(stack.predict(pairs), expected)
-    assert calls == list(stack._backbones())
-    stack.set_params(sts_backbone=replacement)
-    assert np.array_equal(stack.predict(pairs), expected_replaced)
-    assert len(calls) == 4 and calls[-1] is replacement
+    stack.model_ = _feature_stack(seed=40).model_
+    replaced.model_ = stack.model_
+    assert not np.array_equal(stack.predict(pairs), after)
+    assert np.array_equal(stack.predict(pairs), replaced.predict(pairs))
+
+
+def test_multitask_scores_with_weights_changed_in_place():
+    scorer = _multitask()
+    pairs = _pairs()
+    texts_a, texts_b = [a for a, _ in pairs], [b for _, b in pairs]
+    before = scorer.predict(pairs)
+    scorer.encoder_.w1[:, ::2] *= -1.0
+    scorer.heads_.qe_w[:] *= 2.0
+    after = scorer.predict(pairs)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, text_pair_scores(scorer, texts_a, texts_b))
 
 
 class TestFeaturizationCount:

@@ -8,6 +8,7 @@ from qemine import backprop
 from qemine.augment import AugmentConfig, augment_filtration
 from qemine.corpus import ParallelSet
 from qemine.errors import ConfigError
+from qemine.estimators import FeatureStackScorer
 from qemine.features import featurize_all
 from qemine.model import load_feature_model, model_to_bytes, save_feature_model
 from qemine.optim import Adam
@@ -22,7 +23,6 @@ from qemine.training import (
     _TAG_STREAM,
     _flat_view,
     align_encoders,
-    feature_predict,
     grad_check,
     history_to_csv,
     multitask_train,
@@ -30,7 +30,7 @@ from qemine.training import (
     train_feature_stack,
 )
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, encoder_model, head_set
 
 
 def _sts_records(rng, count=10):
@@ -111,12 +111,12 @@ class TestMultitaskSchedule:
                 idx = order[start : start + 5]
                 losses, grads = backprop.regression_batch(params, "qe", Xa[idx], Xb[idx], y[idx])
                 adam.step(params, grads)
-                total += losses.sum()
+                total += float(losses.sum())  # as _run_epochs sums: in Python floats
             trace.append(total / len(y))
 
         assert [row["mean_loss"] for row in history] == pytest.approx(trace, abs=0)
-        reference = backprop.model_from_params(params, SMALL_ENCODER.featurizer)
-        assert model_to_bytes(model, heads) == model_to_bytes(reference, backprop.heads_from_params(params))
+        reference = encoder_model(params, SMALL_ENCODER.featurizer)
+        assert model_to_bytes(model, heads) == model_to_bytes(reference, head_set(params))
 
     def test_three_tasks_match_round_robin_schedule(self, tiny_qe_records):
         """Three tasks of unequal size plus fine-tuning, reproduced from the
@@ -177,10 +177,8 @@ class TestMultitaskSchedule:
                          for task, (total, count) in totals.items()]
 
         assert history == expected
-        reference = backprop.model_from_params(params, featurizer)
-        assert model_to_bytes(model, heads) == model_to_bytes(
-            reference, backprop.heads_from_params(params)
-        )
+        reference = encoder_model(params, featurizer)
+        assert model_to_bytes(model, heads) == model_to_bytes(reference, head_set(params))
 
     def test_disabled_task_data_has_no_effect(self, tiny_qe_records):
         rng = np.random.default_rng(0)
@@ -358,7 +356,7 @@ class TestFiltration:
             ContrastiveConfig(1.0),
             SMALL_ENCODER,
         )
-        params = backprop.params_from_model(model)
+        params = model.params()
         featurizer = model.featurizer
 
         def mean_cos(pairs):
@@ -455,13 +453,13 @@ class TestAlignment:
         return model
 
     def test_identical_sides_leave_weights_nearly_unchanged(self):
-        # Loss starts at ~1e-16 (float rounding of cos(u, u)); the adaptive
+        # Loss starts at ~1e-7 (float32 rounding of cos(u, u)); the adaptive
         # optimizer amplifies that into a tiny drift against the frozen
         # targets, so "nearly unchanged" means ~1% here, not bitwise.
         model = self._trained_encoder(seed=41)
         pairs = ParallelSet(tuple((f"w{i} w{i + 1}", f"w{i} w{i + 1}") for i in range(20)))
         aligned, report = align_encoders(model, pairs, TrainConfig(epochs=2, batch_size=4, seed=1))
-        assert report.cosine_before == pytest.approx(1.0, abs=1e-9)
+        assert report.cosine_before == pytest.approx(1.0, abs=1e-6)
         assert report.cosine_after == pytest.approx(1.0, abs=1e-4)
         for name in ("w1", "b1", "w2", "b2"):
             delta = np.abs(getattr(aligned, name).astype(np.float64)
@@ -484,6 +482,12 @@ class TestAlignment:
             align_encoders(model, pairs, TrainConfig(), heldout_fraction=0.1)
 
 
+def _feature_predict(model, pairs):
+    scorer = FeatureStackScorer(*model.backbones)
+    scorer.model_ = model
+    return scorer.predict(pairs)
+
+
 class TestFeatureStack:
     def _backbones(self, records):
         config = TrainConfig(epochs=1, finetune_epochs=0, tasks=("qe",), batch_size=16, seed=1)
@@ -503,7 +507,7 @@ class TestFeatureStack:
         backbones = self._backbones(records)
         model, _ = train_feature_stack(*backbones, records,
                                          TrainConfig(epochs=0, batch_size=8, seed=4))
-        preds = feature_predict(model, [(r.source, r.target) for r in records[:5]])
+        preds = _feature_predict(model, [(r.source, r.target) for r in records[:5]])
         assert np.allclose(preds, 0.5, atol=1e-12)
 
     def test_backbones_stay_bitwise_frozen(self):
@@ -525,7 +529,7 @@ class TestFeatureStack:
         )
         from qemine.stats import pearson
 
-        preds = feature_predict(model, [(r.source, r.target) for r in held])
+        preds = _feature_predict(model, [(r.source, r.target) for r in held])
         assert pearson(preds, [r.score for r in held]) > 0.0
         assert history[-1]["mean_loss"] < history[0]["mean_loss"]
 
@@ -538,7 +542,9 @@ class TestFeatureStack:
         save_feature_model(model, path)
         loaded = load_feature_model(path)
         pairs = [(r.source, r.target) for r in records[:7]]
-        assert np.array_equal(feature_predict(model, pairs), feature_predict(loaded, pairs))
+        assert np.array_equal(_feature_predict(model, pairs), _feature_predict(loaded, pairs))
+        assert np.array_equal(_feature_predict(model, pairs),
+                              FeatureStackScorer.load(path).predict(pairs))
         path2 = tmp_path / "stack2.qef"
         save_feature_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
