@@ -181,7 +181,7 @@ def _cmd_mine_tatoeba(args):
     predicted = mine_tatoeba(matrix)
     with open(args.out, "w", encoding="utf-8") as handle:
         for row, col in predicted:
-            handle.write(f"{row}\t{col}\t{matrix.values[row, col]!r}\n")
+            handle.write(f"{row}\t{col}\t{float(matrix.values[row, col])!r}\n")
     accuracy = tatoeba_accuracy(predicted, data.size)
     print(f"{data.size} rows, accuracy {accuracy:.4f}", file=sys.stderr)
     return args.out, [args.side_a, args.side_b, args.model], [args.out]

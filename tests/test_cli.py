@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,10 @@ class TestMineCli:
                      "--model", model, "--out", out]) == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 12  # count // 5
+        for line in lines:
+            row, col, score = line.split("\t")
+            assert int(row) >= 0 and int(col) >= 0
+            assert math.isfinite(float(score))
         assert "accuracy" in capsys.readouterr().err
         _check_manifest(out, "mine-tatoeba", 42,
                         [f"{synth_prefix}.tatoeba.src", f"{synth_prefix}.tatoeba.tgt", model],

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import featurize, iter_ngrams, stack_features
 from qemine import features
-from qemine.features import FeaturizerConfig, featurize_all, fnv1a_64
+from qemine.features import (FeaturizerConfig, distinct_texts, featurize_all, fnv1a_64,
+                             fnv1a_64_batch)
 
 
 def _reference_fnv1a(data: bytes, seed: int = 0) -> int:
@@ -27,6 +26,19 @@ class TestHash:
         data = b"ngram"
         assert fnv1a_64(data, 0) != fnv1a_64(data, 1)
         assert fnv1a_64(data, 7) == _reference_fnv1a(data, 7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_batch_matches_scalar_on_random_grams(self, seed):
+        # One- to four-byte UTF-8 characters ("\U0001f600" and "\U00020000"
+        # take four), and NUL bytes, which look like the batch's padding.
+        alphabet = ["a", "Z", "\x00", "\u00e9", "\u00df", "\u2581", "\u4f60", "\U0001f600",
+                    "\U00020000"]
+        rng = np.random.default_rng(seed)
+        grams = ["".join(rng.choice(alphabet, rng.integers(1, 7))) for _ in range(300)]
+        data = [g.encode("utf-8") for g in grams] + [b"", ("\U0001f600" * 6).encode("utf-8")]
+        hashes = fnv1a_64_batch(data, seed)
+        assert hashes.dtype == np.uint64
+        assert [int(h) for h in hashes] == [fnv1a_64(d, seed) for d in data]
 
 
 class TestConfig:
@@ -152,6 +164,9 @@ class TestFeaturizeAll:
     @example(texts=["İİ", "i̇i̇", "İ i̇"], orders={1, 2, 3, 4}, log_width=15, seed=0)
     @example(texts=["你好 世界 你好", "Straße STRASSE", "a a a a a"], orders={1, 3}, log_width=1,
              seed=9)
+    @example(texts=["a", ""], orders={1, 2, 3, 4}, log_width=15, seed=0)
+    @example(texts=["", "a"], orders={1, 2}, log_width=4, seed=2**64 - 1)
+    @example(texts=["", " "], orders={2, 5}, log_width=0, seed=1)
     def test_matches_oracle(self, texts, orders, log_width, seed):
         # Widths down to one bucket make grams collide, so counts exceed 1.
         cfg = FeaturizerConfig(tuple(orders), 1 << log_width, seed)
@@ -159,21 +174,35 @@ class TestFeaturizeAll:
         _assert_bit_equal(featurize_all(texts, cfg), oracle)
 
     def test_hashes_each_distinct_gram_once(self, monkeypatch):
-        calls = Counter()
+        batches = []
 
-        def counting(data, seed=0):
-            calls[data, seed] += 1
-            return fnv1a_64(data, seed)
+        def recording(data, seed=0):
+            batches.append((list(data), seed))
+            return fnv1a_64_batch(data, seed)
 
-        monkeypatch.setattr(features, "fnv1a_64", counting)
+        monkeypatch.setattr(features, "fnv1a_64_batch", recording)
         cfg = FeaturizerConfig((1, 2, 3), 64, 5)
         texts = ["the cat sat", "The CAT sat on the mat", "", "mat the"] * 3
-        X = featurize_all(texts, cfg)
-        grams = {g.encode("utf-8") for t in texts for g in iter_ngrams(t, cfg.ngram_orders)}
-        assert set(calls) == {(g, 5) for g in grams}
-        assert max(calls.values()) == 1
-        _assert_bit_equal(X, stack_features([featurize(t, cfg) for t in texts], 64))
+        for _ in range(2):
+            batches.clear()
+            X = featurize_all(texts, cfg)
+            grams = {g.encode("utf-8") for t in texts for g in iter_ngrams(t, cfg.ngram_orders)}
+            assert len(batches) == 1
+            data, seed = batches[0]
+            assert seed == 5
+            assert sorted(data) == sorted(grams)
+            _assert_bit_equal(X, stack_features([featurize(t, cfg) for t in texts], 64))
 
     def test_rejects_no_texts(self):
         with pytest.raises(ValueError):
             featurize_all([], FeaturizerConfig((1,), 64, 0))
+
+
+class TestDistinctTexts:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(st.sampled_from(["a", "b", "", "a b", "\u00e9"]), max_size=20))
+    def test_first_occurrence_order_and_rows(self, texts):
+        distinct, rows = distinct_texts(iter(texts))
+        assert distinct == list(dict.fromkeys(texts))
+        assert rows.dtype == np.intp
+        assert [distinct[row] for row in rows] == texts
