@@ -41,12 +41,27 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
     hidden = config.hidden_units
     dim = config.embedding_dim
     params = {
-        "W1": np.asfortranarray(rng.normal(0.0, 0.5, size=(hidden, n_features)), dtype=np.float32),
+        "W1": _feature_major_f32(rng.normal(0.0, 0.5, size=(hidden, n_features))),
         "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(dim, hidden)).astype(np.float32),
         "b1": np.zeros(hidden, dtype=np.float32),
         "b2": np.zeros(dim, dtype=np.float32),
     }
     return {**params, **HeadSet.zeros(dim).params()}
+
+
+def _feature_major_f32(draws: np.ndarray) -> np.ndarray:
+    """``np.asfortranarray(draws, dtype=np.float32)``, cast tile by tile.
+
+    The transposing cast reads ``draws`` by rows and writes the C-ordered
+    (F, H) block by rows; a 32 × 128 tile keeps both sides of each copy
+    in cache, which a whole-array copy does not at the default sizes.
+    """
+    rows, cols = draws.shape
+    out = np.empty((cols, rows), dtype=np.float32)
+    for i in range(0, rows, 32):
+        for j in range(0, cols, 128):
+            out[j : j + 128, i : i + 32] = draws[i : i + 32, j : j + 128].T
+    return out.T
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -11,14 +11,17 @@ empty or whitespace-only text maps to the zero vector.
 A text's bucket counts are the sum of its words' bucket counts, so
 ``featurize_all`` works per distinct word, not per gram occurrence.  It
 counts each text's words (a texts × distinct-words matrix) and each
-distinct word's gram buckets (a distinct-words × ``n_features`` matrix),
-hashing each distinct gram once with ``fnv1a_64_batch``; their sparse
-product is the count matrix.  Counts are integers held in float64, so
-every sum and norm is exact and the result does not depend on summation
-order.  Besides the result, memory grows with the call's word
-occurrences and its distinct words' gram occurrences.  The per-text path
-it replaces is the test oracle, and ``fnv1a_64`` is the scalar reference
-for the batch hash.
+distinct word's gram buckets (a distinct-words × ``n_features`` matrix);
+their sparse product is the count matrix.  The grams are never built as
+strings: the marked distinct words are read as one array of code points,
+and a rolling FNV-1a over their UTF-8 bytes hashes every order in
+``max(orders)`` vectorized passes, since a gram's hash state is its
+prefix's folded with one more code point.  Counts are integers held in
+float64, so every sum and norm is exact and the result does not depend
+on summation order.  Besides the result, memory grows with the call's
+word occurrences and its distinct words' code points times the number of
+orders.  The per-text path it replaces is the test oracle, and
+``fnv1a_64`` is the scalar reference for the hash.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import chain, count
 import numpy as np
 from scipy import sparse
 
-__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all", "fnv1a_64", "fnv1a_64_batch"]
+__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all", "fnv1a_64"]
 
 WORD_MARKER = "▁"
 
@@ -67,46 +70,26 @@ class FeaturizerConfig:
         object.__setattr__(self, "ngram_orders", orders)
 
 
-def fnv1a_64_batch(data, seed: int = 0) -> np.ndarray:
-    """``fnv1a_64`` of each byte string in ``data``, as a uint64 array.
-
-    All strings are hashed together one byte column at a time, reading
-    each string's ``col``-th byte from their concatenation; a hash stops
-    changing past its string's last byte.  Products of uint64 arrays
-    wrap modulo 2**64, as the scalar hash's mask does.
-    """
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    width = int(lengths.max(initial=0))
-    # Zero padding keeps the reads of the last, shorter strings in bounds.
-    joined = np.frombuffer(b"".join(data) + bytes(width), dtype=np.uint8)
-    starts = np.cumsum(lengths) - lengths
-    hashes = np.full(len(data), np.uint64(_FNV_OFFSET ^ (seed & _MASK64)))
-    prime = np.uint64(_FNV_PRIME)
-    for col in range(width):
-        hashes = np.where(lengths > col, (hashes ^ joined[starts + col]) * prime, hashes)
-    return hashes
-
-
 def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
     """Featurize a sequence of texts into a CSR matrix, one row per text.
 
-    Each distinct word's grams are extracted once per call, and each
-    distinct gram is hashed once.  Raises ``ValueError`` on no texts.
+    Each distinct word's grams are hashed once per call.  Raises
+    ``ValueError`` on no texts and ``UnicodeEncodeError`` on a text
+    that holds a lone surrogate.
     """
-    words, word_ids, text_starts = _flatten([text.lower().split() for text in texts])
-    if len(text_starts) == 1:
+    word_lists = [text.lower().split() for text in texts]
+    if not word_lists:
         raise ValueError("cannot featurize an empty list of texts")
-    orders = config.ngram_orders
-    grams, gram_ids, word_starts = _flatten(
-        [[m[i : i + k] for k in orders for i in range(len(m) - k + 1)]
-         for m in (WORD_MARKER + word + WORD_MARKER for word in words)])
-    hashes = fnv1a_64_batch([gram.encode("utf-8") for gram in grams], config.hash_seed)
-    buckets = (hashes & np.uint64(config.n_features - 1)).astype(np.intp)
+    words, word_ids = distinct_texts(chain.from_iterable(word_lists))
+    text_starts = np.zeros(len(word_lists) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, word_lists), dtype=np.intp, count=len(word_lists)),
+              out=text_starts[1:])
+    buckets, word_starts = _gram_buckets(words, config)
     # The transposes of the texts × words and words × buckets count
     # matrices, read straight off the flat id arrays as CSC.
     occurrences_t = sparse.csc_matrix((np.ones(len(word_ids)), word_ids, text_starts),
-                                      shape=(len(words), len(text_starts) - 1))
-    word_buckets_t = sparse.csc_matrix((np.ones(len(gram_ids)), buckets[gram_ids], word_starts),
+                                      shape=(len(words), len(word_lists)))
+    word_buckets_t = sparse.csc_matrix((np.ones(len(buckets)), buckets, word_starts),
                                        shape=(config.n_features, len(words)))
     # The bucket-major product, turned text-major by one conversion,
     # comes out with each row's columns sorted.
@@ -120,12 +103,47 @@ def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
     return counts
 
 
-def _flatten(groups: list) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct strings of ``groups``, every string's id among them, and each group's start."""
-    distinct, ids = distinct_texts(chain.from_iterable(groups))
-    starts = np.zeros(len(groups) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, groups), dtype=np.intp, count=len(groups)), out=starts[1:])
-    return distinct, ids, starts
+def _gram_buckets(words: list, config: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The buckets of every gram of the marked ``words``, word by word,
+    and each word's start among them.
+
+    A gram of order k is its order-(k - 1) prefix's FNV-1a state folded
+    with the UTF-8 bytes of one more code point, so ``max(orders)``
+    passes over the words' code points hash every order.  Pass k folds
+    the code point k - 1 further on into the state of every start, past
+    word ends too; the grams of order k are the starts with at least k
+    code points left in their word, so the table cells that pass k
+    leaves unset are never read.  Products of uint64 arrays wrap modulo
+    2**64, as the scalar hash's mask does.
+    """
+    orders = config.ngram_orders
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words)) + 2
+    marked = WORD_MARKER + (2 * WORD_MARKER).join(words) + WORD_MARKER if words else ""
+    # The explicit byte order keeps the read independent of the host's.
+    points = np.frombuffer(marked.encode("utf-32-le"), dtype="<u4")
+    width = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
+    utf8 = np.empty((4, len(points)), dtype=np.uint64)
+    utf8[0] = points >> 6 * (width - 1) | np.array([0, 0, 0xC0, 0xE0, 0xF0])[width]
+    for j in range(1, 4):
+        utf8[j] = 0x80 | points >> 6 * np.maximum(width - 1 - j, 0) & 0x3F
+    # Code points left in each start's word, itself included, decide
+    # which orders a start begins a gram of.
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(points))
+    is_gram = left[:, None] >= np.array(orders)
+    table = np.empty(is_gram.shape, dtype=np.intp)
+    state = np.full(len(points), np.uint64(_FNV_OFFSET ^ (config.hash_seed & _MASK64)))
+    prime, mask = np.uint64(_FNV_PRIME), np.uint64(config.n_features - 1)
+    for k in range(1, orders[-1] + 1):
+        step, wide = utf8[:, k - 1 :], width[k - 1 :]
+        state = (state[: len(wide)] ^ step[0]) * prime
+        for j in range(1, 4):
+            state = np.where(wide > j, (state ^ step[j]) * prime, state)
+        if k in orders:
+            table[: len(state), orders.index(k)] = state & mask
+    # Row-major order keeps each word's grams together.
+    word_starts = np.zeros(len(words) + 1, dtype=np.intp)
+    np.cumsum(sum(np.maximum(lengths - (k - 1), 0) for k in orders), out=word_starts[1:])
+    return table[is_gram], word_starts
 
 
 def distinct_texts(texts) -> tuple[list, np.ndarray]:

@@ -1,5 +1,7 @@
 """The batched training engine must agree with the per-example operations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,27 @@ class TestFeatureHeadBatch:
             scale = np.max(np.abs(numeric))
             assert scale > 1e-4, name
             assert np.max(np.abs(analytic.reshape(-1) - numeric)) <= 1e-6 * scale, name
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (64, 256), (130, 4096)])
+    def test_feature_major_cast_equals_asfortranarray(self, shape):
+        draws = np.random.default_rng(0).normal(0.0, 0.5, size=shape)
+        tiled = backprop._feature_major_f32(draws)
+        expected = np.asfortranarray(draws, dtype=np.float32)
+        assert tiled.dtype == expected.dtype and tiled.shape == expected.shape
+        assert tiled.tobytes(order="A") == expected.tobytes(order="A")
+        for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE", "ALIGNED"):
+            assert tiled.flags[flag] == expected.flags[flag], flag
+
+    def test_w1_digest_is_pinned(self):
+        # The SHA-256 of W1 as a whole-array np.asfortranarray cast made
+        # it; a change to the draws or the cast (and so to every model's
+        # bytes) fails here.  No BLAS is called, so the digest holds on
+        # every machine.
+        encoder = EncoderConfig(FeaturizerConfig((1, 2, 3), 512, 0), hidden_units=40,
+                                embedding_dim=6)
+        w1 = backprop.init_params(encoder, np.random.default_rng(7))["W1"]
+        assert w1.shape == (40, 512) and w1.dtype == np.float32 and w1.flags.f_contiguous
+        assert hashlib.sha256(w1.T.tobytes()).hexdigest() == (
+            "1936266abeb67c48c1f17b132664757481644c33e428c2fab4df334649918df7")

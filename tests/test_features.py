@@ -1,12 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import featurize, iter_ngrams, stack_features
+from oracles import featurize, stack_features
 from qemine import features
-from qemine.features import (FeaturizerConfig, distinct_texts, featurize_all, fnv1a_64,
-                             fnv1a_64_batch)
+from qemine.features import FeaturizerConfig, distinct_texts, featurize_all, fnv1a_64
 
 
 def _reference_fnv1a(data: bytes, seed: int = 0) -> int:
@@ -26,19 +27,6 @@ class TestHash:
         data = b"ngram"
         assert fnv1a_64(data, 0) != fnv1a_64(data, 1)
         assert fnv1a_64(data, 7) == _reference_fnv1a(data, 7)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-    def test_batch_matches_scalar_on_random_grams(self, seed):
-        # One- to four-byte UTF-8 characters ("\U0001f600" and "\U00020000"
-        # take four), and NUL bytes, which look like the batch's padding.
-        alphabet = ["a", "Z", "\x00", "\u00e9", "\u00df", "\u2581", "\u4f60", "\U0001f600",
-                    "\U00020000"]
-        rng = np.random.default_rng(seed)
-        grams = ["".join(rng.choice(alphabet, rng.integers(1, 7))) for _ in range(300)]
-        data = [g.encode("utf-8") for g in grams] + [b"", ("\U0001f600" * 6).encode("utf-8")]
-        hashes = fnv1a_64_batch(data, seed)
-        assert hashes.dtype == np.uint64
-        assert [int(h) for h in hashes] == [fnv1a_64(d, seed) for d in data]
 
 
 class TestConfig:
@@ -167,31 +155,66 @@ class TestFeaturizeAll:
     @example(texts=["a", ""], orders={1, 2, 3, 4}, log_width=15, seed=0)
     @example(texts=["", "a"], orders={1, 2}, log_width=4, seed=2**64 - 1)
     @example(texts=["", " "], orders={2, 5}, log_width=0, seed=1)
+    @example(texts=["\U0001f600\U00020000 a\U0001f600", "\U00020000"], orders={1, 2, 3, 4},
+             log_width=15, seed=0)
+    @example(texts=["\x00 a\x00b \x00\x00", "\x00"], orders={1, 2, 5}, log_width=8, seed=2**64 - 1)
+    @example(texts=["a b \U0001f600", "a"], orders={4, 5}, log_width=15, seed=3)
     def test_matches_oracle(self, texts, orders, log_width, seed):
         # Widths down to one bucket make grams collide, so counts exceed 1.
         cfg = FeaturizerConfig(tuple(orders), 1 << log_width, seed)
         oracle = stack_features([featurize(t, cfg) for t in texts], cfg.n_features)
         _assert_bit_equal(featurize_all(texts, cfg), oracle)
 
-    def test_hashes_each_distinct_gram_once(self, monkeypatch):
-        batches = []
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_matches_oracle_on_wide_characters(self, seed):
+        # One- to four-byte UTF-8 characters ("\U0001f600" and "\U00020000"
+        # take four) and NUL, which is no whitespace, so it stays in words.
+        alphabet = ["a", "Z", "\x00", "\u00e9", "\u00df", "\u2581", "\u4f60", "\U0001f600",
+                    "\U00020000"]
+        rng = np.random.default_rng(seed)
+        words = ["".join(rng.choice(alphabet, rng.integers(1, 7))) for _ in range(300)]
+        texts = [" ".join(rng.choice(words, rng.integers(0, 8))) for _ in range(60)]
+        texts += ["\U0001f600" * 6, ""]
+        cfg = FeaturizerConfig((1, 2, 3, 4, 5), 1 << 12, seed)
+        _assert_bit_equal(featurize_all(texts, cfg),
+                          stack_features([featurize(t, cfg) for t in texts], cfg.n_features))
 
-        def recording(data, seed=0):
-            batches.append((list(data), seed))
-            return fnv1a_64_batch(data, seed)
+    def test_hashes_each_distinct_word_once(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(features, "fnv1a_64_batch", recording)
+        def recording(words, config):
+            calls.append((list(words), config))
+            return gram_buckets(words, config)
+
+        gram_buckets = features._gram_buckets
+        monkeypatch.setattr(features, "_gram_buckets", recording)
         cfg = FeaturizerConfig((1, 2, 3), 64, 5)
         texts = ["the cat sat", "The CAT sat on the mat", "", "mat the"] * 3
         for _ in range(2):
-            batches.clear()
+            calls.clear()
             X = featurize_all(texts, cfg)
-            grams = {g.encode("utf-8") for t in texts for g in iter_ngrams(t, cfg.ngram_orders)}
-            assert len(batches) == 1
-            data, seed = batches[0]
-            assert seed == 5
-            assert sorted(data) == sorted(grams)
+            assert len(calls) == 1
+            words, config = calls[0]
+            assert config == cfg
+            assert sorted(words) == sorted({w for t in texts for w in t.lower().split()})
             _assert_bit_equal(X, stack_features([featurize(t, cfg) for t in texts], 64))
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            featurize_all(["fine", "bad \ud800 word"], FeaturizerConfig((1, 2), 64, 0))
+
+    def test_output_digest_is_pinned(self):
+        # The SHA-256 of the output's arrays as the per-gram hasher made
+        # them; a change to the features (and so to every model's bytes)
+        # fails here.  The computation calls no BLAS, so the digest holds
+        # on every machine.
+        texts = ["The cat sat on the mat", "", "Straße und Ölfeld", "你好 世界 你好",
+                 "emoji \U0001f600 and \U00020000 here", "a b c", "  \t ", "naïve café NAÏVE",
+                 "x"]
+        X = featurize_all(texts, FeaturizerConfig((1, 2, 3, 4), 8192, 0))
+        digest = hashlib.sha256(X.indptr.tobytes() + X.indices.tobytes() + X.data.tobytes())
+        assert digest.hexdigest() == (
+            "060774507b9e84024d0edcb90241e141c7f9ab08987cfc3db139814fb1aeb55e")
 
     def test_rejects_no_texts(self):
         with pytest.raises(ValueError):
