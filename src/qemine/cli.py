@@ -202,10 +202,13 @@ def _cmd_mine_bucc(args):
         for id_a, id_b, score in result.pairs:
             handle.write(f"{id_a}\t{id_b}\t{score!r}\n")
     precision, recall, f1 = f1_score(result.pair_set(), corpus.gold)
+    shortlist = ("" if result.shortlist_gold_recall is None
+                 else f", shortlist_gold_recall={result.shortlist_gold_recall:.4f}")
     print(
         f"{result.n_candidates} candidates, {result.n_forward} forward, "
         f"{result.n_backward} backward, {len(result.pairs)} selected, "
-        f"threshold={result.threshold!r}, F1={f1:.4f} (P={precision:.4f} R={recall:.4f})",
+        f"threshold={result.threshold!r}, F1={f1:.4f} (P={precision:.4f} R={recall:.4f})"
+        f"{shortlist}",
         file=sys.stderr,
     )
     inputs = [args.side_a, args.side_b, args.gold, args.train_gold, args.filter_model, args.model]

@@ -17,6 +17,14 @@ so memory holds the n×m result plus one row block.
 Tie-breaking is fixed everywhere: argmax ties go to the lowest index /
 first occurrence, threshold ties to the largest threshold.
 
+Selection works on index arrays.  The shortlist is the sorted union
+of the per-row and per-column top-n, as flat codes ``i * m + j``; the
+candidates are the (rows, cols, scores) arrays in that order.  The best
+candidate per row (and per column) is the first position holding that
+side id's highest score, found with ``np.maximum.at`` and
+``np.minimum.at``; the mutual-best pairs are the positions both
+directions pick.  Python objects are built only for the selected pairs.
+
 Threshold tuning is one mutual-best selection with no threshold plus a
 sweep over the selected pairs' sorted scores.  That is exact because a
 threshold only drops entries below it: a pair that is mutual best with
@@ -89,13 +97,19 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Selected (idA, idB, score) pairs plus selection diagnostics."""
+    """Selected (idA, idB, score) pairs plus selection diagnostics.
+
+    ``shortlist_gold_recall`` is the share of the tuning gold pairs that
+    made the top-n shortlist, which caps the recall tuning can reach;
+    it is ``None`` when the threshold was not tuned.
+    """
 
     pairs: tuple
     threshold: float
     n_forward: int
     n_backward: int
     n_candidates: int
+    shortlist_gold_recall: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
@@ -177,7 +191,8 @@ def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
 
-    values = np.clip(_normalize(ua) @ _normalize(ub).T, -1.0, 1.0)
+    values = _normalize(ua) @ _normalize(ub).T
+    np.clip(values, -1.0, 1.0, out=values)
     return ScoreMatrix(values)
 
 
@@ -186,17 +201,25 @@ def _top_n_per_row(values: np.ndarray, n: int) -> list:
 
     The n-th largest value ``kth`` of a row splits it: every entry above
     ``kth`` is kept, plus the first entries equal to it, lowest index
-    first, until the row has n.
+    first, until the row has n.  Only rows with more such ties than room
+    left need the running tie count.
     """
     rows, dim = values.shape
     if n >= dim:
         return [np.arange(dim) for _ in range(rows)]
-    kth = np.partition(values, dim - n, axis=1)[:, dim - n, None]
-    above = values > kth
+    # a copy, so the partitioned n×dim matrix is freed at once
+    kth = np.partition(values, dim - n, axis=1)[:, dim - n, None].copy()
+    keep = values > kth
     ties = values == kth
-    room = n - above.sum(axis=1, keepdims=True)
-    keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
-    return list(np.nonzero(keep)[1].reshape(rows, n))
+    room = n - keep.sum(axis=1)
+    crowded = np.flatnonzero(ties.sum(axis=1) > room)
+    if crowded.size:
+        tied = ties[crowded]
+        tied &= np.cumsum(tied, axis=1) <= room[crowded, None]
+        ties[crowded] = tied
+    keep |= ties
+    # the column of each kept entry, row by row: a third of np.nonzero's time
+    return list((np.flatnonzero(keep) % dim).reshape(rows, n))
 
 
 def topn_candidates(matrix: ScoreMatrix, n: int):
@@ -209,25 +232,77 @@ def topn_candidates(matrix: ScoreMatrix, n: int):
     return _top_n_per_row(matrix.values, n), _top_n_per_row(matrix.values.T, n)
 
 
-def _mutual_best(scored_pairs, threshold: float):
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort.  On a 2-vCPU x86-64 host, numpy
+    2.4's hash-based ``np.unique`` took 0.74 ms on 6,000 shortlist codes,
+    the sort 0.04 ms."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is in the ascending array ``table``.
+    On 120 gold codes and 4,446 candidate codes, numpy 2.4's ``np.isin``
+    took 0.8 ms and this binary search 0.01 ms."""
+    at = np.searchsorted(table, values)
+    found = at < len(table)
+    found[found] = table[at[found]] == values[found]
+    return found
+
+
+def _shortlist(row_cands, col_cands, n: int) -> np.ndarray:
+    """Sorted unique codes ``i * n_b + j`` of the union of the n-long
+    (or shorter) per-row and per-column shortlists of an n_a×n_b matrix."""
+    n_a, n_b = len(row_cands), len(col_cands)
+    by_row = np.array(row_cands, dtype=np.intp).reshape(n_a, min(n, n_b))
+    by_col = np.array(col_cands, dtype=np.intp).reshape(n_b, min(n, n_a))
+    return _sorted_unique(np.concatenate([
+        (np.arange(n_a)[:, None] * n_b + by_row).ravel(),
+        (by_col * n_b + np.arange(n_b)[:, None]).ravel(),
+    ]))
+
+
+def _best_per(side: np.ndarray, scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Of the positions ``keep``, the one with the highest score per
+    ``side`` id, in id order; the first position wins ties."""
+    side, scores = side[keep], scores[keep]
+    size = side.max(initial=-1) + 1
+    best = np.full(size, -np.inf)
+    np.maximum.at(best, side, scores)
+    at_best = np.flatnonzero(scores == best[side])
+    first = np.full(size, len(side))
+    np.minimum.at(first, side[at_best], at_best)
+    return keep[first[first < len(side)]]
+
+
+def _mutual_best(rows, cols, scores, threshold: float):
     """Forward/backward best-above-threshold selection and its intersection.
 
-    For each left id the best-scoring right partner at or above the
-    threshold (first occurrence wins ties), symmetrically for each right
-    id; the selection is the intersection of the two directed sets.  A
-    repeated (a, b) pair counts with its highest score.
+    Candidate k is the pair (rows[k], cols[k]) with ``scores[k]``.  For
+    each row the best-scoring candidate at or above the threshold (first
+    occurrence wins ties), symmetrically for each column; the selection
+    is the intersection of the two.  A repeated pair counts with its
+    highest score.  Returns three arrays of candidate positions: forward
+    (one per row), backward (one per column) and selected (ascending).
     """
-    best_a: dict = {}
-    best_b: dict = {}
-    for a, b, score in scored_pairs:
-        if score >= threshold:
-            if a not in best_a or score > best_a[a][0]:
-                best_a[a] = (score, b)
-            if b not in best_b or score > best_b[b][0]:
-                best_b[b] = (score, a)
-    forward = {(a, b) for a, (_, b) in best_a.items()}
-    backward = {(a, b) for b, (_, a) in best_b.items()}
-    return forward, backward, forward & backward
+    keep = np.flatnonzero(scores >= threshold)
+    forward = _best_per(rows, scores, keep)
+    backward = _best_per(cols, scores, keep)
+    # a pair's winning position is its first one at its highest score, in
+    # both directions, so pairs picked by both share a position
+    return forward, backward, np.intersect1d(forward, backward, assume_unique=True)
+
+
+def _gold_codes(gold, ids_a, ids_b) -> np.ndarray:
+    """Sorted codes ``i * len(ids_b) + j`` of the gold id pairs whose ids
+    are on the two sides; other gold pairs have no code."""
+    index_a = {a: i for i, a in enumerate(ids_a)}
+    index_b = {b: j for j, b in enumerate(ids_b)}
+    m = len(ids_b)
+    return np.sort(np.array([index_a[a] * m + index_b[b] for a, b in gold
+                             if a in index_a and b in index_b], dtype=np.intp))
 
 
 def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(),
@@ -237,8 +312,9 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
     matches at or above the threshold.
 
     ``threshold='auto'`` tunes the threshold on ``train_gold`` (gold id
-    pairs for this corpus's training split); without it the auto setting
-    is a configuration error.
+    pairs for this corpus's training split) and reports the share of
+    them in the shortlist; without it the auto setting is a
+    configuration error.
     """
     ids_a = list(corpus.side_a)
     ids_b = list(corpus.side_b)
@@ -247,52 +323,56 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
 
     similarity = embed_and_similarity(filter_model, texts_a, texts_b)
     row_cands, col_cands = topn_candidates(similarity, config.top_n)
-    candidates = {(i, int(j)) for i, row in enumerate(row_cands) for j in row}
-    candidates |= {(int(i), j) for j, col in enumerate(col_cands) for i in col}
-    candidates = sorted(candidates)
-
-    rows, cols = np.array(candidates, dtype=np.intp).reshape(-1, 2).T
+    codes = _shortlist(row_cands, col_cands, config.top_n)
+    rows, cols = np.divmod(codes, len(ids_b))
     scores = _score_index_pairs(scorer, texts_a, texts_b, rows, cols)
-    scored = [(ids_a[i], ids_b[j], float(s)) for (i, j), s in zip(candidates, scores)]
 
+    recall = None
     if config.threshold == "auto":
         if train_gold is None:
             raise ConfigError("threshold 'auto' needs train_gold pairs to tune against")
-        threshold = tune_threshold(scored, train_gold)
+        threshold = tune_threshold(rows, cols, scores, ids_a, ids_b, train_gold)
+        gold = set(train_gold)
+        shortlisted = _in_sorted(_gold_codes(gold, ids_a, ids_b), codes)
+        recall = int(np.count_nonzero(shortlisted)) / len(gold)
     else:
         threshold = float(config.threshold)
 
-    forward, backward, selected = _mutual_best(scored, threshold)
-    score_of = {(a, b): s for a, b, s in scored}
-    pairs = tuple((a, b, score_of[(a, b)]) for a, b in sorted(selected))
-    return MiningResult(pairs, threshold, len(forward), len(backward), len(scored))
+    forward, backward, selected = _mutual_best(rows, cols, scores, threshold)
+    pairs = sorted(zip([ids_a[i] for i in rows[selected].tolist()],
+                       [ids_b[j] for j in cols[selected].tolist()],
+                       scores[selected].tolist()))
+    return MiningResult(pairs, threshold, len(forward), len(backward), len(scores), recall)
 
 
-def tune_threshold(scored_candidates, gold) -> float:
+def tune_threshold(rows, cols, scores, ids_a, ids_b, gold) -> float:
     """Threshold maximizing selection F1 over a grid of 0.01 steps plus
     every distinct candidate score; ties return the largest threshold.
 
-    A repeated (a, b) pair counts with its highest score.  One selection
-    with no threshold gives every pair that any threshold t selects: at
-    t the selection is exactly the pairs it holds that score at least t.
-    So the sweep counts the selected pairs and gold hits above each
-    threshold in two sorted score arrays, with ``f1_score``'s arithmetic.
+    Candidate k is the id pair (ids_a[rows[k]], ids_b[cols[k]]) with
+    ``scores[k]``; ``gold`` holds id pairs, and gold pairs that are not
+    candidates still count in recall's denominator.  A repeated pair
+    counts with its highest score.  One selection with no threshold
+    gives every pair that any threshold t selects: at t the selection is
+    exactly the pairs it holds that score at least t.  So the sweep
+    counts the selected pairs and gold hits above each threshold in two
+    sorted score arrays, with ``f1_score``'s arithmetic.
     """
     gold = set(gold)
     if not gold:
         raise ConfigError("cannot tune a threshold against an empty gold set")
-    scored = list(scored_candidates)
-    best_score: dict = {}
-    for a, b, score in scored:
-        if (a, b) not in best_score or score > best_score[(a, b)]:
-            best_score[(a, b)] = score
-    _, _, selected = _mutual_best(scored, float("-inf"))
-    selected_scores = np.sort([float(best_score[pair]) for pair in selected])
-    hit_scores = np.sort([float(best_score[pair]) for pair in selected if pair in gold])
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    scores = np.asarray(scores, dtype=np.float64)
+    _, _, selected = _mutual_best(rows, cols, scores, float("-inf"))
+    # a selected position holds its pair's highest score
+    selected_scores = scores[selected]
+    hit = _in_sorted(rows[selected] * len(ids_b) + cols[selected], _gold_codes(gold, ids_a, ids_b))
+    hit_scores = np.sort(selected_scores[hit])
+    selected_scores = np.sort(selected_scores)
 
-    grid = {k / 100.0 for k in range(101)}
-    grid.update(float(s) for _, _, s in scored)
-    thresholds = np.array(sorted(grid))
+    # + 0.0 turns a -0.0 score into the grid's 0.0
+    thresholds = _sorted_unique(np.concatenate([np.arange(101) / 100.0, scores])) + 0.0
     n = len(selected_scores) - np.searchsorted(selected_scores, thresholds, side="left")
     hits = len(hit_scores) - np.searchsorted(hit_scores, thresholds, side="left")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,6 +13,9 @@ bit.  ``loop_topn_candidates`` and ``grid_tune_threshold`` are the
 per-row argsort shortlist and the threshold sweep that reruns the
 mutual-best selection at every grid point; the package's vectorized
 shortlist and single-selection sweep must return exactly their results.
+``dict_mutual_best`` is that selection over (idA, idB, score) triples
+with one dict per side; the package's index-array ``_mutual_best``
+must pick the same forward, backward and selected pairs.
 The two-pass pair batches run the encoder once per side and add
 the two sides' gradients; the package's stacked single pass must match
 them up to summation order.  ``DenseAdam`` updates every entry of every
@@ -321,7 +324,7 @@ def text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold=None):
         threshold = grid_tune_threshold(scored, train_gold)
     else:
         threshold = float(config.threshold)
-    _, _, selected = mining._mutual_best(scored, threshold)
+    _, _, selected = dict_mutual_best(scored, threshold)
     score_of = {(a, b): s for a, b, s in scored}
     return tuple((a, b, score_of[(a, b)]) for a, b in sorted(selected)), threshold
 
@@ -345,6 +348,43 @@ def loop_topn_candidates(matrix, n: int):
     return rows, cols
 
 
+def dict_mutual_best(scored_pairs, threshold: float):
+    """Forward/backward best-above-threshold selection and its intersection,
+    as sets of (a, b) id pairs.
+
+    For each left id the best-scoring right partner at or above the
+    threshold (first occurrence wins ties), symmetrically for each right
+    id; the selection is the intersection of the two directed sets.  A
+    repeated (a, b) pair counts with its highest score.
+    """
+    best_a: dict = {}
+    best_b: dict = {}
+    for a, b, score in scored_pairs:
+        if score >= threshold:
+            if a not in best_a or score > best_a[a][0]:
+                best_a[a] = (score, b)
+            if b not in best_b or score > best_b[b][0]:
+                best_b[b] = (score, a)
+    forward = {(a, b) for a, (_, b) in best_a.items()}
+    backward = {(a, b) for b, (_, a) in best_b.items()}
+    return forward, backward, forward & backward
+
+
+def indexed_candidates(scored_pairs):
+    """(rows, cols, scores, ids_a, ids_b) of (a, b, score) triples: the
+    arguments of ``mining.tune_threshold`` and ``mining._mutual_best``,
+    with each side's ids in order of first appearance."""
+    scored_pairs = list(scored_pairs)
+    ids_a = list(dict.fromkeys(a for a, _, _ in scored_pairs))
+    ids_b = list(dict.fromkeys(b for _, b, _ in scored_pairs))
+    index_a = {a: i for i, a in enumerate(ids_a)}
+    index_b = {b: j for j, b in enumerate(ids_b)}
+    rows = np.array([index_a[a] for a, _, _ in scored_pairs], dtype=np.intp)
+    cols = np.array([index_b[b] for _, b, _ in scored_pairs], dtype=np.intp)
+    scores = np.array([s for _, _, s in scored_pairs], dtype=np.float64)
+    return rows, cols, scores, ids_a, ids_b
+
+
 def grid_tune_threshold(scored_candidates, gold) -> float:
     """Threshold maximizing selection F1 over a grid of 0.01 steps plus
     every distinct candidate score, running the mutual-best selection
@@ -358,7 +398,7 @@ def grid_tune_threshold(scored_candidates, gold) -> float:
     best_threshold = 0.0
     best_f1 = -1.0
     for threshold in sorted(grid):
-        _, _, selected = mining._mutual_best(scored, threshold)
+        _, _, selected = dict_mutual_best(scored, threshold)
         _, _, f1 = mining.f1_score(selected, gold)
         if f1 >= best_f1:
             best_f1 = f1

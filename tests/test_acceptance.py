@@ -201,7 +201,7 @@ def test_criterion_07_significance_test():
 
 
 def test_criterion_08_threshold_tuning_optimality():
-    from qemine.mining import _mutual_best
+    from oracles import dict_mutual_best, indexed_candidates
 
     rng = np.random.default_rng(29)
     for instance in range(20):
@@ -215,10 +215,10 @@ def test_criterion_08_threshold_tuning_optimality():
         if not candidates:
             continue
         gold = {(f"a{k}", f"b{k}") for k in range(min(n_left, n_right) // 2 + 1)}
-        threshold = tune_threshold(candidates, gold)
+        threshold = tune_threshold(*indexed_candidates(candidates), gold)
 
         def f1_at(th):
-            _, _, selected = _mutual_best(candidates, th)
+            _, _, selected = dict_mutual_best(candidates, th)
             return f1_score(selected, gold)[2]
 
         grid = {k / 100 for k in range(101)} | {s for _, _, s in candidates}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,7 @@ class TestMineCli:
         assert code == 0
         err = capsys.readouterr().err
         assert "threshold=" in err and "F1=" in err
+        assert "shortlist_gold_recall" not in err
         for line in out.read_text().strip().split("\n"):
             if line:
                 id_a, id_b, score = line.split("\t")
@@ -259,7 +261,10 @@ class TestMineCli:
         tuning.write_text((synth_prefix.parent / "corpus.bucc.gold.tsv").read_text())
         assert _run(self._mine_bucc_args(synth_prefix, out) + models
                     + ["--train-gold", tuning]) == 0
-        assert "warning" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning" not in err
+        recall = float(re.search(r"shortlist_gold_recall=([0-9.]+)$", err.strip()).group(1))
+        assert 0.0 <= recall <= 1.0
 
     def test_mine_bucc_rejects_malformed_train_gold(self, synth_prefix, tmp_path, capsys):
         bad = tmp_path / "bad.gold.tsv"

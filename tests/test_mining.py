@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_tune_threshold, loop_topn_candidates
+from oracles import dict_mutual_best, grid_tune_threshold, indexed_candidates, loop_topn_candidates
 
 import qemine.mining
 from qemine.corpus import BuccCorpus
@@ -10,6 +12,7 @@ from qemine.errors import ConfigError
 from qemine.mining import (
     MiningConfig,
     ScoreMatrix,
+    _mutual_best,
     embed_and_similarity,
     f1_score,
     mine_bucc,
@@ -61,6 +64,11 @@ class _RandomEmbedder:
 def _matrix(values):
     values = np.asarray(values, dtype=np.float64)
     return ScoreMatrix(values)
+
+
+def _tune(candidates, gold):
+    """``tune_threshold`` over (a, b, score) triples."""
+    return tune_threshold(*indexed_candidates(candidates), gold)
 
 
 def _brute_force_mutual_best(values, threshold=0.0):
@@ -213,6 +221,18 @@ class TestTopN:
             oracle = sorted(range(30), key=lambda i: (-values[i, j], i))[:5]
             assert set(cols[j]) == set(oracle)
 
+    def test_peak_memory_below_16_bytes_per_entry(self):
+        # tie-free, so no row needs the running tie count
+        matrix = _matrix(np.random.default_rng(19).uniform(size=(1000, 1000)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            topn_candidates(matrix, 10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * matrix.values.size
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_tied_matrices())
     def test_equals_argsort_loop(self, case):
@@ -296,6 +316,27 @@ class TestMineBucc:
         result = self._run(values, threshold=0.55)
         assert all(score >= 0.55 for _, _, score in result.pairs)
 
+    def test_shortlist_gold_recall_counts_gold_in_the_shortlist(self):
+        rng = np.random.default_rng(20)
+        values = rng.uniform(size=(12, 9))
+        corpus = _corpus_from_size(12, 9)
+        texts_a, texts_b = list(corpus.side_a.values()), list(corpus.side_b.values())
+        scorer = _MatrixScorer(values, texts_a, texts_b)
+        embedder = _RandomEmbedder(seed=8)
+        # one gold pair names an id on neither side; it counts in the denominator
+        gold = {(f"a{k}", f"b{k}") for k in range(9)} | {("a99", "b0")}
+        result = mine_bucc(corpus, embedder, scorer, MiningConfig(2, "auto"), gold)
+        similarity = embed_and_similarity(embedder, texts_a, texts_b)
+        by_row, by_col = loop_topn_candidates(similarity, 2)
+        shortlist = {(f"a{i}", f"b{j}") for i, row in enumerate(by_row) for j in row}
+        shortlist |= {(f"a{i}", f"b{j}") for j, col in enumerate(by_col) for i in col}
+        assert result.n_candidates == len(shortlist)
+        assert result.shortlist_gold_recall == len(shortlist & gold) / len(gold)
+        assert 0.0 < result.shortlist_gold_recall < 1.0
+        fixed = mine_bucc(corpus, embedder, scorer, MiningConfig(2, result.threshold))
+        assert fixed.shortlist_gold_recall is None
+        assert fixed.pairs == result.pairs
+
     def test_auto_threshold_requires_train_gold(self):
         rng = np.random.default_rng(15)
         values = rng.uniform(size=(4, 4))
@@ -305,14 +346,52 @@ class TestMineBucc:
             mine_bucc(corpus, _RandomEmbedder(), scorer, MiningConfig(4, "auto"))
 
 
+class TestMutualBest:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_dict_oracle(self, data):
+        levels = data.draw(st.lists(st.floats(-0.5, 1.5, allow_subnormal=False),
+                                    min_size=1, max_size=3), label="levels")
+        n_left = data.draw(st.integers(1, 5), label="n_left")
+        n_right = data.draw(st.integers(1, 5), label="n_right")
+        pair = st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1))
+        # few levels make ties common; pairs may repeat with different scores
+        drawn = data.draw(st.lists(st.tuples(pair, st.sampled_from(levels)), max_size=25),
+                          label="candidates")
+        candidates = [(f"a{i}", f"b{j}", score) for (i, j), score in drawn]
+        scores_drawn = [score for _, score in drawn]
+        kind = data.draw(st.sampled_from(["-inf", "score", "above"]), label="threshold kind")
+        if kind == "score" and scores_drawn:
+            threshold = data.draw(st.sampled_from(scores_drawn), label="threshold")
+        elif kind == "above":
+            threshold = float(np.nextafter(max(levels), np.inf))
+        else:
+            threshold = float("-inf")
+
+        rows, cols, scores, ids_a, ids_b = indexed_candidates(candidates)
+        got = _mutual_best(rows, cols, scores, threshold)
+        expected = dict_mutual_best(candidates, threshold)
+        best_score: dict = {}
+        for a, b, score in candidates:
+            best_score[(a, b)] = max(score, best_score.get((a, b), score))
+        for positions, oracle in zip(got, expected):
+            pairs = [(ids_a[rows[k]], ids_b[cols[k]]) for k in positions]
+            assert len(pairs) == len(oracle)
+            assert set(pairs) == oracle
+            # each position holds its pair's highest score, at or above the threshold
+            for k, pair in zip(positions, pairs):
+                assert scores[k] == best_score[pair] and scores[k] >= threshold
+        assert list(got[2]) == sorted(got[2])
+
+
 class TestTuneThreshold:
     def test_clean_separation_returns_gold_score(self):
         candidates = [("a1", "b1", 0.9), ("a2", "b2", 0.9), ("a1", "b2", 0.3), ("a2", "b1", 0.3)]
         gold = {("a1", "b1"), ("a2", "b2")}
-        assert tune_threshold(candidates, gold) == 0.9
+        assert _tune(candidates, gold) == 0.9
 
     def test_single_candidate_equal_to_gold(self):
-        assert tune_threshold([("a1", "b1", 0.42)], {("a1", "b1")}) == 0.42
+        assert _tune([("a1", "b1", 0.42)], {("a1", "b1")}) == 0.42
 
     def test_optimal_over_exhaustive_sweep(self):
         rng = np.random.default_rng(16)
@@ -323,13 +402,11 @@ class TestTuneThreshold:
                 for i in range(n) for j in range(n)
             ]
             gold = {(f"a{k}", f"b{k}") for k in range(n // 2)}
-            threshold = tune_threshold(candidates, gold)
+            threshold = _tune(candidates, gold)
             grid = {k / 100 for k in range(101)} | {s for _, _, s in candidates}
 
             def f1_at(th):
-                from qemine.mining import _mutual_best
-
-                _, _, sel = _mutual_best(candidates, th)
+                _, _, sel = dict_mutual_best(candidates, th)
                 return f1_score(sel, gold)[2]
 
             best = max(f1_at(th) for th in grid)
@@ -337,12 +414,19 @@ class TestTuneThreshold:
 
     def test_empty_gold_rejected(self):
         with pytest.raises(ConfigError):
-            tune_threshold([("a", "b", 0.5)], set())
+            _tune([("a", "b", 0.5)], set())
 
     def test_repeated_pair_counts_with_its_highest_score(self):
         candidates = [("a1", "b1", 0.3), ("a1", "b1", 0.8), ("a2", "b2", 0.5)]
         gold = {("a1", "b1")}
-        assert tune_threshold(candidates, gold) == grid_tune_threshold(candidates, gold) == 0.8
+        assert _tune(candidates, gold) == grid_tune_threshold(candidates, gold) == 0.8
+
+    def test_negative_zero_score_tunes_to_positive_zero(self):
+        # enough -0.0 scores that a sort may place one before the grid's 0.0
+        candidates = [(f"a{k}", f"b{k}", -0.0) for k in range(8)] + [("a0", "b1", -0.0)]
+        gold = {(f"a{k}", f"b{k}") for k in range(8)} | {("a9", "b9")}
+        tuned = _tune(candidates, gold)
+        assert repr(tuned) == repr(grid_tune_threshold(candidates, gold)) == "0.0"
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -361,7 +445,7 @@ class TestTuneThreshold:
         gold = data.draw(st.sets(st.tuples(st.integers(0, n_left + 1), st.integers(0, n_right + 1)),
                                  min_size=1, max_size=6), label="gold")
         gold = {(f"a{i}", f"b{j}") for i, j in gold}
-        assert tune_threshold(candidates, gold) == grid_tune_threshold(candidates, gold)
+        assert _tune(candidates, gold) == grid_tune_threshold(candidates, gold)
 
 
 class TestSelectionCount:
@@ -371,9 +455,9 @@ class TestSelectionCount:
         count = [0]
         original = qemine.mining._mutual_best
 
-        def counting(scored_pairs, threshold):
+        def counting(*args):
             count[0] += 1
-            return original(scored_pairs, threshold)
+            return original(*args)
 
         monkeypatch.setattr(qemine.mining, "_mutual_best", counting)
         return count
@@ -381,7 +465,7 @@ class TestSelectionCount:
     def test_tune_threshold_selects_once(self, calls):
         rng = np.random.default_rng(17)
         candidates = [(f"a{i}", f"b{j}", float(rng.uniform())) for i in range(20) for j in range(20)]
-        tune_threshold(candidates, {(f"a{k}", f"b{k}") for k in range(10)})
+        _tune(candidates, {(f"a{k}", f"b{k}") for k in range(10)})
         assert calls[0] == 1
 
     def test_auto_mine_bucc_selects_at_most_twice(self, calls):
