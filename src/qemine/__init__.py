@@ -42,7 +42,7 @@ from .errors import (
     TrainingError,
 )
 from .estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
-from .features import FeaturizerConfig, fnv1a_64
+from .features import FeaturizerConfig
 from .mining import (
     MiningConfig,
     MiningResult,

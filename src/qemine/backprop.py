@@ -79,13 +79,27 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def embed_forward(params: dict, X) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and the hidden-layer cache for a CSR feature matrix."""
+def hidden_layer(params: dict, X) -> np.ndarray:
+    """The tanh hidden layer for a CSR feature matrix.  A row's bits
+    depend only on its own features: the sparse product sums each row's
+    entries in their stored order."""
     data = X.data.astype(params["W1"].dtype, copy=False)
     X = sparse.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
-    pre = X.dot(params["W1"].T) + params["b1"]
-    hidden = np.tanh(pre)
-    return hidden @ params["W2"].T + params["b2"], hidden
+    return np.tanh(X.dot(params["W1"].T) + params["b1"])
+
+
+def output_layer(params: dict, hidden: np.ndarray) -> np.ndarray:
+    """Embeddings of hidden-layer rows.  BLAS picks its kernel by the
+    matrix sizes (OpenBLAS has a matrix-vector kernel for one row and
+    small-matrix kernels for a few), so a row's bits can depend on how
+    many rows share the product."""
+    return hidden @ params["W2"].T + params["b2"]
+
+
+def embed_forward(params: dict, X) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings and the hidden-layer cache for a CSR feature matrix."""
+    hidden = hidden_layer(params, X)
+    return output_layer(params, hidden), hidden
 
 
 def embed(params: dict, X) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Every command that writes an output file also writes a JSON run
 manifest next to it (``<out>.manifest.json``) recording the command,
-resolved options, seed, paths, tool version and wall-clock duration.
-Exit codes: 0 success, 1 usage error, 2 data or configuration error.
+resolved options, seed, paths, tool version and wall-clock duration;
+``mine-bucc`` adds a ``mining`` block with its candidate, forward,
+backward and selected counts, the threshold and how it was chosen, and
+the shortlist's gold recall.  Exit codes: 0 success, 1 usage error, 2
+data or configuration error, including running out of memory.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _write_manifest(args, out_path, inputs, outputs, started):
+def _write_manifest(args, started, out_path, inputs, outputs, record=None):
     manifest = {
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -72,6 +75,7 @@ def _write_manifest(args, out_path, inputs, outputs, started):
         "outputs": [str(p) for p in outputs if p],
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
+        **(record or {}),
     }
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -212,7 +216,16 @@ def _cmd_mine_bucc(args):
         file=sys.stderr,
     )
     inputs = [args.side_a, args.side_b, args.gold, args.train_gold, args.filter_model, args.model]
-    return args.out, inputs, [args.out]
+    mining = {
+        "n_candidates": result.n_candidates,
+        "n_forward": result.n_forward,
+        "n_backward": result.n_backward,
+        "n_selected": len(result.pairs),
+        "threshold": result.threshold,
+        "threshold_source": "tuned" if config.threshold == "auto" else "fixed",
+        "shortlist_gold_recall": result.shortlist_gold_recall,
+    }
+    return args.out, inputs, [args.out], {"mining": mining}
 
 
 def _cmd_eval_qe(args):
@@ -438,10 +451,11 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     started = time.monotonic()
     try:
-        # a command returns (out_path, inputs, outputs), or None if it wrote no file
+        # a command returns (out_path, inputs, outputs[, manifest record]),
+        # or None if it wrote no file
         written = args.func(args)
         if written:
-            _write_manifest(args, *written, started)
+            _write_manifest(args, started, *written)
         return 0
     except OSError as exc:
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
@@ -449,6 +463,11 @@ def main(argv=None) -> int:
         return DATA_EXIT
     except (QemineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except MemoryError as exc:
+        # numpy's message names the size of the allocation that failed
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return DATA_EXIT
 
 

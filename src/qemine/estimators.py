@@ -6,23 +6,29 @@ self, fitted state lives in trailing-underscore attributes, and
 inference goes through predict/transform.
 
 Every model exposes ``embed(texts)``: one embedding row per text, in
-input order, with each distinct text featurized and embedded once by
-``_embed_texts``.  Scorers add ``score_embeddings(ua, ub)``, the quality
+input order.  Scorers add ``score_embeddings(ua, ub)``, the quality
 head over aligned embedding rows.  Mining and all text-level inference
 (``predict*``, ``score_pairs``, ``score_matrix``) go through these two;
 ``MultitaskScorer.score_grid(ua, ub)`` scores every pair of two embedding
 sets, which ``mining.score_matrix`` uses in place of aligned blocks.
-Inference reads the fitted models' own float32 arrays at every call, so
-a reassigned model is used at once.
+
+``_embed_sides(models, sides)`` embeds several text lists with several
+models, as mining does with its filter and scorer: the models here (a
+``FeatureStackScorer`` counts as its three backbones) share one
+featurization of the distinct texts per ``FeaturizerConfig``, and any
+other model embeds each side with its own ``embed``.  Inference reads
+the fitted models' own float32 arrays at every call, through
+``_require_fitted``, so a reassigned model is used at once.
 """
 
 from __future__ import annotations
 
 import inspect
+from itertools import chain
 
 import numpy as np
 
-from . import backprop, mining
+from . import backprop
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
 from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
@@ -63,11 +69,50 @@ class _EstimatorMixin:
                            learning_rate=self.learning_rate, seed=self.seed, **schedule)
 
 
-def _embed_texts(params: dict, featurizer: FeaturizerConfig, texts) -> np.ndarray:
-    """Embedding rows for ``texts`` in input order; each distinct text is
-    featurized and embedded once."""
-    distinct, rows = distinct_texts(texts)
-    return backprop.embed(params, featurize_all(distinct, featurizer))[rows]
+def _encoders(model):
+    """The (params, featurizer) encoders whose embeddings, side by side,
+    are ``model.embed``'s rows; None for a model without an encoder."""
+    if isinstance(model, _EncoderParams):
+        return [(model._require_fitted(), model.encoder_.featurizer)]
+    if isinstance(model, FeatureStackScorer):
+        return [(b.params(), b.featurizer) for b in model._backbones()]
+    return None
+
+
+def _embed_sides(models, sides) -> list:
+    """``[[model.embed(side) for side in sides] for model in models]``, with
+    the same bits and each distinct text featurized once per config.
+
+    The distinct texts of all sides go through each encoder's hidden
+    layer once.  The output layer runs per side over the side's distinct
+    rows in first-occurrence order, the product ``embed(side)`` makes,
+    because BLAS may pick another kernel for another row count.
+    """
+    sides = [list(side) for side in sides]
+    groups = [_encoders(model) for model in models]
+    configs = dict.fromkeys(f for group in groups if group for _, f in group)
+    if configs:
+        if not all(sides):
+            raise ValueError("cannot featurize an empty list of texts")
+        distinct, rows = distinct_texts(chain.from_iterable(sides))
+        features = {config: featurize_all(distinct, config) for config in configs}
+        # per side: its distinct texts as rows of ``distinct``, and each text's row among them
+        if len(sides) == 1:
+            per_side = [(slice(None), rows)]
+        else:
+            bounds = np.cumsum([len(side) for side in sides[:-1]])
+            per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
+    embedded = []
+    for model, group in zip(models, groups):
+        if group is None:
+            embedded.append([model.embed(side) for side in sides])
+            continue
+        hidden = [backprop.hidden_layer(params, features[f]) for params, f in group]
+        blocks = [[backprop.output_layer(params, h[at])[local] for at, local in per_side]
+                  for (params, _), h in zip(group, hidden)]
+        embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
+                         for parts in zip(*blocks)])
+    return embedded
 
 
 def _check_aligned(ua, ub) -> None:
@@ -161,7 +206,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
 
     def embed(self, texts) -> np.ndarray:
         """Backbone embeddings, one row per text."""
-        return _embed_texts(self._require_fitted(), self.encoder_.featurizer, texts)
+        return _embed_sides([self], [texts])[0][0]
 
     def score_embeddings(self, ua, ub, task="qe") -> np.ndarray:
         """QE (default) or STS scores in (0,1), or NLI class probabilities."""
@@ -177,7 +222,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         return backprop.regression_head_grid(self._require_fitted(), task, ua, ub)
 
     def score_pairs(self, texts_a, texts_b) -> np.ndarray:
-        return self.score_embeddings(self.embed(texts_a), self.embed(texts_b))
+        return self.score_embeddings(*_embed_sides([self], [texts_a, texts_b])[0])
 
     def predict(self, pairs) -> np.ndarray:
         """Quality scores in (0,1) for (source, translation) pairs."""
@@ -191,7 +236,9 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
 
     def score_matrix(self, references, hypotheses) -> np.ndarray:
         """All pairwise QE scores, embedding each sentence only once."""
-        return mining.score_matrix(self, references, hypotheses).values
+        from .mining import score_matrix  # mining imports this module
+
+        return score_matrix(self, references, hypotheses).values
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_", "heads_")
@@ -234,14 +281,14 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
 
     def embed(self, texts) -> np.ndarray:
         """Raw sentence embeddings, one row per text."""
-        return _embed_texts(self._require_fitted(), self.encoder_.featurizer, texts)
+        return _embed_sides([self], [texts])[0][0]
 
     def transform(self, texts) -> np.ndarray:
         return self.embed(texts)
 
     def pair_cosines(self, texts_a, texts_b) -> np.ndarray:
         """Cosine per aligned pair (not the full cross product)."""
-        return backprop._cos_forward(self.embed(texts_a), self.embed(texts_b))[0]
+        return backprop._cos_forward(*_embed_sides([self], [texts_a, texts_b])[0])[0]
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_")
@@ -288,9 +335,7 @@ class FeatureStackScorer(_EstimatorMixin):
 
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""
-        texts = list(texts)
-        return np.hstack([_embed_texts(b.params(), b.featurizer, texts)
-                          for b in self._backbones()])
+        return _embed_sides([self], [texts])[0][0]
 
     def pair_features(self, ua, ub) -> np.ndarray:
         """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""

@@ -20,8 +20,8 @@ prefix's folded with one more code point.  Counts are integers held in
 float64, so every sum and norm is exact and the result does not depend
 on summation order.  Besides the result, memory grows with the call's
 word occurrences and its distinct words' code points times the number of
-orders.  The per-text path it replaces is the test oracle, and
-``fnv1a_64`` is the scalar reference for the hash.
+orders.  The per-text path it replaces, with a scalar FNV-1a, is the
+test oracle.
 """
 
 from __future__ import annotations
@@ -32,22 +32,13 @@ from itertools import chain, count
 import numpy as np
 from scipy import sparse
 
-__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all", "fnv1a_64"]
+__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all"]
 
 WORD_MARKER = "▁"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a_64(data: bytes, seed: int = 0) -> int:
-    """64-bit FNV-1a hash; the seed perturbs the offset basis."""
-    h = _FNV_OFFSET ^ (seed & _MASK64)
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ def _gram_buckets(words: list, config: FeaturizerConfig) -> tuple[np.ndarray, np
     word ends too; the grams of order k are the starts with at least k
     code points left in their word, so the table cells that pass k
     leaves unset are never read.  Products of uint64 arrays wrap modulo
-    2**64, as the scalar hash's mask does.
+    2**64, as FNV-1a's 64-bit arithmetic needs.
     """
     orders = config.ngram_orders
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words)) + 2

@@ -5,9 +5,11 @@ tuning and the retrieval metrics.
 Filtration encoders expose ``embed(texts)``, one embedding row per
 text.  Quality scorers expose ``embed(texts)`` too, plus
 ``score_embeddings(ua, ub)``, which scores aligned embedding rows.
-Each side is embedded once; index pairs into the two sides are then
-scored in blocks of ``SCORE_BLOCK`` rows, so memory holds one block of
-pair features, never one per pair.
+Both models embed both sides in one ``estimators._embed_sides`` call,
+which featurizes each distinct sentence once per featurizer config.
+Index pairs into the two sides are then scored in blocks of
+``SCORE_BLOCK`` rows, so memory holds one block of pair features, never
+one per pair.
 
 A scorer may also expose ``score_grid(ua, ub)``, the scores of every
 (ua row, ub row) pair, as ``MultitaskScorer`` does.  ``score_matrix``
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators
 from .errors import ConfigError
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
@@ -123,10 +126,9 @@ class MiningResult:
         return {(a, b) for a, b, _ in self.pairs}
 
 
-def _score_index_pairs(scorer, side_a, side_b, rows, cols) -> np.ndarray:
-    """Scores of the pairs (side_a[rows[k]], side_b[cols[k]]): each side is
-    embedded once, then the pairs are scored one block at a time."""
-    ua, ub = scorer.embed(side_a), scorer.embed(side_b)
+def _score_index_pairs(scorer, ua, ub, rows, cols) -> np.ndarray:
+    """Scores of the pairs (ua[rows[k]], ub[cols[k]]) of the scorer's
+    embeddings of two sides, one block of pairs at a time."""
     scores = np.empty(len(rows))
     for start in range(0, len(rows), SCORE_BLOCK):
         block = slice(start, start + SCORE_BLOCK)
@@ -143,7 +145,7 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     if not references or not hypotheses:
         raise ValueError("reference and hypothesis lists must be non-empty")
     n, m = len(references), len(hypotheses)
-    ua, ub = scorer.embed(references), scorer.embed(hypotheses)
+    [(ua, ub)] = estimators._embed_sides([scorer], [references, hypotheses])
     values = np.empty((n, m))
     if hasattr(scorer, "score_grid"):
         # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
@@ -177,17 +179,21 @@ def tatoeba_accuracy(predicted, size: int) -> float:
 
 
 def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
-    """Pairwise cosine matrix from one embedding pass per side.
+    """Pairwise cosine matrix of the filter's embeddings of two sides."""
+    [(ua, ub)] = estimators._embed_sides([filter_model], [side_a, side_b])
+    return _cosine_matrix(ua, ub)
 
-    Embeddings are L2-normalized (zero vectors stay zero) so the matrix
-    is the plain inner product, clipped into [-1,1] against rounding.
+
+def _cosine_matrix(ua, ub) -> ScoreMatrix:
+    """Cosines of every (ua row, ub row) pair.
+
+    Embeddings are L2-normalized in float64 (zero vectors stay zero) so
+    the matrix is the plain inner product, clipped into [-1,1] against
+    rounding.
     """
-    side_a = list(side_a)
-    side_b = list(side_b)
-    ua = np.asarray(filter_model.embed(side_a), dtype=np.float64)
-    ub = np.asarray(filter_model.embed(side_b), dtype=np.float64)
 
     def _normalize(u):
+        u = np.asarray(u, dtype=np.float64)
         norms = np.linalg.norm(u, axis=1, keepdims=True)
         return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
 
@@ -321,11 +327,12 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
     texts_a = [corpus.side_a[i] for i in ids_a]
     texts_b = [corpus.side_b[i] for i in ids_b]
 
-    similarity = embed_and_similarity(filter_model, texts_a, texts_b)
+    (fa, fb), (ua, ub) = estimators._embed_sides([filter_model, scorer], [texts_a, texts_b])
+    similarity = _cosine_matrix(fa, fb)
     row_cands, col_cands = topn_candidates(similarity, config.top_n)
     codes = _shortlist(row_cands, col_cands, config.top_n)
     rows, cols = np.divmod(codes, len(ids_b))
-    scores = _score_index_pairs(scorer, texts_a, texts_b, rows, cols)
+    scores = _score_index_pairs(scorer, ua, ub, rows, cols)
 
     recall = None
     if config.threshold == "auto":

@@ -21,8 +21,10 @@ from .backprop import (
     contrastive_batch,
     embed,
     feature_head_batch,
+    hidden_layer,
     init_params,
     nli_batch,
+    output_layer,
     regression_batch,
     stacked_pair_features,
 )
@@ -134,6 +136,25 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     distinct, rows = distinct_texts(list(texts_a) + list(texts_b))
     X = featurize_all(distinct, featurizer)
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
+
+
+def _backbone_embeddings(backbones, texts_a, texts_b):
+    """The backbones' embeddings of two aligned text lists, side by side.
+
+    The distinct texts are featurized once per featurizer config and go
+    through each backbone's hidden layer once.  The output layer runs
+    over each side's rows, repeats included, as one forward pass per
+    side does, because BLAS may pick another kernel for another row
+    count.
+    """
+    texts_a, texts_b = list(texts_a), list(texts_b)
+    distinct, rows = distinct_texts(texts_a + texts_b)
+    configs = dict.fromkeys(b.featurizer for b in backbones)
+    features = {config: featurize_all(distinct, config) for config in configs}
+    params = [b.params() for b in backbones]
+    hidden = [hidden_layer(p, features[b.featurizer]) for p, b in zip(params, backbones)]
+    return [np.hstack([output_layer(p, h[side]) for p, h in zip(params, hidden)])
+            for side in (rows[: len(texts_a)], rows[len(texts_a) :])]
 
 
 def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
@@ -321,9 +342,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     """
     backbones = (sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    sides = [_featurize_sides(sources, targets, b.featurizer) for b in backbones]
-    ua = np.hstack([embed(b.params(), Xa) for b, (Xa, _) in zip(backbones, sides)])
-    ub = np.hstack([embed(b.params(), Xb) for b, (_, Xb) in zip(backbones, sides)])
+    ua, ub = _backbone_embeddings(backbones, sources, targets)
     feats = stacked_pair_features(ua, ub, [b.embedding_dim for b in backbones])
     width = feats.shape[1]
 

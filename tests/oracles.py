@@ -1,7 +1,8 @@
 """Reference implementations that the package code is checked against.
 
-``featurize`` hashes one text's n-grams into a ``FeatureVector``, with
-no cache, and ``stack_features`` stacks such vectors into a CSR matrix;
+``featurize`` hashes one text's n-grams with the scalar ``fnv1a_64``
+into a ``FeatureVector``, with no cache, and ``stack_features`` stacks
+such vectors into a CSR matrix;
 ``qemine.features.featurize_all`` must return exactly their matrix.
 The per-example encoder, pair features and task heads mirror
 ``qemine.backprop``'s batched forward passes, and the per-example losses
@@ -9,8 +10,10 @@ with their analytic derivatives define the objectives its ``*_batch``
 functions must agree with.  The text-pair scoring path at the end
 featurizes and embeds every text of every pair; the package's
 ``embed`` + ``score_embeddings`` path must reproduce its scores bit for
-bit.  ``loop_topn_candidates`` and ``grid_tune_threshold`` are the
-per-row argsort shortlist and the threshold sweep that reruns the
+bit, and ``per_backbone_embeddings`` embeds a feature stack's training
+pairs with each backbone on its own.  ``loop_topn_candidates`` and
+``grid_tune_threshold`` are the per-row argsort shortlist and the
+threshold sweep that reruns the
 mutual-best selection at every grid point; the package's vectorized
 shortlist and single-selection sweep must return exactly their results.
 ``dict_mutual_best`` is that selection over (idA, idB, score) triples
@@ -36,7 +39,7 @@ from scipy import sparse
 from qemine import backprop, mining
 from qemine.errors import ConfigError, TrainingError
 from qemine.estimators import FeatureStackScorer
-from qemine.features import WORD_MARKER, FeaturizerConfig, featurize_all, fnv1a_64
+from qemine.features import WORD_MARKER, FeaturizerConfig, featurize_all
 from qemine.model import TASKS, EncoderModel, HeadSet
 
 logger = logging.getLogger(__name__)
@@ -65,6 +68,15 @@ class FeatureVector:
         dense = np.zeros(self.n_features)
         dense[self.indices] = self.values
         return dense
+
+
+def fnv1a_64(data: bytes, seed: int = 0) -> int:
+    """64-bit FNV-1a hash; the seed perturbs the offset basis."""
+    h = 0xCBF29CE484222325 ^ (seed & 0xFFFFFFFFFFFFFFFF)
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def iter_ngrams(text: str, orders: tuple[int, ...]):
@@ -261,6 +273,15 @@ def alignment_loss(embedding_pairs):
 
 def _embed_each(params, featurizer, texts) -> np.ndarray:
     return backprop.embed(params, featurize_all(list(texts), featurizer))
+
+
+def per_backbone_embeddings(backbones, texts_a, texts_b) -> list:
+    """The backbones' embeddings of two aligned text lists, side by side,
+    from one featurization and one forward pass per backbone and side,
+    repeats included: ``train_feature_stack``'s inputs before the
+    backbones shared a featurization."""
+    return [np.hstack([_embed_each(b.params(), b.featurizer, side) for b in backbones])
+            for side in (list(texts_a), list(texts_b))]
 
 
 def text_pair_embed(encoder, texts) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import qemine.cli
 from qemine.cli import main
 from qemine.corpus import load_qe
 from qemine.stats import pearson
@@ -48,6 +49,18 @@ class TestExitCodes:
                      "--out", tmp_path / "m.qem"])
         assert code == 2
         assert "absent.tsv" in capsys.readouterr().err
+        assert _manifests(tmp_path) == []
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array with "
+                                         "shape (10000, 100000) and data type float64"])
+    def test_out_of_memory_is_data_error(self, tmp_path, monkeypatch, capsys, message):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qemine.cli, "_cmd_hist", exhausted)
+        assert _run(["hist", "--qe", tmp_path / "qe.tsv", "--out", tmp_path / "h.csv"]) == 2
+        detail = f": {message}" if message else ""
+        assert capsys.readouterr().err == f"error: out of memory{detail}\n"
         assert _manifests(tmp_path) == []
 
     def test_malformed_data_is_data_error(self, tmp_path):
@@ -265,6 +278,31 @@ class TestMineCli:
         assert "warning" not in err
         recall = float(re.search(r"shortlist_gold_recall=([0-9.]+)$", err.strip()).group(1))
         assert 0.0 <= recall <= 1.0
+
+    @pytest.mark.parametrize("threshold", ["auto", "0.1"])
+    def test_mine_bucc_manifest_records_the_mining(self, synth_prefix, tmp_path, capsys,
+                                                   threshold):
+        models = self._mining_models(synth_prefix, tmp_path)
+        out = tmp_path / "mined.tsv"
+        tuning = tmp_path / "tune.gold.tsv"
+        tuning.write_text((synth_prefix.parent / "corpus.bucc.gold.tsv").read_text())
+        assert _run(self._mine_bucc_args(synth_prefix, out) + models
+                    + ["--threshold", threshold, "--train-gold", tuning]) == 0
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        summary = re.match(r"(\d+) candidates, (\d+) forward, (\d+) backward, (\d+) selected, "
+                           r"threshold=([0-9.e-]+),", last_line)
+        mining = json.loads((tmp_path / "mined.tsv.manifest.json").read_text())["mining"]
+        counts = ("n_candidates", "n_forward", "n_backward", "n_selected")
+        assert [mining[key] for key in counts] == [int(n) for n in summary.groups()[:4]]
+        assert mining["n_selected"] == len(out.read_text().splitlines())
+        assert mining["threshold"] == float(summary.group(5))
+        if threshold == "auto":
+            assert mining["threshold_source"] == "tuned"
+            assert 0.0 <= mining["shortlist_gold_recall"] <= 1.0
+        else:
+            assert mining["threshold_source"] == "fixed"
+            assert mining["threshold"] == 0.1
+            assert mining["shortlist_gold_recall"] is None
 
     def test_mine_bucc_rejects_malformed_train_gold(self, synth_prefix, tmp_path, capsys):
         bad = tmp_path / "bad.gold.tsv"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import featurize, stack_features
+from oracles import featurize, fnv1a_64, stack_features
 from qemine import features
-from qemine.features import FeaturizerConfig, distinct_texts, featurize_all, fnv1a_64
+from qemine.features import FeaturizerConfig, distinct_texts, featurize_all
 
 
 def _reference_fnv1a(data: bytes, seed: int = 0) -> int:

@@ -1,11 +1,14 @@
 """The embed + score_embeddings scoring path against the text-pair oracle.
 
 Scores must be bitwise equal to the oracle, which featurizes and embeds
-every text of every pair, and each distinct text must be featurized
-only once per model.
+every text of every pair.  Where one call embeds several text lists with
+several models, the shared path must be bitwise equal to one ``embed``
+call per model and side, and each distinct text must be featurized only
+once per featurizer config.
 """
 
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,21 +16,29 @@ import pytest
 
 import qemine.estimators
 import qemine.mining
+import qemine.training
 from qemine import backprop
 from qemine.corpus import BuccCorpus
 from qemine.estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
-from qemine.features import FeaturizerConfig
+from qemine.features import FeaturizerConfig, distinct_texts
 from qemine.mining import MiningConfig, mine_bucc, score_matrix
-from qemine.model import EncoderConfig, FeatureStackModel
+from qemine.model import EncoderConfig, FeatureStackModel, save_feature_model
 from qemine.synth import SynthConfig, generate_bucc, generate_qe
+from qemine.training import TrainConfig, train_feature_stack
 
 from conftest import as_float64, encoder_model, head_set
-from oracles import text_pair_mine_bucc, text_pair_score_matrix, text_pair_scores
+from oracles import (
+    per_backbone_embeddings,
+    text_pair_mine_bucc,
+    text_pair_score_matrix,
+    text_pair_scores,
+)
 
 
-def _random_params(seed, n_features=256, hidden=8, dim=6):
+def _random_params(seed, n_features=256, hidden=8, dim=6, hash_seed=None):
     rng = np.random.default_rng(seed)
-    encoder = EncoderConfig(FeaturizerConfig((1, 2, 3), n_features, seed), hidden, dim)
+    hash_seed = seed if hash_seed is None else hash_seed
+    encoder = EncoderConfig(FeaturizerConfig((1, 2, 3), n_features, hash_seed), hidden, dim)
     params = backprop.init_params(encoder, rng)
     for name in ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"):
         params[name] = rng.normal(0.0, 0.5, size=params[name].shape)
@@ -49,11 +60,16 @@ def _filter(seed=10, **sizes):
     return encoder
 
 
-def _feature_stack(seed=20, hidden_units=5):
-    backbones = [
-        encoder_model(*_random_params(seed + k, 128 << k, 6 + k, 4 + k))
-        for k in range(3)
-    ]
+def _backbones(seed, n_features=(128, 256, 512), hash_seeds=(None, None, None)):
+    """Three backbones of growing width; equal widths and hash seeds give
+    backbones that share a featurizer config."""
+    return [encoder_model(*_random_params(seed + k, n_features[k], 6 + k, 4 + k,
+                                          hash_seed=hash_seeds[k]))
+            for k in range(3)]
+
+
+def _feature_stack(seed=20, hidden_units=5, **configs):
+    backbones = _backbones(seed, **configs)
     width = sum(2 * b.embedding_dim + 1 for b in backbones)
     rng = np.random.default_rng(seed)
     stack = FeatureStackScorer(*backbones)
@@ -291,34 +307,197 @@ def test_multitask_scores_with_weights_changed_in_place():
     assert np.array_equal(after, text_pair_scores(scorer, texts_a, texts_b))
 
 
+def _per_backbone_embed(stack, texts):
+    """A feature stack's embeddings with each backbone featurizing on its own."""
+    return np.hstack([ContrastiveFilter._from_encoder(b).embed(texts) for b in stack._backbones()])
+
+
+def _per_side(model):
+    """The model's embedding and scoring methods on an object that is not
+    one of the package's models, so mining calls its ``embed`` once per
+    side; a feature stack's ``embed`` also runs each backbone on its own."""
+    methods = {name: getattr(model, name)
+               for name in ("embed", "score_embeddings", "score_grid") if hasattr(model, name)}
+    if isinstance(model, FeatureStackScorer):
+        methods["embed"] = partial(_per_backbone_embed, model)
+    return SimpleNamespace(**methods)
+
+
+# Featurizer configs: "shared" gives the filter, the multitask scorer and
+# two of the three backbones one config; "own" gives every model its own.
+CONFIGS = {"shared": {"hash_seed": 5}, "own": {}}
+STACK_CONFIGS = {"shared": {"n_features": (256, 256, 512), "hash_seeds": (5, 5, None)},
+                 "own": {}}
+
+
+def _scorer(kind, configs):
+    if kind == "multitask":
+        return _multitask(**CONFIGS[configs])
+    return _feature_stack(**STACK_CONFIGS[configs])
+
+
+def _overlapping_corpus():
+    """``_corpus`` with two side-A sentences also on side B."""
+    base = _corpus()
+    texts_a = list(base.side_a.values())
+    side_b = dict(base.side_b, **{"b-from-a": texts_a[1], "b-from-a2": texts_a[2]})
+    return BuccCorpus(base.side_a, side_b, base.gold)
+
+
+def _one_row_corpus():
+    """``_corpus`` cut to its first side-A sentence."""
+    base = _corpus()
+    id_a = next(iter(base.side_a))
+    return BuccCorpus({id_a: base.side_a[id_a]}, base.side_b,
+                      {(a, b) for a, b in base.gold if a == id_a})
+
+
+CORPORA = {"repeats": _corpus, "overlap": _overlapping_corpus, "one-row": _one_row_corpus}
+
+
+def _qe_records(pairs):
+    return [(a, b, (k % 7) / 6.0) for k, (a, b) in enumerate(pairs)]
+
+
+class TestSharedEmbedding:
+    """One featurization per config and one hidden layer per encoder must
+    give the bits of one ``embed`` call per model and side (and, in a
+    feature stack, per backbone)."""
+
+    @pytest.mark.parametrize("threshold", ["auto", 0.4])
+    @pytest.mark.parametrize("corpus_name", sorted(CORPORA))
+    @pytest.mark.parametrize("configs", sorted(CONFIGS))
+    @pytest.mark.parametrize("kind", ["multitask", "feature-stack"])
+    def test_mine_bucc(self, kind, configs, corpus_name, threshold):
+        corpus = CORPORA[corpus_name]()
+        filter_model, scorer = _filter(**CONFIGS[configs]), _scorer(kind, configs)
+        per_side = (_per_side(filter_model), _per_side(scorer))
+        everything = mine_bucc(corpus, *per_side, MiningConfig(3, 0.0)).pairs
+        train_gold = {(a, b) for a, b, _ in everything[::2]}
+        config = MiningConfig(top_n=3, threshold=threshold)
+        expected = mine_bucc(corpus, *per_side, config, train_gold)
+        assert repr(mine_bucc(corpus, filter_model, scorer, config, train_gold)) == repr(expected)
+
+    @pytest.mark.parametrize("shape", ["all", "one-reference", "one-hypothesis"])
+    @pytest.mark.parametrize("configs", sorted(CONFIGS))
+    @pytest.mark.parametrize("kind", ["multitask", "feature-stack"])
+    def test_score_matrix(self, kind, configs, shape):
+        scorer = _scorer(kind, configs)
+        pairs = _pairs()  # a sentence on both sides, repeats on each
+        references, hypotheses = [a for a, _ in pairs], [b for _, b in pairs]
+        references = references[:1] if shape == "one-reference" else references
+        hypotheses = hypotheses[:1] if shape == "one-hypothesis" else hypotheses
+        expected = score_matrix(_per_side(scorer), references, hypotheses).values
+        assert score_matrix(scorer, references, hypotheses).values.tobytes() == expected.tobytes()
+
+    def test_embed_and_similarity(self):
+        filter_model = _filter()
+        references = [a for a, _ in _pairs()]
+        hypotheses = [b for _, b in _pairs()]
+        expected = qemine.mining.embed_and_similarity(_per_side(filter_model), references,
+                                                      hypotheses).values
+        got = qemine.mining.embed_and_similarity(filter_model, references, hypotheses).values
+        assert got.tobytes() == expected.tobytes()
+
+    def test_empty_side_is_rejected_as_by_embed(self):
+        filter_model = _filter()
+        for model in (filter_model, _per_side(filter_model)):
+            with pytest.raises(ValueError, match="empty list of texts"):
+                qemine.mining.embed_and_similarity(model, ["a b"], [])
+
+    @pytest.mark.parametrize("n_pairs", [1, None])
+    @pytest.mark.parametrize("configs", sorted(STACK_CONFIGS))
+    def test_feature_stack_predict(self, configs, n_pairs):
+        stack = _feature_stack(**STACK_CONFIGS[configs])
+        pairs = _pairs()[:n_pairs]
+        u = _per_backbone_embed(stack, [a for a, _ in pairs] + [b for _, b in pairs])
+        expected = stack.score_embeddings(u[: len(pairs)], u[len(pairs) :])
+        assert stack.predict(pairs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_pairs", [1, None])
+    @pytest.mark.parametrize("configs", sorted(STACK_CONFIGS))
+    def test_train_feature_stack_model_bytes(self, configs, n_pairs, tmp_path, monkeypatch):
+        backbones = _backbones(30, **STACK_CONFIGS[configs])
+        records = _qe_records(_pairs()[:n_pairs])
+        config = TrainConfig(epochs=2, batch_size=8, seed=4)
+        save_feature_model(train_feature_stack(*backbones, records, config)[0], tmp_path / "shared")
+        monkeypatch.setattr(qemine.training, "_backbone_embeddings", per_backbone_embeddings)
+        save_feature_model(train_feature_stack(*backbones, records, config)[0], tmp_path / "oracle")
+        assert (tmp_path / "shared").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+
+def _distinct(*sides):
+    """The distinct texts of the sides together, in first-occurrence order."""
+    return distinct_texts([t for side in sides for t in side])[0]
+
+
 class TestFeaturizationCount:
     @pytest.fixture
     def featurized(self, monkeypatch):
-        """Texts featurized per featurizer config."""
-        counts: dict = {}
-        original = qemine.estimators.featurize_all
+        """(config, texts) of every ``featurize_all`` call made through the
+        estimators and training modules."""
+        calls = []
+        for module in (qemine.estimators, qemine.training):
+            def counting(texts, config, original=module.featurize_all):
+                calls.append((config, list(texts)))
+                return original(texts, config)
 
-        def counting(texts, config):
-            counts[config] = counts.get(config, 0) + len(texts)
-            return original(texts, config)
-
-        monkeypatch.setattr(qemine.estimators, "featurize_all", counting)
-        return counts
+            monkeypatch.setattr(module, "featurize_all", counting)
+        return calls
 
     def test_mine_bucc_featurizes_each_side_once_per_model(self, featurized):
-        corpus = _corpus()
+        # the filter and the scorer have different configs: one call for each
+        corpus = _overlapping_corpus()
         scorer = _multitask(n_features=256)
         filter_model = _filter(n_features=512)
         mine_bucc(corpus, filter_model, scorer, MiningConfig(top_n=3, threshold=0.3))
-        bound = len(corpus.side_a) + len(corpus.side_b)
-        assert set(featurized) == {scorer.encoder_.featurizer, filter_model.encoder_.featurizer}
-        assert all(count <= bound for count in featurized.values())
+        texts = _distinct(corpus.side_a.values(), corpus.side_b.values())
+        assert featurized == [(filter_model.encoder_.featurizer, texts),
+                              (scorer.encoder_.featurizer, texts)]
+
+    @pytest.mark.parametrize("threshold", ["auto", 0.3])
+    def test_mine_bucc_featurizes_once_for_a_shared_config(self, featurized, threshold):
+        corpus = _overlapping_corpus()
+        filter_model, scorer = _filter(hash_seed=5), _multitask(hash_seed=5)
+        assert filter_model.encoder_.featurizer == scorer.encoder_.featurizer
+        mine_bucc(corpus, filter_model, scorer, MiningConfig(top_n=3, threshold=threshold),
+                  set(list(corpus.gold)[:3]))
+        texts = _distinct(corpus.side_a.values(), corpus.side_b.values())
+        assert featurized == [(scorer.encoder_.featurizer, texts)]
+
+    @pytest.mark.parametrize("kind", ["multitask", "feature-stack"])
+    def test_score_matrix_featurizes_once_per_config(self, featurized, kind):
+        scorer = _scorer(kind, "shared")
+        pairs = _pairs()
+        references, hypotheses = [a for a, _ in pairs], [b for _, b in pairs]
+        score_matrix(scorer, references, hypotheses)
+        texts = _distinct(references, hypotheses)
+        configs = ([scorer.encoder_.featurizer] if kind == "multitask"
+                   else [b.featurizer for b in scorer._backbones()[1:]])
+        assert featurized == [(config, texts) for config in configs]
+
+    def test_feature_stack_embed_featurizes_once_per_config(self, featurized):
+        stack = _feature_stack(**STACK_CONFIGS["shared"])
+        texts = [a for a, _ in _pairs()]
+        stack.embed(texts)
+        first, _, last = stack._backbones()
+        assert featurized == [(first.featurizer, _distinct(texts)),
+                              (last.featurizer, _distinct(texts))]
+
+    def test_train_feature_stack_featurizes_once_per_config(self, featurized):
+        first, second, last = _backbones(30, **STACK_CONFIGS["shared"])
+        assert first.featurizer == second.featurizer != last.featurizer
+        pairs = _pairs()
+        train_feature_stack(first, second, last, _qe_records(pairs), TrainConfig(epochs=1))
+        texts = _distinct([a for a, _ in pairs], [b for _, b in pairs])
+        assert featurized == [(first.featurizer, texts), (last.featurizer, texts)]
 
     def test_predict_featurizes_each_sentence_once(self, featurized):
         scorer = _multitask()
         pairs = _pairs()
         scorer.predict(pairs)
-        assert featurized == {scorer.encoder_.featurizer: len({t for p in pairs for t in p})}
+        assert featurized == [(scorer.encoder_.featurizer,
+                               _distinct([a for a, _ in pairs], [b for _, b in pairs]))]
 
 
 class TestUnalignedRows:
