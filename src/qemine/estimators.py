@@ -35,6 +35,7 @@ from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_
 from .training import (
     ContrastiveConfig,
     TrainConfig,
+    _distinct_hidden,
     multitask_train,
     train_filtration,
     train_feature_stack,
@@ -84,32 +85,30 @@ def _embed_sides(models, sides) -> list:
     the same bits and each distinct text featurized once per config.
 
     The distinct texts of all sides go through each encoder's hidden
-    layer once.  The output layer runs per side over the side's distinct
-    rows in first-occurrence order, the product ``embed(side)`` makes,
-    because BLAS may pick another kernel for another row count.
+    layer once (``training._distinct_hidden``).  The output layer runs
+    per side over the side's distinct rows in first-occurrence order,
+    the product ``embed(side)`` makes.
     """
     sides = [list(side) for side in sides]
     groups = [_encoders(model) for model in models]
-    configs = dict.fromkeys(f for group in groups if group for _, f in group)
-    if configs:
+    encoders = [encoder for group in groups if group for encoder in group]
+    if encoders:
         if not all(sides):
             raise ValueError("cannot featurize an empty list of texts")
-        distinct, rows = distinct_texts(chain.from_iterable(sides))
-        features = {config: featurize_all(distinct, config) for config in configs}
-        # per side: its distinct texts as rows of ``distinct``, and each text's row among them
-        if len(sides) == 1:
-            per_side = [(slice(None), rows)]
-        else:
-            bounds = np.cumsum([len(side) for side in sides[:-1]])
-            per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
+        rows, hidden = _distinct_hidden(encoders, list(chain.from_iterable(sides)), featurize_all)
+        hidden = iter(hidden)
+        # per side: its distinct texts as rows of the hidden layer, and each text's row among them
+        bounds = np.cumsum([len(side) for side in sides[:-1]])
+        per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
     embedded = []
     for model, group in zip(models, groups):
         if group is None:
             embedded.append([model.embed(side) for side in sides])
             continue
-        hidden = [backprop.hidden_layer(params, features[f]) for params, f in group]
-        blocks = [[backprop.output_layer(params, h[at])[local] for at, local in per_side]
-                  for (params, _), h in zip(group, hidden)]
+        blocks = []
+        for params, _ in group:
+            h = next(hidden)
+            blocks.append([backprop.output_layer(params, h[at])[local] for at, local in per_side])
         embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
                          for parts in zip(*blocks)])
     return embedded

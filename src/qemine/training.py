@@ -138,21 +138,32 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
+def _distinct_hidden(encoders, texts, featurize):
+    """Each encoder's hidden layer over the distinct texts of ``texts``.
+
+    ``encoders`` is a list of ``(params, FeaturizerConfig)``; the
+    distinct texts are featurized once per config, with ``featurize``
+    (the caller's module-level ``featurize_all``).  Returns ``(rows,
+    hidden)``: each text's row among the distinct texts, and one hidden
+    matrix per encoder.  A hidden row's bits depend only on its own text,
+    so callers may index it freely.  The output layer is theirs to run,
+    over the rows ``embed`` would see, because BLAS may pick another
+    kernel for another row count.
+    """
+    distinct, rows = distinct_texts(texts)
+    configs = dict.fromkeys(config for _, config in encoders)
+    features = {config: featurize(distinct, config) for config in configs}
+    return rows, [hidden_layer(params, features[config]) for params, config in encoders]
+
+
 def _backbone_embeddings(backbones, texts_a, texts_b):
     """The backbones' embeddings of two aligned text lists, side by side.
-
-    The distinct texts are featurized once per featurizer config and go
-    through each backbone's hidden layer once.  The output layer runs
-    over each side's rows, repeats included, as one forward pass per
-    side does, because BLAS may pick another kernel for another row
-    count.
-    """
-    texts_a, texts_b = list(texts_a), list(texts_b)
-    distinct, rows = distinct_texts(texts_a + texts_b)
-    configs = dict.fromkeys(b.featurizer for b in backbones)
-    features = {config: featurize_all(distinct, config) for config in configs}
+    The output layer runs over each side's rows, repeats included, as
+    one forward pass per side does."""
+    texts_a = list(texts_a)
     params = [b.params() for b in backbones]
-    hidden = [hidden_layer(p, features[b.featurizer]) for p, b in zip(params, backbones)]
+    rows, hidden = _distinct_hidden([(p, b.featurizer) for p, b in zip(params, backbones)],
+                                    texts_a + list(texts_b), featurize_all)
     return [np.hstack([output_layer(p, h[side]) for p, h in zip(params, hidden)])
             for side in (rows[: len(texts_a)], rows[len(texts_a) :])]
 
