@@ -2,7 +2,8 @@
 QE/STS and NLI heads (``regression_head``, ``nli_head``) and the
 feature-stack head (``feature_head``) that training and inference share,
 plus ``regression_head_grid``, the QE/STS head over every pair of two
-embedding sets.
+embedding sets, and ``cosine_grid``, the one all-pairs cosine, which
+that head and mining's similarity matrix share.
 
 Parameters are plain dicts of arrays keyed by block name ('W1', 'b1',
 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w'); a model's own
@@ -185,17 +186,16 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
     """QE or STS scores of every (ua row, ub row) pair, as a len(ua) × len(ub) array.
 
     The head is linear before its sigmoid, so no pair features are built:
-    the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine is ``ua @ ub.T``
-    over the outer product of the row norms (0 where that is 0, as in
-    ``_cos_forward``).  The weighted ``|u−v|`` term is taken over chunks of
-    2**15 (row, column, dimension) differences.  Equal to
-    ``regression_head`` up to summation order.
+    the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine term is
+    ``cosine_grid``'s (0 for a zero row, as in ``_cos_forward``).  The
+    weighted ``|u−v|`` term is taken over chunks of 2**15 (row, column,
+    dimension) differences.  Equal to ``regression_head`` up to
+    summation order.
     """
     if task not in ("qe", "sts"):
         raise ValueError(f"no grid head for task {task!r}; expected 'qe' or 'sts'")
     w, dim = params[f"{task}_w"], ua.shape[1]
-    denom = np.outer(np.linalg.norm(ua, axis=1), np.linalg.norm(ub, axis=1))
-    z = np.divide(ua @ ub.T, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    z = cosine_grid(ua, ub)
     z *= w[2 * dim]
     z += (ua * w[dim : 2 * dim]) @ ub.T
     z += params[f"{task}_b"][0]
@@ -204,6 +204,20 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
         diff = ua[start : start + step, None, :] - ub[None, :, :]
         z[start : start + step] += np.abs(diff, out=diff) @ w[:dim]
     return _sigmoid(z)
+
+
+def _unit_rows(u: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
+
+
+def cosine_grid(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Cosines of every (ua row, ub row) pair, in the rows' dtype: the rows
+    are L2-normalized (zero rows stay zero), multiplied in one GEMM and
+    clipped into [-1, 1] against rounding."""
+    values = _unit_rows(ua) @ _unit_rows(ub).T
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
 
 
 def nli_head(params: dict, ua: np.ndarray, ub: np.ndarray):

@@ -3,7 +3,7 @@
 These follow the scikit-learn conventions: hyperparameters are
 constructor arguments mirrored by get_params/set_params, fit returns
 self, fitted state lives in trailing-underscore attributes, and
-inference goes through predict/transform.
+inference goes through predict/embed.
 
 Every model exposes ``embed(texts)``: one embedding row per text, in
 input order.  Scorers add ``score_embeddings(ua, ub)``, the quality
@@ -13,29 +13,30 @@ head over aligned embedding rows.  Mining and all text-level inference
 sets, which ``mining.score_matrix`` uses in place of aligned blocks.
 
 ``_embed_sides(models, sides)`` embeds several text lists with several
-models, as mining does with its filter and scorer: the models here (a
-``FeatureStackScorer`` counts as its three backbones) share one
-featurization of the distinct texts per ``FeaturizerConfig``, and any
-other model embeds each side with its own ``embed``.  Inference reads
-the fitted models' own float32 arrays at every call, through
-``_require_fitted``, so a reassigned model is used at once.
+models.  The models here (a ``FeatureStackScorer`` counts as its three
+backbones) embed by ``training._embed_distinct``'s one rule, which the
+feature stack's training uses too; any other model embeds each side
+with its own ``embed``.  Aligned pairs, from ``predict*``,
+``score_pairs`` or ``FeatureStackScorer.predict``, are embedded as two
+sides, the sources and the targets, as mining embeds its two sides.
+Inference reads the fitted models' own float32 arrays at every call,
+through ``_require_fitted``, so a reassigned model is used at once.
 """
 
 from __future__ import annotations
 
 import inspect
-from itertools import chain
 
 import numpy as np
 
 from . import backprop
 from .errors import ConfigError
-from .features import FeaturizerConfig, distinct_texts, featurize_all
+from .features import FeaturizerConfig, featurize_all  # noqa: F401 - perfbench/tracing.py wraps it here
 from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
 from .training import (
     ContrastiveConfig,
     TrainConfig,
-    _distinct_hidden,
+    _embed_distinct,
     multitask_train,
     train_filtration,
     train_feature_stack,
@@ -81,34 +82,22 @@ def _encoders(model):
 
 
 def _embed_sides(models, sides) -> list:
-    """``[[model.embed(side) for side in sides] for model in models]``, with
-    the same bits and each distinct text featurized once per config.
+    """``[[model.embed(side) for side in sides] for model in models]``.
 
-    The distinct texts of all sides go through each encoder's hidden
-    layer once (``training._distinct_hidden``).  The output layer runs
-    per side over the side's distinct rows in first-occurrence order,
-    the product ``embed(side)`` makes.
+    The package's models go through one ``training._embed_distinct``
+    call over all their encoders; any other model embeds each side with
+    its own ``embed``.
     """
     sides = [list(side) for side in sides]
     groups = [_encoders(model) for model in models]
     encoders = [encoder for group in groups if group for encoder in group]
-    if encoders:
-        if not all(sides):
-            raise ValueError("cannot featurize an empty list of texts")
-        rows, hidden = _distinct_hidden(encoders, list(chain.from_iterable(sides)), featurize_all)
-        hidden = iter(hidden)
-        # per side: its distinct texts as rows of the hidden layer, and each text's row among them
-        bounds = np.cumsum([len(side) for side in sides[:-1]])
-        per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
+    per_encoder = iter(_embed_distinct(encoders, sides) if encoders else ())
     embedded = []
     for model, group in zip(models, groups):
         if group is None:
             embedded.append([model.embed(side) for side in sides])
             continue
-        blocks = []
-        for params, _ in group:
-            h = next(hidden)
-            blocks.append([backprop.output_layer(params, h[at])[local] for at, local in per_side])
+        blocks = [next(per_encoder) for _ in group]
         embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
                          for parts in zip(*blocks)])
     return embedded
@@ -119,11 +108,15 @@ def _check_aligned(ua, ub) -> None:
         raise ValueError(f"embedding rows are not aligned: {ua.shape[0]} vs {ub.shape[0]}")
 
 
+def _score_sides(scorer, texts_a, texts_b, **head) -> np.ndarray:
+    """Scores of the aligned pairs of two text lists, embedded as two sides."""
+    return scorer.score_embeddings(*_embed_sides([scorer], [texts_a, texts_b])[0], **head)
+
+
 def _score_text_pairs(scorer, pairs, **head) -> np.ndarray:
-    """Scores of aligned (textA, textB) pairs from one ``embed`` call over both sides."""
+    """Scores of aligned (textA, textB) pairs."""
     pairs = as_text_pairs(pairs)
-    u = scorer.embed([p[0] for p in pairs] + [p[1] for p in pairs])
-    return scorer.score_embeddings(u[: len(pairs)], u[len(pairs) :], **head)
+    return _score_sides(scorer, [p[0] for p in pairs], [p[1] for p in pairs], **head)
 
 
 class _EncoderParams:
@@ -221,7 +214,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         return backprop.regression_head_grid(self._require_fitted(), task, ua, ub)
 
     def score_pairs(self, texts_a, texts_b) -> np.ndarray:
-        return self.score_embeddings(*_embed_sides([self], [texts_a, texts_b])[0])
+        return _score_sides(self, texts_a, texts_b)
 
     def predict(self, pairs) -> np.ndarray:
         """Quality scores in (0,1) for (source, translation) pairs."""
@@ -281,9 +274,6 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
     def embed(self, texts) -> np.ndarray:
         """Raw sentence embeddings, one row per text."""
         return _embed_sides([self], [texts])[0][0]
-
-    def transform(self, texts) -> np.ndarray:
-        return self.embed(texts)
 
     def pair_cosines(self, texts_a, texts_b) -> np.ndarray:
         """Cosine per aligned pair (not the full cross product)."""

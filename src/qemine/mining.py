@@ -6,10 +6,11 @@ Filtration encoders expose ``embed(texts)``, one embedding row per
 text.  Quality scorers expose ``embed(texts)`` too, plus
 ``score_embeddings(ua, ub)``, which scores aligned embedding rows.
 Both models embed both sides in one ``estimators._embed_sides`` call,
-which featurizes each distinct sentence once per featurizer config.
-Index pairs into the two sides are then scored in blocks of
-``SCORE_BLOCK`` rows, so memory holds one block of pair features, never
-one per pair.
+which featurizes each distinct sentence once per featurizer config and
+embeds as ``predict`` and feature-stack training do.  The similarity
+matrix is ``backprop.cosine_grid`` in float64.  Index pairs into the
+two sides are then scored in blocks of ``SCORE_BLOCK`` rows, so memory
+holds one block of pair features, never one per pair.
 
 A scorer may also expose ``score_grid(ua, ub)``, the scores of every
 (ua row, ub row) pair, as ``MultitaskScorer`` does.  ``score_matrix``
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators
+from . import backprop, estimators
 from .errors import ConfigError
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
@@ -185,21 +186,10 @@ def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
 
 
 def _cosine_matrix(ua, ub) -> ScoreMatrix:
-    """Cosines of every (ua row, ub row) pair.
-
-    Embeddings are L2-normalized in float64 (zero vectors stay zero) so
-    the matrix is the plain inner product, clipped into [-1,1] against
-    rounding.
-    """
-
-    def _normalize(u):
-        u = np.asarray(u, dtype=np.float64)
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
-        return np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
-
-    values = _normalize(ua) @ _normalize(ub).T
-    np.clip(values, -1.0, 1.0, out=values)
-    return ScoreMatrix(values)
+    """Cosines of every (ua row, ub row) pair, from ``backprop.cosine_grid``
+    on float64 copies of the embeddings."""
+    return ScoreMatrix(backprop.cosine_grid(np.asarray(ua, dtype=np.float64),
+                                            np.asarray(ub, dtype=np.float64)))
 
 
 def _top_n_per_row(values: np.ndarray, n: int) -> list:

@@ -5,6 +5,9 @@ random draw comes from a generator derived from (seed, stream tag), so
 identical inputs and configs produce bit-identical serialized models.
 Training runs in float32 on the arrays that the returned models hold:
 the models are built around the trained arrays without a copy.
+
+``_embed_distinct`` is the one way a fitted model embeds text, for
+inference, mining and feature-stack training alike.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -138,34 +142,30 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
-def _distinct_hidden(encoders, texts, featurize):
-    """Each encoder's hidden layer over the distinct texts of ``texts``.
+def _embed_distinct(encoders, sides) -> list:
+    """Per encoder of ``encoders``, a list of ``(params, FeaturizerConfig)``,
+    the embeddings of each text list in ``sides``.
 
-    ``encoders`` is a list of ``(params, FeaturizerConfig)``; the
-    distinct texts are featurized once per config, with ``featurize``
-    (the caller's module-level ``featurize_all``).  Returns ``(rows,
-    hidden)``: each text's row among the distinct texts, and one hidden
-    matrix per encoder.  A hidden row's bits depend only on its own text,
-    so callers may index it freely.  The output layer is theirs to run,
-    over the rows ``embed`` would see, because BLAS may pick another
-    kernel for another row count.
+    The distinct texts of all sides are featurized once per config and
+    go through each encoder's hidden layer once; a hidden row's bits
+    depend only on its own text.  The output layer runs once per side,
+    over that side's distinct rows in first-occurrence order: BLAS picks
+    its kernel by row count, so a side's bits do not depend on the other
+    sides in the call.
     """
-    distinct, rows = distinct_texts(texts)
-    configs = dict.fromkeys(config for _, config in encoders)
-    features = {config: featurize(distinct, config) for config in configs}
-    return rows, [hidden_layer(params, features[config]) for params, config in encoders]
-
-
-def _backbone_embeddings(backbones, texts_a, texts_b):
-    """The backbones' embeddings of two aligned text lists, side by side.
-    The output layer runs over each side's rows, repeats included, as
-    one forward pass per side does."""
-    texts_a = list(texts_a)
-    params = [b.params() for b in backbones]
-    rows, hidden = _distinct_hidden([(p, b.featurizer) for p, b in zip(params, backbones)],
-                                    texts_a + list(texts_b), featurize_all)
-    return [np.hstack([output_layer(p, h[side]) for p, h in zip(params, hidden)])
-            for side in (rows[: len(texts_a)], rows[len(texts_a) :])]
+    if not all(sides):
+        raise ValueError("cannot featurize an empty list of texts")
+    distinct, rows = distinct_texts(list(chain.from_iterable(sides)))
+    features = {config: featurize_all(distinct, config)
+                for config in dict.fromkeys(config for _, config in encoders)}
+    # per side: its distinct texts as rows of the hidden layer, and each text's row among them
+    bounds = np.cumsum([len(side) for side in sides[:-1]])
+    per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
+    embedded = []
+    for params, config in encoders:
+        hidden = hidden_layer(params, features[config])
+        embedded.append([output_layer(params, hidden[at])[local] for at, local in per_side])
+    return embedded
 
 
 def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
@@ -349,11 +349,14 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
 
     Each pair is described by the concatenated pair features of the
     three backbones; only the two-layer head (tanh hidden layer,
-    logistic output) is trained.  Returns (FeatureStackModel, history).
+    logistic output) is trained, on the features that
+    ``FeatureStackScorer.predict`` computes for the same pairs.
+    Returns (FeatureStackModel, history).
     """
     backbones = (sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    ua, ub = _backbone_embeddings(backbones, sources, targets)
+    embedded = _embed_distinct([(b.params(), b.featurizer) for b in backbones], [sources, targets])
+    ua, ub = (np.hstack(side) for side in zip(*embedded))
     feats = stacked_pair_features(ua, ub, [b.embedding_dim for b in backbones])
     width = feats.shape[1]
 

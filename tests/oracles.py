@@ -11,9 +11,9 @@ functions must agree with.  The text-pair scoring path at the end
 featurizes and embeds every text of every pair; the package's
 ``embed`` + ``score_embeddings`` path must reproduce its scores bit for
 bit, and ``per_backbone_embeddings`` embeds a feature stack's training
-pairs with each backbone on its own.  ``loop_topn_candidates`` and
-``grid_tune_threshold`` are the per-row argsort shortlist and the
-threshold sweep that reruns the
+pairs with each backbone on its own, over each side's distinct texts.
+``loop_topn_candidates`` and ``grid_tune_threshold`` are the per-row
+argsort shortlist and the threshold sweep that reruns the
 mutual-best selection at every grid point; the package's vectorized
 shortlist and single-selection sweep must return exactly their results.
 ``dict_mutual_best`` is that selection over (idA, idB, score) triples
@@ -277,11 +277,16 @@ def _embed_each(params, featurizer, texts) -> np.ndarray:
 
 def per_backbone_embeddings(backbones, texts_a, texts_b) -> list:
     """The backbones' embeddings of two aligned text lists, side by side,
-    from one featurization and one forward pass per backbone and side,
-    repeats included: ``train_feature_stack``'s inputs before the
-    backbones shared a featurization."""
-    return [np.hstack([_embed_each(b.params(), b.featurizer, side) for b in backbones])
-            for side in (list(texts_a), list(texts_b))]
+    from one featurization and one forward pass per backbone and side
+    over that side's distinct texts, in first-occurrence order: the
+    features ``train_feature_stack``'s head must train on."""
+    embedded = []
+    for side in (list(texts_a), list(texts_b)):
+        distinct = list(dict.fromkeys(side))
+        row_of = {text: row for row, text in enumerate(distinct)}
+        u = np.hstack([_embed_each(b.params(), b.featurizer, distinct) for b in backbones])
+        embedded.append(u[[row_of[text] for text in side]])
+    return embedded
 
 
 def text_pair_embed(encoder, texts) -> np.ndarray:

@@ -262,6 +262,22 @@ class TestFeatureHeadBatch:
             assert np.max(np.abs(analytic.reshape(-1) - numeric)) <= 1e-6 * scale, name
 
 
+class TestCosineGrid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_scalar_cosine_in_the_rows_dtype(self, dtype):
+        rng = np.random.default_rng(3)
+        ua = rng.normal(size=(7, 5)).astype(dtype)
+        ub = rng.normal(size=(4, 5)).astype(dtype)
+        ua[2] = 0.0
+        ub[1] = -3.0 * ua[0]  # cosine -1 up to rounding, clipped into range
+        grid = backprop.cosine_grid(ua, ub)
+        expected = np.array([[cosine_similarity(a, b) for b in ub] for a in ua])
+        assert grid.dtype == dtype
+        assert np.max(np.abs(grid - expected)) <= 8 * np.finfo(dtype).eps
+        assert np.all(np.abs(grid) <= 1.0)
+        assert np.all(grid[2] == 0.0)
+
+
 class TestInitParams:
     @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (64, 256), (130, 4096)])
     def test_feature_major_cast_equals_asfortranarray(self, shape):

@@ -127,9 +127,9 @@ class TestContrastiveFilter:
         encoder = ContrastiveFilter(epochs=2, seed=seed, **SMALL)
         return encoder.fit(data.positives, data.negatives), records
 
-    def test_transform_shape(self):
+    def test_embed_shape(self):
         encoder, records = self._fitted()
-        emb = encoder.transform([r.source for r in records[:12]])
+        emb = encoder.embed([r.source for r in records[:12]])
         assert emb.shape == (12, 6)
         assert np.all(np.isfinite(emb))
 

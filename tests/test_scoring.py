@@ -410,8 +410,8 @@ class TestSharedEmbedding:
     def test_feature_stack_predict(self, configs, n_pairs):
         stack = _feature_stack(**STACK_CONFIGS[configs])
         pairs = _pairs()[:n_pairs]
-        u = _per_backbone_embed(stack, [a for a, _ in pairs] + [b for _, b in pairs])
-        expected = stack.score_embeddings(u[: len(pairs)], u[len(pairs) :])
+        expected = stack.score_embeddings(_per_backbone_embed(stack, [a for a, _ in pairs]),
+                                          _per_backbone_embed(stack, [b for _, b in pairs]))
         assert stack.predict(pairs).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_pairs", [1, None])
@@ -421,9 +421,57 @@ class TestSharedEmbedding:
         records = _qe_records(_pairs()[:n_pairs])
         config = TrainConfig(epochs=2, batch_size=8, seed=4)
         save_feature_model(train_feature_stack(*backbones, records, config)[0], tmp_path / "shared")
-        monkeypatch.setattr(qemine.training, "_backbone_embeddings", per_backbone_embeddings)
-        save_feature_model(train_feature_stack(*backbones, records, config)[0], tmp_path / "oracle")
+        oracle = per_backbone_embeddings(backbones, *_sides(records))
+        save_feature_model(_train_on_embeddings(monkeypatch, backbones, records, config, *oracle),
+                           tmp_path / "oracle")
         assert (tmp_path / "shared").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+
+# The desk size, at which OpenBLAS picks another output-layer kernel for
+# 1–18 rows than for the same rows inside a larger product.
+DESK = {"n_features": 4096, "hidden": 128, "dim": 64}
+
+
+def _sides(records):
+    return [a for a, _, _ in records], [b for _, b, _ in records]
+
+
+def _train_on_embeddings(monkeypatch, backbones, records, config, ua, ub):
+    """``train_feature_stack``'s model when its head trains on the pair
+    features of the side-by-side backbone embeddings ``ua`` and ``ub``."""
+    original = qemine.training.stacked_pair_features
+    monkeypatch.setattr(qemine.training, "stacked_pair_features",
+                        lambda _ua, _ub, dims: original(ua, ub, dims))
+    return train_feature_stack(*backbones, records, config)[0]
+
+
+class TestOneEmbeddingRule:
+    """``predict``, ``score_pairs`` and feature-stack training embed as
+    mining does, so the same pairs get the same bits at sizes where BLAS's
+    kernel depends on the row count."""
+
+    @pytest.fixture(scope="class")
+    def desk_scorer(self):
+        return _multitask(**DESK)
+
+    @pytest.mark.parametrize("n_pairs", range(1, 21))
+    def test_predict_equals_score_pairs(self, desk_scorer, n_pairs):
+        records = generate_qe(SynthConfig(vocab_size=200, seed=3), n_pairs)
+        texts_a, texts_b = [r.source for r in records], [r.target for r in records]
+        expected = desk_scorer.score_pairs(texts_a, texts_b)
+        assert desk_scorer.predict(list(zip(texts_a, texts_b))).tobytes() == expected.tobytes()
+
+    def test_train_feature_stack_trains_on_embed_per_side(self, tmp_path, monkeypatch):
+        backbones = [encoder_model(*_random_params(50 + k, **DESK)) for k in range(3)]
+        pairs = [(r.source, r.target) for r in generate_qe(SynthConfig(vocab_size=200, seed=4), 12)]
+        records = _qe_records(pairs * 3)  # each side holds every sentence three times
+        config = TrainConfig(epochs=2, batch_size=8, seed=4)
+        save_feature_model(train_feature_stack(*backbones, records, config)[0], tmp_path / "fit")
+        stack = FeatureStackScorer(*backbones)
+        embedded = [stack.embed(side) for side in _sides(records)]
+        save_feature_model(_train_on_embeddings(monkeypatch, backbones, records, config, *embedded),
+                           tmp_path / "embed")
+        assert (tmp_path / "fit").read_bytes() == (tmp_path / "embed").read_bytes()
 
 
 def _distinct(*sides):
