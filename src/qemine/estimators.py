@@ -12,15 +12,15 @@ head over aligned embedding rows.  Mining and all text-level inference
 ``MultitaskScorer.score_grid(ua, ub)`` scores every pair of two embedding
 sets, which ``mining.score_matrix`` uses in place of aligned blocks.
 
-``_embed_sides(models, sides)`` embeds several text lists with several
-models.  The models here (a ``FeatureStackScorer`` counts as its three
-backbones) embed by ``training._embed_distinct``'s one rule, which the
-feature stack's training uses too; any other model embeds each side
-with its own ``embed``.  Aligned pairs, from ``predict*``,
-``score_pairs`` or ``FeatureStackScorer.predict``, are embedded as two
-sides, the sources and the targets, as mining embeds its two sides.
-Inference reads the fitted models' own float32 arrays at every call,
-through ``_require_fitted``, so a reassigned model is used at once.
+Each model lists its own ``(params, featurizer)`` encoders in
+``_encoders()`` (a ``FeatureStackScorer`` lists its three backbones'),
+and ``embed`` goes through ``training._embed_sides``, the one embedding
+rule that mining and the feature stack's training use too.  Aligned
+pairs, from ``predict*``, ``score_pairs`` or
+``FeatureStackScorer.predict``, are embedded as two sides, the sources
+and the targets, as mining embeds its two sides.  Inference reads the
+fitted models' own float32 arrays at every call, through
+``_require_fitted``, so a reassigned model is used at once.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ import inspect
 
 import numpy as np
 
-from . import backprop
+from . import backprop, mining
 from .errors import ConfigError
 from .features import FeaturizerConfig, featurize_all  # noqa: F401 - perfbench/tracing.py wraps it here
 from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
 from .training import (
     ContrastiveConfig,
     TrainConfig,
-    _embed_distinct,
+    _embed_sides,
     multitask_train,
     train_filtration,
     train_feature_stack,
@@ -71,38 +71,6 @@ class _EstimatorMixin:
                            learning_rate=self.learning_rate, seed=self.seed, **schedule)
 
 
-def _encoders(model):
-    """The (params, featurizer) encoders whose embeddings, side by side,
-    are ``model.embed``'s rows; None for a model without an encoder."""
-    if isinstance(model, _EncoderParams):
-        return [(model._require_fitted(), model.encoder_.featurizer)]
-    if isinstance(model, FeatureStackScorer):
-        return [(b.params(), b.featurizer) for b in model._backbones()]
-    return None
-
-
-def _embed_sides(models, sides) -> list:
-    """``[[model.embed(side) for side in sides] for model in models]``.
-
-    The package's models go through one ``training._embed_distinct``
-    call over all their encoders; any other model embeds each side with
-    its own ``embed``.
-    """
-    sides = [list(side) for side in sides]
-    groups = [_encoders(model) for model in models]
-    encoders = [encoder for group in groups if group for encoder in group]
-    per_encoder = iter(_embed_distinct(encoders, sides) if encoders else ())
-    embedded = []
-    for model, group in zip(models, groups):
-        if group is None:
-            embedded.append([model.embed(side) for side in sides])
-            continue
-        blocks = [next(per_encoder) for _ in group]
-        embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
-                         for parts in zip(*blocks)])
-    return embedded
-
-
 def _check_aligned(ua, ub) -> None:
     if ua.shape[0] != ub.shape[0]:
         raise ValueError(f"embedding rows are not aligned: {ua.shape[0]} vs {ub.shape[0]}")
@@ -135,6 +103,9 @@ class _EncoderParams:
         if "heads_" in self._fitted:
             params.update(self.heads_.params())
         return params
+
+    def _encoders(self) -> list:
+        return [(self._require_fitted(), self.encoder_.featurizer)]
 
     @classmethod
     def _from_encoder(cls, model):
@@ -228,9 +199,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
 
     def score_matrix(self, references, hypotheses) -> np.ndarray:
         """All pairwise QE scores, embedding each sentence only once."""
-        from .mining import score_matrix  # mining imports this module
-
-        return score_matrix(self, references, hypotheses).values
+        return mining.score_matrix(self, references, hypotheses).values
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_", "heads_")
@@ -321,6 +290,9 @@ class FeatureStackScorer(_EstimatorMixin):
 
     def _backbones(self):
         return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
+
+    def _encoders(self) -> list:
+        return [encoder for b in self._backbones() for encoder in b._encoders()]
 
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""

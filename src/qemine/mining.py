@@ -5,12 +5,13 @@ tuning and the retrieval metrics.
 Filtration encoders expose ``embed(texts)``, one embedding row per
 text.  Quality scorers expose ``embed(texts)`` too, plus
 ``score_embeddings(ua, ub)``, which scores aligned embedding rows.
-Both models embed both sides in one ``estimators._embed_sides`` call,
+Both models embed both sides in one ``training._embed_sides`` call,
 which featurizes each distinct sentence once per featurizer config and
 embeds as ``predict`` and feature-stack training do.  The similarity
 matrix is ``backprop.cosine_grid`` in float64.  Index pairs into the
-two sides are then scored in blocks of ``SCORE_BLOCK`` rows, so memory
-holds one block of pair features, never one per pair.
+two sides, as flat codes ``i * m + j``, are then scored in blocks of
+``SCORE_BLOCK`` codes, so memory holds one block of pair features,
+never one per pair.
 
 A scorer may also expose ``score_grid(ua, ub)``, the scores of every
 (ua row, ub row) pair, as ``MultitaskScorer`` does.  ``score_matrix``
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backprop, estimators
+from . import backprop, training
 from .errors import ConfigError
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
@@ -127,13 +128,17 @@ class MiningResult:
         return {(a, b) for a, b, _ in self.pairs}
 
 
-def _score_index_pairs(scorer, ua, ub, rows, cols) -> np.ndarray:
-    """Scores of the pairs (ua[rows[k]], ub[cols[k]]) of the scorer's
-    embeddings of two sides, one block of pairs at a time."""
-    scores = np.empty(len(rows))
-    for start in range(0, len(rows), SCORE_BLOCK):
-        block = slice(start, start + SCORE_BLOCK)
-        scores[block] = scorer.score_embeddings(ua[rows[block]], ub[cols[block]])
+def _score_index_pairs(scorer, ua, ub, codes, m) -> np.ndarray:
+    """Scores of the pairs (ua[i], ub[j]) of the scorer's embeddings of
+    two sides, for the flat codes ``i * m + j`` (an array or a ``range``),
+    one block of ``SCORE_BLOCK`` codes at a time."""
+    scores = np.empty(len(codes))
+    for start in range(0, len(codes), SCORE_BLOCK):
+        block = codes[start : start + SCORE_BLOCK]
+        if isinstance(block, range):  # numpy reads a range one element at a time
+            block = np.arange(block.start, block.stop, block.step)
+        rows, cols = np.divmod(block, m)
+        scores[start : start + SCORE_BLOCK] = scorer.score_embeddings(ua[rows], ub[cols])
     return scores
 
 
@@ -146,20 +151,16 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     if not references or not hypotheses:
         raise ValueError("reference and hypothesis lists must be non-empty")
     n, m = len(references), len(hypotheses)
-    [(ua, ub)] = estimators._embed_sides([scorer], [references, hypotheses])
+    [(ua, ub)] = training._embed_sides([scorer], [references, hypotheses])
+    if not hasattr(scorer, "score_grid"):
+        return ScoreMatrix(_score_index_pairs(scorer, ua, ub, range(n * m), m).reshape(n, m))
     values = np.empty((n, m))
-    if hasattr(scorer, "score_grid"):
-        # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
-        # grid of 64-dim rows, 81-row blocks ran as fast as one block of 400
-        # rows, and 2.5 times as fast as one-row blocks.
-        step = max(1, 64 * SCORE_BLOCK // m)
-        for start in range(0, n, step):
-            values[start : start + step] = scorer.score_grid(ua[start : start + step], ub)
-        return ScoreMatrix(values)
-    flat = values.reshape(-1)
-    for start in range(0, n * m, SCORE_BLOCK):
-        rows, cols = np.divmod(np.arange(start, min(start + SCORE_BLOCK, n * m)), m)
-        flat[start : start + SCORE_BLOCK] = scorer.score_embeddings(ua[rows], ub[cols])
+    # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
+    # grid of 64-dim rows, 81-row blocks ran as fast as one block of 400
+    # rows, and 2.5 times as fast as one-row blocks.
+    step = max(1, 64 * SCORE_BLOCK // m)
+    for start in range(0, n, step):
+        values[start : start + step] = scorer.score_grid(ua[start : start + step], ub)
     return ScoreMatrix(values)
 
 
@@ -181,7 +182,7 @@ def tatoeba_accuracy(predicted, size: int) -> float:
 
 def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
     """Pairwise cosine matrix of the filter's embeddings of two sides."""
-    [(ua, ub)] = estimators._embed_sides([filter_model], [side_a, side_b])
+    [(ua, ub)] = training._embed_sides([filter_model], [side_a, side_b])
     return _cosine_matrix(ua, ub)
 
 
@@ -317,12 +318,12 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
     texts_a = [corpus.side_a[i] for i in ids_a]
     texts_b = [corpus.side_b[i] for i in ids_b]
 
-    (fa, fb), (ua, ub) = estimators._embed_sides([filter_model, scorer], [texts_a, texts_b])
+    (fa, fb), (ua, ub) = training._embed_sides([filter_model, scorer], [texts_a, texts_b])
     similarity = _cosine_matrix(fa, fb)
     row_cands, col_cands = topn_candidates(similarity, config.top_n)
     codes = _shortlist(row_cands, col_cands, config.top_n)
     rows, cols = np.divmod(codes, len(ids_b))
-    scores = _score_index_pairs(scorer, ua, ub, rows, cols)
+    scores = _score_index_pairs(scorer, ua, ub, codes, len(ids_b))
 
     recall = None
     if config.threshold == "auto":

@@ -111,13 +111,14 @@ class EncoderModel:
     def embedding_dim(self) -> int:
         return self.w2.shape[0]
 
-    def config(self) -> EncoderConfig:
-        return EncoderConfig(self.featurizer, self.hidden_units, self.embedding_dim)
-
     def params(self) -> dict:
         """The model's own arrays (not copies) under the block names
         'W1', 'b1', 'W2' and 'b2'."""
         return {"W1": self.w1, "b1": self.b1, "W2": self.w2, "b2": self.b2}
+
+    def _encoders(self) -> list:
+        """The one ``(params, featurizer)`` encoder that ``training._embed_sides`` embeds with."""
+        return [(self.params(), self.featurizer)]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ identical inputs and configs produce bit-identical serialized models.
 Training runs in float32 on the arrays that the returned models hold:
 the models are built around the trained arrays without a copy.
 
-``_embed_distinct`` is the one way a fitted model embeds text, for
-inference, mining and feature-stack training alike.
+``_embed_sides(models, sides)`` is the one way in to the embedding
+rule, for inference, mining and feature-stack training alike: each
+model lists its own encoders (``_encoders()``), and the distinct texts
+of all sides are featurized once per config and embedded once per
+encoder.
 """
 
 from __future__ import annotations
@@ -142,29 +145,41 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
-def _embed_distinct(encoders, sides) -> list:
-    """Per encoder of ``encoders``, a list of ``(params, FeaturizerConfig)``,
-    the embeddings of each text list in ``sides``.
+def _embed_sides(models, sides) -> list:
+    """``[[model.embed(side) for side in sides] for model in models]``.
 
-    The distinct texts of all sides are featurized once per config and
-    go through each encoder's hidden layer once; a hidden row's bits
+    A model with ``_encoders()``, the ``(params, FeaturizerConfig)`` pairs
+    whose embeddings side by side are its ``embed`` rows, embeds by one
+    rule.  The distinct texts of all sides are featurized once per config
+    and go through each encoder's hidden layer once; a hidden row's bits
     depend only on its own text.  The output layer runs once per side,
     over that side's distinct rows in first-occurrence order: BLAS picks
     its kernel by row count, so a side's bits do not depend on the other
-    sides in the call.
+    sides or models in the call.  Any other model embeds each side with
+    its own ``embed``.
     """
-    if not all(sides):
-        raise ValueError("cannot featurize an empty list of texts")
-    distinct, rows = distinct_texts(list(chain.from_iterable(sides)))
-    features = {config: featurize_all(distinct, config)
-                for config in dict.fromkeys(config for _, config in encoders)}
-    # per side: its distinct texts as rows of the hidden layer, and each text's row among them
-    bounds = np.cumsum([len(side) for side in sides[:-1]])
-    per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
+    sides = [list(side) for side in sides]
+    groups = [model._encoders() if hasattr(model, "_encoders") else None for model in models]
+    configs = dict.fromkeys(config for group in groups if group for _, config in group)
+    if configs:
+        if not all(sides):
+            raise ValueError("cannot featurize an empty list of texts")
+        distinct, rows = distinct_texts(list(chain.from_iterable(sides)))
+        features = {config: featurize_all(distinct, config) for config in configs}
+        # per side: its distinct texts as rows of the hidden layer, and each text's row among them
+        bounds = np.cumsum([len(side) for side in sides[:-1]])
+        per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
     embedded = []
-    for params, config in encoders:
-        hidden = hidden_layer(params, features[config])
-        embedded.append([output_layer(params, hidden[at])[local] for at, local in per_side])
+    for model, group in zip(models, groups):
+        if group is None:
+            embedded.append([model.embed(side) for side in sides])
+            continue
+        blocks = []
+        for params, config in group:
+            hidden = hidden_layer(params, features[config])
+            blocks.append([output_layer(params, hidden[at])[local] for at, local in per_side])
+        embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
+                         for parts in zip(*blocks)])
     return embedded
 
 
@@ -355,8 +370,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     """
     backbones = (sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    embedded = _embed_distinct([(b.params(), b.featurizer) for b in backbones], [sources, targets])
-    ua, ub = (np.hstack(side) for side in zip(*embedded))
+    ua, ub = (np.hstack(side) for side in zip(*_embed_sides(backbones, [sources, targets])))
     feats = stacked_pair_features(ua, ub, [b.embedding_dim for b in backbones])
     width = feats.shape[1]
 
