@@ -69,7 +69,6 @@ from .synth import (
 )
 from .training import (
     AlignmentReport,
-    ContrastiveConfig,
     GradCheckReport,
     TrainConfig,
     align_encoders,

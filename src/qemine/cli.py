@@ -2,7 +2,8 @@
 
 Every command that writes an output file also writes a JSON run
 manifest next to it (``<out>.manifest.json``) recording the command,
-resolved options, seed, paths, tool version and wall-clock duration;
+resolved options, seed (null for a command without ``--seed``), paths,
+tool version and wall-clock duration;
 ``mine-bucc`` adds a ``mining`` block with its candidate, forward,
 backward and selected counts, the threshold and how it was chosen, and
 the shortlist's gold recall.  Exit codes: 0 success, 1 usage error, 2
@@ -70,7 +71,7 @@ def _write_manifest(args, started, out_path, inputs, outputs, record=None):
     manifest = {
         "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "inputs": [str(p) for p in inputs if p],
         "outputs": [str(p) for p in outputs if p],
         "version": __version__,
@@ -151,8 +152,8 @@ def _cmd_train_filter(args):
 def _cmd_align(args):
     model, heads = load_model(args.model)
     parallel = load_parallel(args.parallel)
-    config = TrainConfig(epochs=args.epochs, finetune_epochs=0,
-                         batch_size=args.batch_size, learning_rate=args.lr, seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
+                         seed=args.seed)
     aligned, report = align_encoders(model, parallel, config, args.heldout_fraction)
     save_model(aligned, heads, args.out)
     print(
@@ -434,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gradcheck)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=42)
+    # only the commands that draw random numbers take a seed
+    for name in ("synth", "train", "augment", "train-filter", "align", "train-feature",
+                 "gradcheck"):
+        sub.choices[name].add_argument("--seed", type=int, default=42)
     return parser
 
 

@@ -3,7 +3,11 @@
 These follow the scikit-learn conventions: hyperparameters are
 constructor arguments mirrored by get_params/set_params, fit returns
 self, fitted state lives in trailing-underscore attributes, and
-inference goes through predict/embed.
+inference goes through predict/embed.  ``fit`` hands the four settings
+every pipeline reads (epochs, batch size, learning rate, seed) to its
+training function as a ``TrainConfig``, and the pipeline's own
+settings (``MultitaskScorer``'s tasks and schedule, ``ContrastiveFilter``'s
+margin, ``FeatureStackScorer``'s hidden units) as arguments of their own.
 
 Every model exposes ``embed(texts)``: one embedding row per text, in
 input order.  Scorers add ``score_embeddings(ua, ub)``, the quality
@@ -33,14 +37,8 @@ from . import backprop, mining
 from .errors import ConfigError
 from .features import FeaturizerConfig, featurize_all  # noqa: F401 - perfbench/tracing.py wraps it here
 from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
-from .training import (
-    ContrastiveConfig,
-    TrainConfig,
-    _embed_sides,
-    multitask_train,
-    train_filtration,
-    train_feature_stack,
-)
+from .training import (TrainConfig, _embed_sides, multitask_train, train_filtration,
+                       train_feature_stack)
 from .validation import as_text_pairs, check_is_fitted
 
 __all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer"]
@@ -48,7 +46,8 @@ __all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer"]
 
 class _EstimatorMixin:
     """get_params/set_params over the constructor signature, and the
-    training config built from the shared optimizer hyperparameters."""
+    ``TrainConfig`` of the four settings every pipeline reads; a
+    pipeline's own settings go to its training function as they are."""
 
     @classmethod
     def _param_names(cls):
@@ -66,9 +65,9 @@ class _EstimatorMixin:
             setattr(self, name, value)
         return self
 
-    def _train_config(self, **schedule) -> TrainConfig:
+    def _train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           learning_rate=self.learning_rate, seed=self.seed, **schedule)
+                           learning_rate=self.learning_rate, seed=self.seed)
 
 
 def _check_aligned(ua, ub) -> None:
@@ -157,13 +156,11 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.history_ = None
 
     def fit(self, qe=None, sts=None, nli=None, validation=None):
-        config = self._train_config(
-            finetune_epochs=self.finetune_epochs, tasks=tuple(self.tasks),
+        self.encoder_, self.heads_, self.history_ = multitask_train(
+            qe, sts, nli, self._train_config(), self._encoder_config(), validation,
+            tasks=self.tasks, finetune_epochs=self.finetune_epochs,
             until_convergence=self.until_convergence, patience=self.patience,
             max_epochs=self.max_epochs,
-        )
-        self.encoder_, self.heads_, self.history_ = multitask_train(
-            qe, sts, nli, config, self._encoder_config(), validation
         )
         return self
 
@@ -235,8 +232,7 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
 
     def fit(self, positives, negatives):
         self.encoder_, self.history_ = train_filtration(
-            positives, negatives, self._train_config(finetune_epochs=0),
-            ContrastiveConfig(self.margin), self._encoder_config(),
+            positives, negatives, self._train_config(), self.margin, self._encoder_config(),
         )
         return self
 
@@ -284,7 +280,7 @@ class FeatureStackScorer(_EstimatorMixin):
                 raise ConfigError(f"{name} must be set before fitting")
         self.model_, self.history_ = train_feature_stack(
             self.sts_backbone, self.nli_backbone, self.qe_backbone, qe,
-            self._train_config(finetune_epochs=0), self.hidden_units,
+            self._train_config(), self.hidden_units,
         )
         return self
 

@@ -29,6 +29,10 @@ __all__ = ["Adam", "ColumnGrad"]
 
 # Entries per chunk of a lazy update (128 KiB of float32 per temporary)
 _CHUNK_ELEMS = 1 << 15
+# Moment decay rates and the denominator's epsilon (Kingma & Ba's defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,10 @@ class ColumnGrad:
 
 
 class Adam:
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: dict[str, tuple] = {}
         # 1 - beta**t for t = 1, 2, ..., in Python floats as the dense update
         # computes them (numpy's vectorized power may differ in the last bit)
@@ -88,11 +88,11 @@ class Adam:
                 v = np.zeros_like(grad)
                 t = 0
             t += 1
-            m += (1.0 - self.beta1) * (grad - m)
-            v += (1.0 - self.beta2) * (grad * grad - v)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m += (1.0 - _BETA1) * (grad - m)
+            v += (1.0 - _BETA2) * (grad * grad - v)
+            m_hat = m / (1.0 - _BETA1 ** t)
+            v_hat = v / (1.0 - _BETA2 ** t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
             self._state[name] = (m, v, t)
 
     def _column_step(self, name: str, param: np.ndarray, grad: ColumnGrad) -> None:
@@ -123,20 +123,20 @@ class Adam:
             rows = grad.rows[lo : lo + chunk]
             m = m_all[cols]
             step = np.subtract(rows, m)
-            step *= 1.0 - self.beta1
+            step *= 1.0 - _BETA1
             m += step
             m_all[cols] = m
             v = v_all[cols]
             np.multiply(rows, rows, out=step)
             step -= v
-            step *= 1.0 - self.beta2
+            step *= 1.0 - _BETA2
             v += step
             v_all[cols] = v
             m /= c1[lo : lo + chunk, None]
             m *= self.learning_rate
             v /= c2[lo : lo + chunk, None]
             np.sqrt(v, out=v)
-            v += self.eps
+            v += _EPS
             m /= v
             updated = table[cols]
             updated -= m
@@ -148,6 +148,6 @@ class Adam:
         need = int(t.max(initial=0))
         if need > known:
             steps = range(1, max(need, 2 * known) + 1)
-            self._corrections = np.array([[1.0 - self.beta1 ** k for k in steps],
-                                          [1.0 - self.beta2 ** k for k in steps]])
+            self._corrections = np.array([[1.0 - _BETA1 ** k for k in steps],
+                                          [1.0 - _BETA2 ** k for k in steps]])
         return self._corrections[:, t - 1]

@@ -35,21 +35,20 @@ _TAG_BUCC = 4
 # character n-grams.
 _SOURCE_ALPHABET = "abcdefghijklm"
 _TARGET_ALPHABET = "nopqrstuvwxyz"
+# Words per sentence, drawn uniformly from this inclusive range
+_MIN_WORDS = 3
+_MAX_WORDS = 12
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     vocab_size: int = 200
-    min_words: int = 3
-    max_words: int = 12
     corruption_rate: float = 0.3
     seed: int = 42
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if not 1 <= self.min_words <= self.max_words:
-            raise ValueError("need 1 <= min_words <= max_words")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise ValueError("corruption_rate must lie in [0,1]")
 
@@ -94,7 +93,7 @@ def _vocabularies(config: SynthConfig):
 
 
 def _sentence_indices(rng, config: SynthConfig) -> np.ndarray:
-    length = int(rng.integers(config.min_words, config.max_words + 1))
+    length = int(rng.integers(_MIN_WORDS, _MAX_WORDS + 1))
     return rng.integers(0, config.vocab_size, length)
 
 

@@ -6,6 +6,12 @@ identical inputs and configs produce bit-identical serialized models.
 Training runs in float32 on the arrays that the returned models hold:
 the models are built around the trained arrays without a copy.
 
+Each setting lives in the entry point that reads it: ``TrainConfig``
+holds the four every entry point reads (epochs, batch size, learning
+rate, seed); ``multitask_train`` takes its task list, fine-tuning and
+early-stopping settings as keywords, and ``train_filtration`` its
+contrastive ``margin``.
+
 ``_embed_sides(models, sides)`` is the one way in to the embedding
 rule, for inference, mining and feature-stack training alike: each
 model lists its own encoders (``_encoders()``), and the distinct texts
@@ -44,7 +50,6 @@ from .validation import as_nli_data, as_pair_scores, as_text_pairs
 
 __all__ = [
     "TrainConfig",
-    "ContrastiveConfig",
     "AlignmentReport",
     "GradCheckReport",
     "multitask_train",
@@ -75,40 +80,18 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings shared by all training entry points."""
+    """Optimizer settings shared by all training entry points."""
 
     epochs: int = 3
-    finetune_epochs: int = 1
     batch_size: int = 32
     learning_rate: float = 1e-3
-    tasks: tuple = ("qe", "sts", "nli")
     seed: int = 42
-    until_convergence: bool = False
-    patience: int = 3
-    max_epochs: int = 50
 
     def __post_init__(self):
-        tasks = tuple(t for t in TASKS if t in self.tasks)
-        if not tasks or len(tasks) != len(set(self.tasks)):
-            raise ValueError(f"tasks must be a non-empty subset of {TASKS}")
-        object.__setattr__(self, "tasks", tasks)
-        if self.epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.patience < 1 or self.max_epochs < 1:
-            raise ValueError("patience and max_epochs must be >= 1")
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Margin for the contrastive objective (cosine is bounded by 1)."""
-
-    margin: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.margin <= 1.0:
-            raise ValueError(f"margin must lie in (0,1], got {self.margin}")
 
 
 @dataclass
@@ -208,27 +191,39 @@ def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, f
 
 
 def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConfig(),
-                    encoder: EncoderConfig = EncoderConfig(), validation=None):
+                    encoder: EncoderConfig = EncoderConfig(), validation=None, *,
+                    tasks=TASKS, finetune_epochs: int = 1, until_convergence: bool = False,
+                    patience: int = 3, max_epochs: int = 50):
     """Two-phase training: interleaved multitask epochs, then QE-only fine-tuning.
 
-    Phase 1 runs ``config.epochs`` epochs (or until validation Pearson
-    stops improving when ``until_convergence`` is set).  Within an epoch,
-    batches from the enabled tasks are interleaved round-robin; the
-    largest enabled dataset defines the epoch and shorter ones are
-    reshuffled and recycled.  Phase 2 runs ``finetune_epochs`` epochs on
-    QE only, updating the backbone and QE head; the STS and NLI heads
-    are untouched.
+    Phase 1 trains ``tasks`` (a non-empty subset of ``TASKS``, run in
+    ``TASKS`` order) for ``config.epochs`` epochs, or, with
+    ``until_convergence``, until validation Pearson has not improved for
+    ``patience`` epochs (at most ``max_epochs``), keeping the best
+    epoch's weights.  Within an epoch, batches from the tasks are
+    interleaved round-robin; the largest dataset defines the epoch and
+    shorter ones are reshuffled and recycled.  Phase 2 runs
+    ``finetune_epochs`` epochs on QE only, updating the backbone and QE
+    head; the STS and NLI heads are untouched.
 
     Returns (EncoderModel, HeadSet, history) where history is a list of
     ``{"epoch", "task", "mean_loss"}`` rows.
     """
+    requested = tuple(tasks)
+    tasks = tuple(t for t in TASKS if t in requested)
+    if not tasks or len(tasks) != len(requested):
+        raise ValueError(f"tasks must be a non-empty subset of {TASKS} with no repeats")
+    if finetune_epochs < 0:
+        raise ValueError("finetune_epochs must be >= 0")
+    if patience < 1 or max_epochs < 1:
+        raise ValueError("patience and max_epochs must be >= 1")
     raw = {"qe": qe, "sts": sts, "nli": nli}
-    for task in config.tasks:
+    for task in tasks:
         if not raw[task]:
             raise ConfigError(f"task {task!r} is enabled but its dataset is empty")
-    if config.finetune_epochs > 0 and not raw["qe"]:
+    if finetune_epochs > 0 and not raw["qe"]:
         raise ConfigError("fine-tuning requires a QE dataset")
-    if config.until_convergence and validation is None:
+    if until_convergence and validation is None:
         raise ConfigError("until_convergence training requires a validation set")
 
     featurizer = encoder.featurizer
@@ -237,7 +232,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     # Only the tasks that train get a stream; each stream's RNG is seeded
     # by its own task tag, so skipping the others changes no model.
     streams = {}
-    for task in config.tasks + (("qe",) if config.finetune_epochs > 0 else ()):
+    for task in tasks + (("qe",) if finetune_epochs > 0 else ()):
         if task not in streams:
             is_nli = task == "nli"
             a, b, y = (as_nli_data if is_nli else as_pair_scores)(raw[task])
@@ -245,7 +240,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
                          else partial(regression_batch, params, task))
             streams[task] = _stream(config, _TAG_STREAM[task], objective,
                                     *_featurize_sides(a, b, featurizer), y)
-    phase1 = {task: streams[task] for task in config.tasks}
+    phase1 = {task: streams[task] for task in tasks}
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
@@ -261,11 +256,11 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     adam = Adam(config.learning_rate)
     history = []
     epoch = 0
-    if config.until_convergence:
+    if until_convergence:
         best_score = float("-inf")
         best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
         wait = 0
-        while epoch < config.max_epochs and wait < config.patience:
+        while epoch < max_epochs and wait < patience:
             epoch += 1
             _run_epochs(params, adam, phase1, 1, history, epoch)
             score = validation_pearson()
@@ -282,8 +277,8 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
         _run_epochs(params, adam, phase1, config.epochs, history)
         epoch = config.epochs
 
-    if config.finetune_epochs:
-        _run_epochs(params, adam, {"qe": streams["qe"]}, config.finetune_epochs, history, epoch + 1)
+    if finetune_epochs:
+        _run_epochs(params, adam, {"qe": streams["qe"]}, finetune_epochs, history, epoch + 1)
 
     model = EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
     heads = HeadSet(params["qe_w"], params["qe_b"], params["sts_w"], params["sts_b"], params["nli_w"])
@@ -291,13 +286,15 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
 
 
 def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
-                     contrastive: ContrastiveConfig = ContrastiveConfig(),
-                     encoder: EncoderConfig = EncoderConfig()):
+                     margin: float = 1.0, encoder: EncoderConfig = EncoderConfig()):
     """Train a fresh sentence encoder contrastively on matched/mismatched pairs.
 
-    Positives carry label 1 (pushed toward the margin), negatives label 0
-    (pushed toward zero cosine).  Returns (EncoderModel, history).
+    Positives carry label 1 (pushed toward ``margin``, in (0, 1] since a
+    cosine is bounded by 1), negatives label 0 (pushed toward zero
+    cosine).  Returns (EncoderModel, history).
     """
+    if not 0.0 < margin <= 1.0:
+        raise ValueError(f"margin must lie in (0,1], got {margin}")
     pos = as_text_pairs(positives)
     neg = as_text_pairs(negatives)
     if not pos or not neg:
@@ -307,7 +304,7 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     featurizer = encoder.featurizer
     Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
-    objective = partial(contrastive_batch, params, margin=contrastive.margin)
+    objective = partial(contrastive_batch, params, margin=margin)
     streams = {"contrastive": _stream(config, _TAG_FILTER, objective, Xa, Xb, y)}
     history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
     model = EncoderModel(featurizer, params["W1"], params["b1"], params["W2"], params["b2"])
@@ -401,11 +398,6 @@ class GradCheckReport:
     @property
     def max_error(self) -> float:
         return max(self.errors.values()) if self.errors else 0.0
-
-    def to_csv(self) -> str:
-        lines = ["block,max_rel_error"]
-        lines += [f"{name},{err!r}" for name, err in sorted(self.errors.items())]
-        return "\n".join(lines) + "\n"
 
 
 GRAD_CHECK_KINDS = ("qe-mse", "sts-mse", "nli-ce", "contrastive", "alignment")

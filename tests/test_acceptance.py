@@ -142,12 +142,10 @@ def test_criterion_05_alignment_effect():
     parallel = generate_parallel(SYNTH, 2000)
     backbone, _, _ = multitask_train(
         qe=generate_qe(SYNTH, 1000),
-        config=TrainConfig(epochs=1, finetune_epochs=0, tasks=("qe",), seed=5),
-        encoder=DESK_ENCODER,
+        config=TrainConfig(epochs=1, seed=5),
+        encoder=DESK_ENCODER, tasks=("qe",), finetune_epochs=0,
     )
-    _, report = align_encoders(
-        backbone, parallel, TrainConfig(epochs=3, finetune_epochs=0, seed=5)
-    )
+    _, report = align_encoders(backbone, parallel, TrainConfig(epochs=3, seed=5))
     elapsed = time.monotonic() - started
     gain = report.cosine_after - report.cosine_before
     assert gain >= 0.2, report
@@ -271,19 +269,19 @@ def test_criterion_10_schedule_contracts(tiny_qe_records):
 
     # phase-2 freeze: STS/NLI heads bitwise unchanged by fine-tuning
     base = multitask_train(qe=tiny_qe_records, sts=sts, nli=nli,
-                           config=TrainConfig(epochs=2, finetune_epochs=0, batch_size=4, seed=9),
-                           encoder=encoder)
+                           config=TrainConfig(epochs=2, batch_size=4, seed=9),
+                           encoder=encoder, finetune_epochs=0)
     tuned = multitask_train(qe=tiny_qe_records, sts=sts, nli=nli,
-                            config=TrainConfig(epochs=2, finetune_epochs=2, batch_size=4, seed=9),
-                            encoder=encoder)
+                            config=TrainConfig(epochs=2, batch_size=4, seed=9),
+                            encoder=encoder, finetune_epochs=2)
     assert base[1].sts_w.tobytes() == tuned[1].sts_w.tobytes()
     assert base[1].sts_b.tobytes() == tuned[1].sts_b.tobytes()
     assert base[1].nli_w.tobytes() == tuned[1].nli_w.tobytes()
 
     # qe-only schedule: identical loss trace to a dedicated single-task loop
-    config = TrainConfig(epochs=3, finetune_epochs=0, batch_size=4, tasks=("qe",), seed=3)
-    _, _, history = multitask_train(qe=tiny_qe_records, sts=sts, nli=nli,
-                                    config=config, encoder=encoder)
+    config = TrainConfig(epochs=3, batch_size=4, seed=3)
+    _, _, history = multitask_train(qe=tiny_qe_records, sts=sts, nli=nli, config=config,
+                                    encoder=encoder, tasks=("qe",), finetune_epochs=0)
     y = np.array([r.score for r in tiny_qe_records])
     Xa = featurize_all([r.source for r in tiny_qe_records], encoder.featurizer)
     Xb = featurize_all([r.target for r in tiny_qe_records], encoder.featurizer)

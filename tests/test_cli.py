@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import re
@@ -6,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import qemine.cli
-from qemine.cli import main
+from qemine.cli import build_parser, main
 from qemine.corpus import load_qe
 from qemine.stats import pearson
+from qemine.training import grad_check
 
 NET = ["--features", "512", "--hidden", "8", "--dim", "6"]
 
@@ -99,6 +102,25 @@ class TestExitCodes:
         assert _manifests(tmp_path) == ["corpus.manifest.json"]
 
 
+class TestParser:
+    def test_every_flag_is_read_by_its_command(self):
+        """Each subcommand flag's ``args.<dest>`` appears in that command's
+        ``_cmd_*`` source, so no command accepts a flag it ignores."""
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for name, parser in subcommands.choices.items():
+            source = inspect.getsource(parser.get_default("func"))
+            unread += [(name, action.dest) for action in parser._actions
+                       if not isinstance(action, argparse._HelpAction)
+                       and f"args.{action.dest}" not in source]
+        assert unread == []
+
+    def test_seed_on_a_command_without_randomness_is_usage_error(self, capsys):
+        assert _run(["t-tail", "--t", 1.5, "--df", 3, "--seed", 1]) == 1
+        assert _run(["t-tail", "--t", 1.5, "--df", 3]) == 0
+
+
 class TestSynth:
     def test_writes_all_formats_and_manifest(self, synth_prefix):
         for suffix in (".qe.tsv", ".parallel.tsv", ".tatoeba.src", ".tatoeba.tgt",
@@ -146,7 +168,7 @@ class TestTrainPipeline:
         predictions = tmp_path / "pred.tsv"
         assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model,
                      "--out", predictions]) == 0
-        _check_manifest(predictions, "eval-qe", 42, [f"{synth_prefix}.qe.tsv", model],
+        _check_manifest(predictions, "eval-qe", None, [f"{synth_prefix}.qe.tsv", model],
                         [predictions])
         reported = float(capsys.readouterr().out.strip().split("=")[1])
         predicted = [r.score for r in load_qe(predictions)]
@@ -222,7 +244,7 @@ class TestMineCli:
             assert int(row) >= 0 and int(col) >= 0
             assert math.isfinite(float(score))
         assert "accuracy" in capsys.readouterr().err
-        _check_manifest(out, "mine-tatoeba", 42,
+        _check_manifest(out, "mine-tatoeba", None,
                         [f"{synth_prefix}.tatoeba.src", f"{synth_prefix}.tatoeba.tgt", model],
                         [out])
 
@@ -337,7 +359,7 @@ class TestStatsCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 60
-        _check_manifest(out, "hist", 42, [f"{synth_prefix}.qe.tsv"], [out])
+        _check_manifest(out, "hist", None, [f"{synth_prefix}.qe.tsv"], [out])
 
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
@@ -351,6 +373,9 @@ class TestStatsCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "block,max_rel_error"
         assert all(float(line.split(",")[1]) < 1e-3 for line in lines[1:])
+        # one row per parameter block, in block order, with the report's errors
+        report = grad_check("contrastive", seed=1)
+        assert lines[1:] == [f"{block},{err!r}" for block, err in sorted(report.errors.items())]
         _check_manifest(out, "gradcheck", 1, [], [out])
 
         monkeypatch.chdir(tmp_path)

@@ -28,13 +28,13 @@ class TestAdam:
         assert np.array_equal(params["w"], [1.0, -2.0, 3.0])
 
     def test_constant_gradient_matches_scalar_recurrence(self):
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr = 1e-3
         g = 0.37
         theta = 1.5
-        expected = _scalar_adam(theta, g, 25, lr, b1, b2, eps)
+        expected = _scalar_adam(theta, g, 25, lr)
 
         params = {"w": np.array([theta])}
-        adam = Adam(lr, b1, b2, eps)
+        adam = Adam(lr)
         for _ in range(25):
             adam.step(params, {"w": np.array([g])})
         assert params["w"][0] == pytest.approx(expected, abs=1e-12)

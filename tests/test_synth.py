@@ -68,7 +68,7 @@ class TestCipher:
             assert set("".join(record.target.split())) <= set("nopqrstuvwxyz")
 
     def test_sentence_lengths_in_range(self):
-        config = SynthConfig(min_words=3, max_words=12, seed=6)
+        config = SynthConfig(seed=6)
         for record in generate_qe(config, 100):
             assert 3 <= len(record.source.split()) <= 12
 

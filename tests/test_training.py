@@ -15,7 +15,6 @@ from qemine.optim import Adam
 from qemine.synth import SynthConfig, generate_parallel, generate_qe
 from qemine.training import (
     GRAD_CHECK_KINDS,
-    ContrastiveConfig,
     TrainConfig,
     _batches,
     _rng,
@@ -60,12 +59,6 @@ class TestGradCheck:
             report = grad_check(kind, seed=seed)
             assert report.max_error < 1e-3, (kind, seed, report.errors)
 
-    def test_report_csv_shape(self):
-        report = grad_check("qe-mse", seed=0)
-        lines = report.to_csv().strip().split("\n")
-        assert lines[0] == "block,max_rel_error"
-        assert len(lines) == 1 + len(report.errors)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             grad_check("bleu")
@@ -88,10 +81,10 @@ class TestMultitaskSchedule:
         """tasks=('qe',) must reduce to a plain QE loop, reproduced here
         from the documented schedule: one seeded permutation stream,
         sequential batches, mean-loss updates."""
-        config = TrainConfig(epochs=2, finetune_epochs=0, batch_size=5,
-                             tasks=("qe",), seed=3)
+        config = TrainConfig(epochs=2, batch_size=5, seed=3)
         model, heads, history = multitask_train(
-            qe=tiny_qe_records, config=config, encoder=SMALL_ENCODER
+            qe=tiny_qe_records, config=config, encoder=SMALL_ENCODER,
+            tasks=("qe",), finetune_epochs=0,
         )
 
         # independent single-task run
@@ -127,7 +120,7 @@ class TestMultitaskSchedule:
         rng = np.random.default_rng(7)
         sts = _sts_records(rng, 7)
         nli = _nli_records(rng, 17)
-        config = TrainConfig(epochs=2, finetune_epochs=1, batch_size=4, seed=13)
+        config = TrainConfig(epochs=2, batch_size=4, seed=13)
         model, heads, history = multitask_train(
             qe=tiny_qe_records, sts=sts, nli=nli, config=config, encoder=SMALL_ENCODER
         )
@@ -182,25 +175,25 @@ class TestMultitaskSchedule:
 
     def test_disabled_task_data_has_no_effect(self, tiny_qe_records):
         rng = np.random.default_rng(0)
-        config = TrainConfig(epochs=2, finetune_epochs=1, batch_size=4,
-                             tasks=("qe",), seed=11)
+        config = TrainConfig(epochs=2, batch_size=4, seed=11)
         with_extras = multitask_train(
             qe=tiny_qe_records, sts=_sts_records(rng), nli=_nli_records(rng),
-            config=config, encoder=SMALL_ENCODER,
+            config=config, encoder=SMALL_ENCODER, tasks=("qe",),
         )
-        without = multitask_train(qe=tiny_qe_records, config=config, encoder=SMALL_ENCODER)
+        without = multitask_train(qe=tiny_qe_records, config=config, encoder=SMALL_ENCODER,
+                                  tasks=("qe",))
         assert model_to_bytes(*with_extras[:2]) == model_to_bytes(*without[:2])
 
     def test_finetune_only_equals_one_qe_epoch(self, tiny_qe_records):
         only_finetune = multitask_train(
             qe=tiny_qe_records,
-            config=TrainConfig(epochs=0, finetune_epochs=1, batch_size=4, tasks=("qe",), seed=5),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=0, batch_size=4, seed=5),
+            encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=1,
         )
         one_epoch = multitask_train(
             qe=tiny_qe_records,
-            config=TrainConfig(epochs=1, finetune_epochs=0, batch_size=4, tasks=("qe",), seed=5),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=1, batch_size=4, seed=5),
+            encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=0,
         )
         assert model_to_bytes(*only_finetune[:2]) == model_to_bytes(*one_epoch[:2])
 
@@ -210,13 +203,13 @@ class TestMultitaskSchedule:
         nli = _nli_records(rng, 8)
         frozen = multitask_train(
             qe=tiny_qe_records, sts=sts, nli=nli,
-            config=TrainConfig(epochs=1, finetune_epochs=0, batch_size=4, seed=9),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=1, batch_size=4, seed=9),
+            encoder=SMALL_ENCODER, finetune_epochs=0,
         )
         tuned = multitask_train(
             qe=tiny_qe_records, sts=sts, nli=nli,
-            config=TrainConfig(epochs=1, finetune_epochs=3, batch_size=4, seed=9),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=1, batch_size=4, seed=9),
+            encoder=SMALL_ENCODER, finetune_epochs=3,
         )
         assert np.array_equal(frozen[1].sts_w, tuned[1].sts_w)
         assert np.array_equal(frozen[1].sts_b, tuned[1].sts_b)
@@ -229,8 +222,8 @@ class TestMultitaskSchedule:
         rng = np.random.default_rng(2)
         _, _, history = multitask_train(
             qe=tiny_qe_records, sts=_sts_records(rng), nli=_nli_records(rng),
-            config=TrainConfig(epochs=2, finetune_epochs=1, batch_size=4, seed=1),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=2, batch_size=4, seed=1),
+            encoder=SMALL_ENCODER, finetune_epochs=1,
         )
         assert [(row["epoch"], row["task"]) for row in history] == [
             (1, "qe"), (1, "sts"), (1, "nli"),
@@ -245,9 +238,8 @@ class TestMultitaskSchedule:
         sts = _sts_records(rng, 3)  # much smaller than qe
         _, _, history = multitask_train(
             qe=tiny_qe_records, sts=sts,
-            config=TrainConfig(epochs=1, finetune_epochs=0, batch_size=4,
-                               tasks=("qe", "sts"), seed=2),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=1, batch_size=4, seed=2),
+            encoder=SMALL_ENCODER, tasks=("qe", "sts"), finetune_epochs=0,
         )
         sts_row = next(r for r in history if r["task"] == "sts")
         # 3 slots x up to 4 examples from a 3-element set: recycled past one pass
@@ -257,48 +249,43 @@ class TestMultitaskSchedule:
         records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=21), 120)
         _, _, history = multitask_train(
             qe=records,
-            config=TrainConfig(epochs=4, finetune_epochs=0, batch_size=16,
-                               tasks=("qe",), seed=4, learning_rate=3e-3),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=4, batch_size=16, seed=4, learning_rate=3e-3),
+            encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=0,
         )
         losses = [row["mean_loss"] for row in history]
         assert losses[-1] < losses[0]
 
     def test_empty_enabled_dataset_rejected(self, tiny_qe_records):
         with pytest.raises(ConfigError):
-            multitask_train(qe=tiny_qe_records,
-                            config=TrainConfig(tasks=("qe", "sts")),
-                            encoder=SMALL_ENCODER)
+            multitask_train(qe=tiny_qe_records, encoder=SMALL_ENCODER, tasks=("qe", "sts"))
 
     def test_finetune_without_qe_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ConfigError):
-            multitask_train(sts=_sts_records(rng),
-                            config=TrainConfig(tasks=("sts",), finetune_epochs=1),
-                            encoder=SMALL_ENCODER)
+            multitask_train(sts=_sts_records(rng), encoder=SMALL_ENCODER,
+                            tasks=("sts",), finetune_epochs=1)
 
     def test_determinism(self, tiny_qe_records):
         rng = np.random.default_rng(6)
         sts = _sts_records(rng)
         kwargs = dict(qe=tiny_qe_records, sts=sts,
-                      config=TrainConfig(epochs=2, batch_size=4, tasks=("qe", "sts"), seed=33),
-                      encoder=SMALL_ENCODER)
+                      config=TrainConfig(epochs=2, batch_size=4, seed=33),
+                      encoder=SMALL_ENCODER, tasks=("qe", "sts"))
         first = multitask_train(**kwargs)
         second = multitask_train(**kwargs)
         assert model_to_bytes(*first[:2]) == model_to_bytes(*second[:2])
 
     def test_until_convergence_stops_and_needs_validation(self, tiny_qe_records):
         with pytest.raises(ConfigError):
-            multitask_train(qe=tiny_qe_records,
-                            config=TrainConfig(tasks=("qe",), until_convergence=True),
-                            encoder=SMALL_ENCODER)
+            multitask_train(qe=tiny_qe_records, encoder=SMALL_ENCODER,
+                            tasks=("qe",), until_convergence=True)
         records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 80)
         validation = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)[80:]
         _, _, history = multitask_train(
             qe=records,
-            config=TrainConfig(tasks=("qe",), until_convergence=True, patience=2,
-                               max_epochs=6, finetune_epochs=0, batch_size=16, seed=1),
+            config=TrainConfig(batch_size=16, seed=1),
             encoder=SMALL_ENCODER,
+            tasks=("qe",), until_convergence=True, patience=2, max_epochs=6, finetune_epochs=0,
             validation=validation,
         )
         assert 1 <= max(r["epoch"] for r in history) <= 6
@@ -318,14 +305,40 @@ class TestMultitaskSchedule:
         validation = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)[80:]
         _, _, history = multitask_train(
             qe=records,
-            config=TrainConfig(tasks=("qe",), until_convergence=True, patience=1,
-                               max_epochs=4, finetune_epochs=1, batch_size=16, seed=1),
+            config=TrainConfig(batch_size=16, seed=1),
             encoder=SMALL_ENCODER,
+            tasks=("qe",), until_convergence=True, patience=1, max_epochs=4, finetune_epochs=1,
             validation=validation,
         )
         phase1_epochs = max(r["epoch"] for r in history) - 1
         assert len(layouts) == (phase1_epochs + 1) * 5
         assert all(layouts)
+
+
+_QE = [("kafo melo", "norz quvo", 0.4), ("rusk", "tavo", 0.6)]
+_PAIRS = [("kafo melo", "norz quvo"), ("rusk", "tavo")]
+
+
+@pytest.mark.parametrize("train, message", [
+    (lambda: multitask_train(qe=_QE, tasks=("qe", "bleu")), "tasks"),
+    (lambda: multitask_train(qe=_QE, tasks=("qe", "qe")), "tasks"),
+    (lambda: multitask_train(qe=_QE, tasks=()), "tasks"),
+    (lambda: TrainConfig(epochs=-1), "epochs"),
+    (lambda: multitask_train(qe=_QE, finetune_epochs=-1), "finetune_epochs"),
+    (lambda: TrainConfig(batch_size=0), "batch_size"),
+    (lambda: multitask_train(qe=_QE, tasks=("qe",), until_convergence=True,
+                             validation=_QE, patience=0), "patience"),
+    (lambda: multitask_train(qe=_QE, tasks=("qe",), until_convergence=True,
+                             validation=_QE, max_epochs=0), "max_epochs"),
+    (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=0.0), "margin"),
+    (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=-0.5), "margin"),
+    (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=1.5), "margin"),
+], ids=["unknown-task", "repeated-task", "no-task", "epochs", "finetune-epochs",
+        "batch-size", "patience", "max-epochs", "margin-zero", "margin-negative",
+        "margin-above-one"])
+def test_invalid_setting_raises_value_error(train, message):
+    with pytest.raises(ValueError, match=message):
+        train()
 
 
 class TestBatchStream:
@@ -353,7 +366,7 @@ class TestFiltration:
         model, _ = train_filtration(
             positives, negatives,
             TrainConfig(epochs=4, batch_size=16, seed=2, learning_rate=3e-3),
-            ContrastiveConfig(1.0),
+            1.0,
             SMALL_ENCODER,
         )
         params = model.params()
@@ -372,7 +385,7 @@ class TestFiltration:
     def test_deterministic(self):
         positives, negatives = self._sets(seed=32)
         args = (positives, negatives, TrainConfig(epochs=2, batch_size=16, seed=8),
-                ContrastiveConfig(1.0), SMALL_ENCODER)
+                1.0, SMALL_ENCODER)
         first, _ = train_filtration(*args)
         second, _ = train_filtration(*args)
         assert model_to_bytes(first) == model_to_bytes(second)
@@ -380,7 +393,7 @@ class TestFiltration:
     def test_empty_sets_rejected(self):
         positives, _ = self._sets()
         with pytest.raises(ConfigError):
-            train_filtration(positives, [], TrainConfig(), ContrastiveConfig(), SMALL_ENCODER)
+            train_filtration(positives, [], TrainConfig(), encoder=SMALL_ENCODER)
 
 
 class TestFeaturizeOnce:
@@ -408,24 +421,25 @@ class TestFeaturizeOnce:
         qe += [(qe[0][0], qe[1][1], 0.3), (qe[2][1], qe[2][1], 0.8)]
         validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
                       ("rusk", "kafo melo", 0.5)]
-        config = TrainConfig(epochs=1, finetune_epochs=1, batch_size=4, tasks=("qe",), seed=5)
+        config = TrainConfig(epochs=1, batch_size=4, seed=5)
         trained = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
-                                  validation=validation)
+                                  validation=validation, tasks=("qe",))
         texts = {t for row in qe + validation for t in row[:2]}
         assert featurized == Counter(texts)
 
         self._every_text_featurized(monkeypatch)
         reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
-                                    validation=validation)
+                                    validation=validation, tasks=("qe",))
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
 
     def test_multitask_train_skips_disabled_tasks(self, tiny_qe_records, featurized):
         qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
         sts = [(f"sts left {k}", f"sts right {k}", 0.5) for k in range(50)]
-        config = TrainConfig(epochs=1, finetune_epochs=1, batch_size=4, tasks=("qe",), seed=5)
-        trained = multitask_train(qe=qe, sts=sts, config=config, encoder=SMALL_ENCODER)
+        config = TrainConfig(epochs=1, batch_size=4, seed=5)
+        trained = multitask_train(qe=qe, sts=sts, config=config, encoder=SMALL_ENCODER,
+                                  tasks=("qe",))
         assert featurized == Counter({t for row in qe for t in row[:2]})
-        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER)
+        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER, tasks=("qe",))
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
 
     def test_train_filtration(self, featurized, monkeypatch):
@@ -434,7 +448,7 @@ class TestFeaturizeOnce:
         negatives = [(a, b) for (a, _), (_, b) in zip(positives, positives[1:] + positives[:1])]
         negatives += [positives[0], (positives[3][1], positives[3][1])]
         args = (positives, negatives, TrainConfig(epochs=1, batch_size=8, seed=2),
-                ContrastiveConfig(0.9), SMALL_ENCODER)
+                0.9, SMALL_ENCODER)
         trained, _ = train_filtration(*args)
         assert featurized == Counter({t for pair in positives + negatives for t in pair})
 
@@ -447,8 +461,8 @@ class TestAlignment:
         records = generate_qe(SynthConfig(vocab_size=40, corruption_rate=0.3, seed=seed), 100)
         model, _, _ = multitask_train(
             qe=records,
-            config=TrainConfig(epochs=1, finetune_epochs=0, tasks=("qe",), batch_size=16, seed=seed),
-            encoder=SMALL_ENCODER,
+            config=TrainConfig(epochs=1, batch_size=16, seed=seed),
+            encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=0,
         )
         return model
 
@@ -490,14 +504,12 @@ def _feature_predict(model, pairs):
 
 class TestFeatureStack:
     def _backbones(self, records):
-        config = TrainConfig(epochs=1, finetune_epochs=0, tasks=("qe",), batch_size=16, seed=1)
         out = []
         for seed in (1, 2, 3):
             model, _, _ = multitask_train(
                 qe=records,
-                config=TrainConfig(epochs=1, finetune_epochs=0, tasks=("qe",),
-                                   batch_size=16, seed=seed),
-                encoder=SMALL_ENCODER,
+                config=TrainConfig(epochs=1, batch_size=16, seed=seed),
+                encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=0,
             )
             out.append(model)
         return out
