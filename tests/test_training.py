@@ -59,6 +59,17 @@ class TestGradCheck:
             report = grad_check(kind, seed=seed)
             assert report.max_error < 1e-3, (kind, seed, report.errors)
 
+    def test_report_csv_shape(self, tmp_path):
+        # the gradcheck command is the one CSV writer: a header, then one row per block
+        from qemine.cli import main
+
+        report = grad_check("qe-mse", seed=0)
+        out = tmp_path / "gc.csv"
+        assert main(["gradcheck", "--loss", "qe-mse", "--seed", "0", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "block,max_rel_error"
+        assert len(lines) == 1 + len(report.errors)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             grad_check("bleu")
