@@ -14,7 +14,9 @@ float32 models train and score in float32 and the gradient checker can
 run the same code in float64.  ``W1`` has shape (H, F) and is
 feature-major: the F-ordered view of a C-contiguous (F, H) array.
 ``X.dot(W1.T)`` then runs without copying the block, and one feature
-column of ``W1`` is one contiguous row of ``W1.T``.
+column of ``W1`` is one contiguous row of ``W1.T``.  ``init_params``
+draws that (F, H) block directly, uniform with std 0.5: a hidden unit
+sums ~100 feature-weighted entries, so only their variance matters.
 
 Every *_batch function returns per-example losses plus the gradient of
 the batch MEAN loss; the gradient checker in ``training`` verifies the
@@ -36,33 +38,23 @@ from .model import EncoderConfig, HeadSet
 from .optim import ColumnGrad
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Seeded float32 parameter dict with a feature-major ``W1``; heads
-    start at zero (neutral outputs)."""
-    n_features = config.featurizer.n_features
-    hidden = config.hidden_units
-    dim = config.embedding_dim
+    """Seeded float32 parameter dict; heads start at zero (neutral outputs).
+
+    ``W1`` is drawn in float32 straight into its (F, H) block, uniform on
+    [-√3/2, √3/2) (std 0.5): a hidden pre-activation sums many normalized
+    feature weights times entries, so only their variance reaches the tanh.
+    """
+    hidden, dim = config.hidden_units, config.embedding_dim
+    w1 = rng.random((config.featurizer.n_features, hidden), dtype=np.float32)
+    w1 -= np.float32(0.5)
+    w1 *= np.float32(np.sqrt(3.0))
     params = {
-        "W1": _feature_major_f32(rng.normal(0.0, 0.5, size=(hidden, n_features))),
+        "W1": w1.T,
         "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(dim, hidden)).astype(np.float32),
         "b1": np.zeros(hidden, dtype=np.float32),
         "b2": np.zeros(dim, dtype=np.float32),
     }
     return {**params, **HeadSet.zeros(dim).params()}
-
-
-def _feature_major_f32(draws: np.ndarray) -> np.ndarray:
-    """``np.asfortranarray(draws, dtype=np.float32)``, cast tile by tile.
-
-    The transposing cast reads ``draws`` by rows and writes the C-ordered
-    (F, H) block by rows; a 32 × 128 tile keeps both sides of each copy
-    in cache, which a whole-array copy does not at the default sizes.
-    """
-    rows, cols = draws.shape
-    out = np.empty((cols, rows), dtype=np.float32)
-    for i in range(0, rows, 32):
-        for j in range(0, cols, 128):
-            out[j : j + 128, i : i + 32] = draws[i : i + 32, j : j + 128].T
-    return out.T
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

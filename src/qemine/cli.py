@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nli", help="NLI TSV path")
     p.add_argument("--validation", help="QE TSV used for convergence checks")
     p.add_argument("--tasks", default="qe,sts,nli")
-    p.add_argument("--epochs", type=int, default=3)
+    p.add_argument("--epochs", type=int, help="multitask epochs (default 3)")
     p.add_argument("--finetune-epochs", type=int, default=1)
     p.add_argument("--until-convergence", action="store_true")
     p.add_argument("--normalize", action="store_true", help="min-max rescale QE scores")
@@ -448,6 +448,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "mine-bucc" and args.threshold == "auto" and not args.train_gold:
             parser.error("the auto threshold cannot be resolved without --train-gold")
+        if args.command == "train" and args.until_convergence and args.epochs is not None:
+            parser.error("--epochs cannot be combined with --until-convergence")
+        if args.command == "train" and args.epochs is None:
+            args.epochs = 3
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

@@ -206,6 +206,9 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     ``finetune_epochs`` epochs on QE only, updating the backbone and QE
     head; the STS and NLI heads are untouched.
 
+    A fixed phase 1 reads ``config.epochs``, not ``patience`` or
+    ``max_epochs``; ``until_convergence`` reads those two, not ``epochs``.
+
     Returns (EncoderModel, HeadSet, history) where history is a list of
     ``{"epoch", "task", "mean_loss"}`` rows.
     """

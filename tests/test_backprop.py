@@ -1,6 +1,7 @@
 """The batched training engine must agree with the per-example operations."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,23 +281,48 @@ class TestCosineGrid:
 
 class TestInitParams:
     @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (64, 256), (130, 4096)])
-    def test_feature_major_cast_equals_asfortranarray(self, shape):
-        draws = np.random.default_rng(0).normal(0.0, 0.5, size=shape)
-        tiled = backprop._feature_major_f32(draws)
-        expected = np.asfortranarray(draws, dtype=np.float32)
-        assert tiled.dtype == expected.dtype and tiled.shape == expected.shape
-        assert tiled.tobytes(order="A") == expected.tobytes(order="A")
+    def test_w1_is_a_feature_major_float32_block(self, shape):
+        # W1 is the transpose of the C-ordered (F, H) block it was drawn
+        # into: the layout np.asfortranarray would give, with no copy made.
+        hidden, n_features = shape
+        encoder = EncoderConfig(FeaturizerConfig((1,), n_features, 0), hidden_units=hidden,
+                                embedding_dim=2)
+        w1 = backprop.init_params(encoder, np.random.default_rng(0))["W1"]
+        expected = np.asfortranarray(w1)
+        assert w1.dtype == np.float32 and w1.shape == shape
         for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE", "ALIGNED"):
-            assert tiled.flags[flag] == expected.flags[flag], flag
+            assert w1.flags[flag] == expected.flags[flag], flag
+
+    def test_w1_draw_peaks_at_its_own_bytes(self):
+        # The draw is made in W1's own dtype and layout, so no transient
+        # array as large as W1 is allocated on the way.
+        encoder = EncoderConfig(FeaturizerConfig((1,), 8192, 0), hidden_units=256,
+                                embedding_dim=8)
+        tracemalloc.start()
+        try:
+            w1 = backprop.init_params(encoder, np.random.default_rng(1))["W1"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * w1.nbytes
+
+    def test_w1_entries_are_uniform_with_std_one_half(self):
+        encoder = EncoderConfig(FeaturizerConfig((1,), 8192, 0), hidden_units=256,
+                                embedding_dim=8)
+        w1 = backprop.init_params(encoder, np.random.default_rng(2))["W1"].astype(np.float64)
+        half_width = np.sqrt(3.0) / 2.0
+        assert w1.min() >= -half_width and w1.max() < half_width
+        assert abs(w1.mean()) < 0.005
+        assert abs(w1.std() - 0.5) <= 0.005
 
     def test_w1_digest_is_pinned(self):
-        # The SHA-256 of W1 as a whole-array np.asfortranarray cast made
-        # it; a change to the draws or the cast (and so to every model's
-        # bytes) fails here.  No BLAS is called, so the digest holds on
-        # every machine.
+        # The SHA-256 of W1's (F, H) block; a change to the draw (and so
+        # to every model's bytes) fails here.  No BLAS is called, so the
+        # digest holds on every machine whose numpy gives the same
+        # Generator.random float32 stream.
         encoder = EncoderConfig(FeaturizerConfig((1, 2, 3), 512, 0), hidden_units=40,
                                 embedding_dim=6)
         w1 = backprop.init_params(encoder, np.random.default_rng(7))["W1"]
         assert w1.shape == (40, 512) and w1.dtype == np.float32 and w1.flags.f_contiguous
         assert hashlib.sha256(w1.T.tobytes()).hexdigest() == (
-            "1936266abeb67c48c1f17b132664757481644c33e428c2fab4df334649918df7")
+            "67af9c5b8d95e562e0000967e51edfc61c7ced87cd90e17011e8bf27a67d38d0")

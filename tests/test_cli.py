@@ -101,6 +101,15 @@ class TestExitCodes:
         assert "train-gold" in capsys.readouterr().err
         assert _manifests(tmp_path) == ["corpus.manifest.json"]
 
+    def test_epochs_with_until_convergence_is_usage_error(self, synth_prefix, tmp_path, capsys):
+        code = _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
+                     "--validation", f"{synth_prefix}.qe.tsv", "--until-convergence",
+                     "--epochs", 2, "--out", tmp_path / "model.qem", *NET])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--epochs" in err and "--until-convergence" in err
+        assert _manifests(tmp_path) == ["corpus.manifest.json"]
+
 
 class TestParser:
     def test_every_flag_is_read_by_its_command(self):
@@ -153,6 +162,15 @@ class TestTrainPipeline:
         assert len(lines) == 4  # 2 multitask epochs + 1 fine-tune, qe only
         manifest = json.loads((tmp_path / "model.qem.manifest.json").read_text())
         assert manifest["command"] == "train"
+
+    def test_train_defaults_to_three_epochs(self, synth_prefix, tmp_path):
+        history = tmp_path / "history.csv"
+        assert _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
+                     "--finetune-epochs", 0, "--history", history,
+                     "--out", tmp_path / "model.qem", *NET]) == 0
+        assert len(history.read_text().strip().split("\n")) == 4  # header + 3 epochs
+        manifest = json.loads((tmp_path / "model.qem.manifest.json").read_text())
+        assert manifest["config"]["epochs"] == 3
 
     def test_train_byte_identical_across_runs(self, synth_prefix, tmp_path):
         args = ["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
