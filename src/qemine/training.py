@@ -206,8 +206,9 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     ``finetune_epochs`` epochs on QE only, updating the backbone and QE
     head; the STS and NLI heads are untouched.
 
-    A fixed phase 1 reads ``config.epochs``, not ``patience`` or
-    ``max_epochs``; ``until_convergence`` reads those two, not ``epochs``.
+    A fixed phase 1 reads ``config.epochs``, not ``patience``,
+    ``max_epochs`` or ``validation`` (which it checks but never
+    featurizes); ``until_convergence`` reads those three, not ``epochs``.
 
     Returns (EncoderModel, HeadSet, history) where history is a list of
     ``{"epoch", "task", "mean_loss"}`` rows.
@@ -247,7 +248,6 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
-        vXa, vXb = _featurize_sides(va, vb, featurizer)
 
     def validation_pearson():
         pred, _ = backprop.regression_head(params, "qe", embed(params, vXa), embed(params, vXb))
@@ -260,6 +260,7 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     history = []
     epoch = 0
     if until_convergence:
+        vXa, vXb = _featurize_sides(va, vb, featurizer)
         best_score = float("-inf")
         best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
         wait = 0

@@ -163,9 +163,21 @@ class TestForwardHeads:
             forward_heads(model, HeadSet.zeros(model.embedding_dim), ("a", "b"), "mt")
 
 
+def _blake2b_64(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=8).digest()
+
+
+def _sha256_64(body: bytes) -> bytes:
+    return hashlib.sha256(body).digest()[:8]
+
+
+# The documented digest of each version.
+_SIGNERS = {2: _blake2b_64, 3: _blake2b_64, 4: _sha256_64}
+
+
 def _resign(body: bytes) -> bytes:
-    """A container body followed by its valid checksum."""
-    return body + hashlib.blake2b(body, digest_size=8).digest()
+    """A container body followed by the valid checksum of the version it names."""
+    return body + _SIGNERS[int.from_bytes(body[4:6], "little")](body)
 
 
 # The documented layouts, built by concatenation: magic, version, header,
@@ -263,11 +275,13 @@ class TestModelFile:
         model = _random_model(seed=24)
         heads = _random_heads(model.embedding_dim, seed=25)
         save_model(model, heads, tmp_path / "m.qem")
-        assert (tmp_path / "m.qem").read_bytes() == model_to_bytes(model, heads) \
-            == _documented_qem(model, heads, version=3)
+        written = (tmp_path / "m.qem").read_bytes()
+        assert written == model_to_bytes(model, heads) == _documented_qem(model, heads, version=4)
+        assert written[-8:] == hashlib.sha256(written[:-8]).digest()[:8]
 
         written = _feature_model_bytes(tmp_path / "s.qef")
-        assert written == _documented_qef(load_feature_model(tmp_path / "s.qef"), version=3)
+        assert written == _documented_qef(load_feature_model(tmp_path / "s.qef"), version=4)
+        assert written[-8:] == hashlib.sha256(written[:-8]).digest()[:8]
 
     def test_version_two_files_load_to_identical_weights(self, tmp_path):
         model = _random_model(seed=34)
@@ -286,16 +300,51 @@ class TestModelFile:
     def test_version_two_file_predicts_as_version_three(self, tmp_path):
         model = _random_model(seed=36)
         heads = _random_heads(model.embedding_dim, seed=37)
-        save_model(model, heads, tmp_path / "v3.qem")
+        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
         (tmp_path / "v2.qem").write_bytes(_documented_qem(model, heads, version=2))
         pairs = [("a small example", "another one"), ("", "text"), ("same", "same")]
         expected = MultitaskScorer.load(tmp_path / "v3.qem").predict(pairs)
         assert np.array_equal(MultitaskScorer.load(tmp_path / "v2.qem").predict(pairs), expected)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_three_files_load_to_identical_weights(self, tmp_path):
+        model = _random_model(seed=40)
+        heads = _random_heads(model.embedding_dim, seed=41)
+        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
+        loaded, loaded_heads = load_model(tmp_path / "v3.qem")
+        assert loaded.w1.T.flags.c_contiguous
+        assert model_to_bytes(loaded, loaded_heads) == model_to_bytes(model, heads)
+        save_model(loaded, loaded_heads, tmp_path / "v4.qem")
+        assert (tmp_path / "v4.qem").read_bytes() == _documented_qem(model, heads, version=4)
+
+        _feature_model_bytes(tmp_path / "s.qef")
+        stack = load_feature_model(tmp_path / "s.qef")
+        (tmp_path / "v3.qef").write_bytes(_documented_qef(stack, version=3))
+        save_feature_model(load_feature_model(tmp_path / "v3.qef"), tmp_path / "again.qef")
+        assert (tmp_path / "again.qef").read_bytes() == (tmp_path / "s.qef").read_bytes()
+
+    def test_version_three_file_predicts_as_its_version_four_resave(self, tmp_path):
+        model = _random_model(seed=42)
+        heads = _random_heads(model.embedding_dim, seed=43)
+        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
+        save_model(*load_model(tmp_path / "v3.qem"), tmp_path / "v4.qem")
+        pairs = [("a small example", "another one"), ("", "text"), ("same", "same")]
+        expected = MultitaskScorer.load(tmp_path / "v4.qem").predict(pairs)
+        assert np.array_equal(MultitaskScorer.load(tmp_path / "v3.qem").predict(pairs), expected)
+
+    @pytest.mark.parametrize(("version", "signer"), [(4, _blake2b_64), (3, _sha256_64)],
+                             ids=["v4-blake2b", "v3-sha256"])
+    def test_trailer_of_another_version_is_a_checksum_mismatch(self, model_file, version,
+                                                               signer):
+        blob, load, path = model_file
+        body = blob[:4] + struct.pack("<H", version) + blob[6:-8]
+        path.write_bytes(body + signer(body))
+        with pytest.raises(ModelCorruptionError, match="checksum mismatch"):
+            load(path)
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_load_allocates_one_copy_of_the_weights(self, tmp_path, version):
         """Load holds the file's bytes, the arrays it returns (one copy of
-        W1, made straight from the file buffer in both versions) and the
+        W1, made straight from the file buffer in every version) and the
         one-byte-per-weight mask of the finiteness check.  A second copy of
         W1 would add W1.nbytes."""
         model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
@@ -362,7 +411,9 @@ class TestModelFile:
         blob, load, path = model_file
         padded = blob + b"\x00" * 4
         path.write_bytes(_resign(padded[:-8]) if resign else padded)
-        with pytest.raises(ModelCorruptionError):
+        # Re-signed, the file passes its checksum and reaches the end-of-body check.
+        with pytest.raises(ModelCorruptionError,
+                           match="trailing bytes" if resign else "checksum mismatch"):
             load(path)
 
     @pytest.mark.parametrize("delta", [-1, 1])
@@ -374,7 +425,10 @@ class TestModelFile:
         field = int.from_bytes(blob[6:10], "little") + delta
         blob[6:10] = field.to_bytes(4, "little")
         path.write_bytes(_resign(bytes(blob[:-8])))
-        with pytest.raises(ModelCorruptionError):
+        # QEM's F must stay a power of two; QEF's width sizes the head arrays.
+        header_errors = ("n_features must be a power of two" if path.suffix == ".qem"
+                         else "header promises more data" if delta > 0 else "trailing bytes")
+        with pytest.raises(ModelCorruptionError, match=header_errors):
             load(path)
 
 

@@ -435,13 +435,29 @@ class TestFeaturizeOnce:
         config = TrainConfig(epochs=1, batch_size=4, seed=5)
         trained = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
                                   validation=validation, tasks=("qe",))
-        texts = {t for row in qe + validation for t in row[:2]}
-        assert featurized == Counter(texts)
+        # A fixed-epoch run never reads the validation set, so never featurizes it.
+        assert featurized == Counter({t for row in qe for t in row[:2]})
 
         self._every_text_featurized(monkeypatch)
         reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
                                     validation=validation, tasks=("qe",))
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
+
+    def test_multitask_train_until_convergence(self, tiny_qe_records, featurized, monkeypatch):
+        qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
+        validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
+                      ("rusk", "kafo melo", 0.5), (qe[0][0], "rusk", 0.2)]
+        args = dict(qe=qe, config=TrainConfig(batch_size=4, seed=5), encoder=SMALL_ENCODER,
+                    validation=validation, tasks=("qe",), until_convergence=True,
+                    patience=1, max_epochs=2)
+        trained = multitask_train(**args)
+        # Each distinct text once per side set: a validation text that also
+        # trains is featurized again for validation.
+        assert featurized == Counter({t for row in qe for t in row[:2]}) \
+            + Counter({t for row in validation for t in row[:2]})
+
+        self._every_text_featurized(monkeypatch)
+        assert model_to_bytes(*trained[:2]) == model_to_bytes(*multitask_train(**args)[:2])
 
     def test_multitask_train_skips_disabled_tasks(self, tiny_qe_records, featurized):
         qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
