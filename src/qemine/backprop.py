@@ -9,14 +9,23 @@ Parameters are plain dicts of arrays keyed by block name ('W1', 'b1',
 'W2', 'b2', 'qe_w', 'qe_b', 'sts_w', 'sts_b', 'nli_w'); a model's own
 float32 arrays come from ``EncoderModel.params`` and ``HeadSet.params``.
 Every function computes in the dtype of the parameters it is given:
-the values of a feature matrix and the labels are cast to it, so that
+the values of the features and the labels are cast to it, so that
 float32 models train and score in float32 and the gradient checker can
 run the same code in float64.  ``W1`` has shape (H, F) and is
-feature-major: the F-ordered view of a C-contiguous (F, H) array.
-``X.dot(W1.T)`` then runs without copying the block, and one feature
-column of ``W1`` is one contiguous row of ``W1.T``.  ``init_params``
-draws that (F, H) block directly, uniform with std 0.5: a hidden unit
-sums ~100 feature-weighted entries, so only their variance matters.
+feature-major: the F-ordered view of a C-contiguous (F, H) array, so
+``W1.T`` is that (F, H) array and one feature column of ``W1`` is one
+contiguous row of it.  ``init_params`` draws that block directly,
+uniform with std 0.5: a hidden unit sums ~100 feature-weighted entries,
+so only their variance matters.
+
+The encoder takes ``features.WordFeatures``: a text's normalized bucket
+counts are its weighted word occurrences times each word's gram counts,
+so its hidden pre-activation is the same sum one level up.  The hidden
+layer projects each distinct word its rows use once, ``P = grams @
+W1.T``, and sums the rows of ``P`` per text, ``weights @ P``; both
+sparse products are taken row by row, in stored order, so a hidden row
+depends only on its own text.  Texts share words, so this is less work
+than summing a ``W1`` column per gram bucket of every text.
 
 Every *_batch function returns per-example losses plus the gradient of
 the batch MEAN loss; the gradient checker in ``training`` verifies the
@@ -24,9 +33,9 @@ encoder objectives against central finite differences, and the tests
 check ``feature_head_batch`` the same way.  ``W1``'s gradient is an
 ``optim.ColumnGrad`` over the feature columns the batch uses, which
 ``optim.Adam`` applies lazily; every other block's is a dense array.
-Pair objectives make one encoder pass over the stacked rows [Xa; Xb],
-forward and backward, and add their head's gradients to the dict that
-``embed_backward`` returns.
+Pair objectives make one encoder pass over the joined rows [Xa; Xb] of
+one featurization, forward and backward, and add their head's gradients
+to the dict that ``embed_backward`` returns.
 """
 
 from __future__ import annotations
@@ -58,12 +67,9 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function in ``z``'s dtype; ``exp`` only sees -|z|, so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1, e) / (1 + e)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -72,13 +78,25 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _cast(matrix: sparse.csr_matrix, dtype) -> sparse.csr_matrix:
+    """``matrix`` with its values in ``dtype`` and its entries as stored
+    (scipy's ``astype`` would merge repeated columns and sort each row)."""
+    if matrix.dtype == dtype:
+        return matrix
+    return sparse.csr_matrix((matrix.data.astype(dtype), matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
+
+
 def hidden_layer(params: dict, X) -> np.ndarray:
-    """The tanh hidden layer for a CSR feature matrix.  A row's bits
-    depend only on its own features: the sparse product sums each row's
-    entries in their stored order."""
-    data = X.data.astype(params["W1"].dtype, copy=False)
-    X = sparse.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
-    return np.tanh(X.dot(params["W1"].T) + params["b1"])
+    """The tanh hidden layer for ``WordFeatures``: ``tanh(weights @ (grams
+    @ W1.T) + b1)`` over only the words its rows use.  A row's bits depend
+    only on its own text: each word's projection is summed over its
+    buckets in ascending order, and each row over its words in the text's
+    order."""
+    weights, grams = X.compact
+    dtype = params["W1"].dtype
+    projected = _cast(grams, dtype) @ params["W1"].T
+    return np.tanh(_cast(weights, dtype) @ projected + params["b1"])
 
 
 def output_layer(params: dict, hidden: np.ndarray) -> np.ndarray:
@@ -90,7 +108,7 @@ def output_layer(params: dict, hidden: np.ndarray) -> np.ndarray:
 
 
 def embed_forward(params: dict, X) -> tuple[np.ndarray, np.ndarray]:
-    """Embeddings and the hidden-layer cache for a CSR feature matrix."""
+    """Embeddings and the hidden-layer cache for ``WordFeatures``."""
     hidden = hidden_layer(params, X)
     return output_layer(params, hidden), hidden
 
@@ -103,26 +121,38 @@ def embed_backward(params: dict, X, hidden: np.ndarray, d_emb: np.ndarray) -> di
     """Encoder-block gradients for the embeddings' upstream gradient ``d_emb``.
 
     ``W1``'s gradient is a ``ColumnGrad`` over the feature columns that
-    ``X`` uses: ``X`` is remapped to those k columns and the k×H block
-    is ``Xc.T @ d_pre``, so no F×H array is built.
+    ``X``'s words use: the gradient of each used word's projection is
+    ``weights.T @ d_pre``, and the gram counts, remapped to those k
+    columns, carry it to the k×H block, so no F×H array is built.
     """
     d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
-    cols, local = np.unique(X.indices, return_inverse=True)
-    data = X.data.astype(params["W1"].dtype, copy=False)
-    Xc = sparse.csr_matrix((data, local, X.indptr), shape=(X.shape[0], len(cols)))
+    weights, grams = X.compact
+    dtype = params["W1"].dtype
+    # The used columns and each gram's place among them, by a mask over
+    # the F columns rather than a sort of every gram.
+    used = np.zeros(grams.shape[1], dtype=bool)
+    used[grams.indices] = True
+    cols = np.flatnonzero(used)
+    local = (np.cumsum(used) - 1)[grams.indices]
+    # CSC matrices over the CSR arrays are the transposes, built in one step.
+    per_word = sparse.csc_matrix((weights.data.astype(dtype, copy=False), weights.indices,
+                                  weights.indptr), shape=weights.shape[::-1]) @ d_pre
+    per_column = sparse.csc_matrix((grams.data.astype(dtype, copy=False), local, grams.indptr),
+                                   shape=(len(cols), grams.shape[0])) @ per_word
     return {"b2": d_emb.sum(axis=0), "W2": d_emb.T @ hidden, "b1": d_pre.sum(axis=0),
-            "W1": ColumnGrad(cols, Xc.T.dot(d_pre), params["W1"].shape)}
+            "W1": ColumnGrad(cols, per_column, params["W1"].shape)}
 
 
 def _pair_forward(params: dict, Xa, Xb):
-    """Embeddings of both sides from one forward pass over the stacked rows."""
-    X = sparse.vstack([Xa, Xb], format="csr")
+    """Embeddings of both sides from one forward pass over their joined
+    rows; the sides must be rows of one featurization."""
+    X = Xa.join(Xb)
     u, hidden = embed_forward(params, X)
     return u[: Xa.shape[0]], u[Xa.shape[0] :], (X, hidden)
 
 
 def _pair_backward(params: dict, cache, d_ua: np.ndarray, d_ub: np.ndarray) -> dict:
-    """Encoder-block gradients from one backward pass over the stacked rows."""
+    """Encoder-block gradients from one backward pass over the joined rows."""
     X, hidden = cache
     return embed_backward(params, X, hidden, np.vstack([d_ua, d_ub]))
 

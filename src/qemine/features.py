@@ -1,38 +1,43 @@
-"""Deterministic hashed character n-gram featurization.
+"""Deterministic hashed character n-gram featurization, factored by word.
 
 A sentence is lowercased and split on whitespace; every word is wrapped
 in the boundary marker ``▁`` and character n-grams of the configured
 orders are extracted per word (n-grams never cross word boundaries).
 Each n-gram is hashed with 64-bit FNV-1a over its UTF-8 bytes (the seed
 is XORed into the offset basis) and masked to ``n_features - 1``, so
-``n_features`` must be a power of two.  Bucket counts are L2-normalized;
-empty or whitespace-only text maps to the zero vector.
+``n_features`` must be a power of two.  A text's feature vector is its
+bucket counts c_t, L2-normalized; empty or whitespace-only text maps to
+the zero vector.
 
 A text's bucket counts are the sum of its words' bucket counts, so
-``featurize_all`` works per distinct word, not per gram occurrence.  It
-counts each text's words (a texts × distinct-words matrix) and each
-distinct word's gram buckets (a distinct-words × ``n_features`` matrix);
-their sparse product is the count matrix.  The grams are never built as
-strings: the marked distinct words are read as one array of code points,
-and a rolling FNV-1a over their UTF-8 bytes hashes every order in
+``featurize_all`` returns them factored, as ``WordFeatures``: a texts ×
+distinct-words weight matrix and a distinct-words × ``n_features``
+matrix of each word's integer gram counts.  A text's weight row lists
+each occurrence of its words in the text's own order, weighted by
+1/‖c_t‖, so the weights times the gram counts are the normalized
+features, and the encoder's hidden layer can project each distinct
+word's grams once and then sum words per text (fastText's word vectors
+as sums of n-gram vectors).  The grams are never built as strings: the
+marked distinct words are read as one array of code points, and a
+rolling FNV-1a over their UTF-8 bytes hashes every order in
 ``max(orders)`` vectorized passes, since a gram's hash state is its
 prefix's folded with one more code point.  Counts are integers held in
-float64, so every sum and norm is exact and the result does not depend
+float64, so every sum of squares and norm is exact and does not depend
 on summation order.  Besides the result, memory grows with the call's
-word occurrences and its distinct words' code points times the number of
-orders.  The per-text path it replaces, with a scalar FNV-1a, is the
+word occurrences and its distinct words' code points times the number
+of orders.  The per-text path it replaces, with a scalar FNV-1a, is the
 test oracle.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, count
 
 import numpy as np
 from scipy import sparse
 
-__all__ = ["FeaturizerConfig", "distinct_texts", "featurize_all"]
+__all__ = ["FeaturizerConfig", "WordFeatures", "distinct_texts", "featurize_all"]
 
 WORD_MARKER = "▁"
 
@@ -61,8 +66,63 @@ class FeaturizerConfig:
         object.__setattr__(self, "ngram_orders", orders)
 
 
-def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
-    """Featurize a sequence of texts into a CSR matrix, one row per text.
+@dataclass(frozen=True, eq=False)
+class WordFeatures:
+    """Word-factored features of texts: text ``rows[i]``'s normalized bucket
+    counts are row ``rows[i]`` of ``weights @ grams``.
+
+    ``weights`` is the featurized texts × distinct-words matrix.  Its row
+    for a text lists the text's word occurrences in the text's own order,
+    repeats included, each weighted by 1/‖c_t‖ (0 where c_t is empty).
+    ``grams`` is the distinct-words × ``n_features`` matrix of each word's
+    integer gram counts, its buckets ascending.  Indexing selects texts
+    among ``rows`` and shares both matrices, so selections of one
+    featurization can be joined without copying them.
+    """
+
+    weights: sparse.csr_matrix
+    grams: sparse.csr_matrix
+    rows: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.grams.shape[1]
+
+    def __getitem__(self, index) -> "WordFeatures":
+        return replace(self, rows=self.rows[index])
+
+    def join(self, other: "WordFeatures") -> "WordFeatures":
+        """These rows followed by ``other``'s, which must come from the same featurization."""
+        if other.weights is not self.weights:
+            raise ValueError("only rows of one featurization can be joined")
+        return replace(self, rows=np.concatenate([self.rows, other.rows]))
+
+    @cached_property
+    def compact(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """The rows' weights over only the k words they use, and those
+        words' rows of ``grams``, in ascending word id.  Each weight row
+        keeps its text's word order.  Computed once per instance."""
+        data, word_ids, indptr = _take_rows(self.weights, self.rows)
+        words, local = np.unique(word_ids, return_inverse=True)
+        weights = sparse.csr_matrix((data, local, indptr), shape=(len(self.rows), len(words)))
+        grams = sparse.csr_matrix(_take_rows(self.grams, words),
+                                  shape=(len(words), self.grams.shape[1]))
+        return weights, grams
+
+
+def _take_rows(matrix: sparse.csr_matrix, rows: np.ndarray) -> tuple:
+    """The (data, indices, indptr) of ``matrix[rows]``, entries as stored;
+    scipy's row indexing costs several times more on small selections."""
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+    return matrix.data[at], matrix.indices[at], indptr
+
+
+def featurize_all(texts, config: FeaturizerConfig) -> WordFeatures:
+    """Featurize a sequence of texts into ``WordFeatures``, one row per text.
 
     Each distinct word's grams are hashed once per call.  Raises
     ``ValueError`` on no texts and ``UnicodeEncodeError`` on a text
@@ -72,26 +132,23 @@ def featurize_all(texts, config: FeaturizerConfig) -> sparse.csr_matrix:
     if not word_lists:
         raise ValueError("cannot featurize an empty list of texts")
     words, word_ids = distinct_texts(chain.from_iterable(word_lists))
+    text_lengths = np.fromiter(map(len, word_lists), dtype=np.intp, count=len(word_lists))
     text_starts = np.zeros(len(word_lists) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, word_lists), dtype=np.intp, count=len(word_lists)),
-              out=text_starts[1:])
+    np.cumsum(text_lengths, out=text_starts[1:])
     buckets, word_starts = _gram_buckets(words, config)
-    # The transposes of the texts × words and words × buckets count
-    # matrices, read straight off the flat id arrays as CSC.
-    occurrences_t = sparse.csc_matrix((np.ones(len(word_ids)), word_ids, text_starts),
-                                      shape=(len(words), len(word_lists)))
-    word_buckets_t = sparse.csc_matrix((np.ones(len(buckets)), buckets, word_starts),
-                                       shape=(config.n_features, len(words)))
-    # The bucket-major product, turned text-major by one conversion,
-    # comes out with each row's columns sorted.
-    counts = (word_buckets_t.tocsr() @ occurrences_t.tocsr()).T.tocsr()
-    # Integer counts make every row's sum of squares exact, so the rows
-    # are normalized bit for bit as by one dot product per row.
-    data, row_nnz = counts.data, np.diff(counts.indptr)
-    filled = row_nnz > 0
-    data /= np.repeat(np.sqrt(np.add.reduceat(data * data, counts.indptr[:-1][filled])),
-                      row_nnz[filled])
-    return counts
+    grams = sparse.csr_matrix((np.ones(len(buckets)), buckets, word_starts),
+                              shape=(len(words), config.n_features))
+    grams.sum_duplicates()
+    occurrences = sparse.csr_matrix((np.ones(len(word_ids)), word_ids, text_starts),
+                                    shape=(len(word_lists), len(words)))
+    # The bucket-major product holds each text's integer bucket counts, so
+    # every sum of squares, and so every norm, is exact.
+    counts = grams.T.tocsr() @ occurrences.T.tocsr()
+    norms = np.sqrt(np.bincount(counts.indices, counts.data * counts.data,
+                                minlength=len(word_lists)))
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    occurrences.data = np.repeat(scale, text_lengths)
+    return WordFeatures(occurrences, grams, np.arange(len(word_lists)))
 
 
 def _gram_buckets(words: list, config: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -116,13 +116,14 @@ def _stream(config: TrainConfig, tag: int, objective, *rows):
     """One task's input to ``_run_epochs``: its batches per pass, its batch
     indices (from the generator seeded by ``tag``) and ``batch(idx)``,
     which is ``objective`` over those rows of every array in ``rows``."""
-    size = rows[0].shape[0]  # len() of a CSR matrix raises
+    size = rows[0].shape[0]  # WordFeatures has no len()
     batches = _batches(size, config.batch_size, _rng(config.seed, tag))
     return -(-size // config.batch_size), batches, lambda idx: objective(*(r[idx] for r in rows))
 
 
 def _featurize_sides(texts_a, texts_b, featurizer):
-    """Feature rows of two aligned text lists; each distinct text is featurized once."""
+    """Feature rows of two aligned text lists, from one featurization, so
+    that pair objectives can join them; each distinct text is featurized once."""
     distinct, rows = distinct_texts(list(texts_a) + list(texts_b))
     X = featurize_all(distinct, featurizer)
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
@@ -134,8 +135,9 @@ def _embed_sides(models, sides) -> list:
     A model with ``_encoders()``, the ``(params, FeaturizerConfig)`` pairs
     whose embeddings side by side are its ``embed`` rows, embeds by one
     rule.  The distinct texts of all sides are featurized once per config
-    and go through each encoder's hidden layer once; a hidden row's bits
-    depend only on its own text.  The output layer runs once per side,
+    and go through each encoder's hidden layer once, which projects each
+    distinct word's grams once and sums the projections per text; a hidden
+    row's bits depend only on its own text.  The output layer runs once per side,
     over that side's distinct rows in first-occurrence order: BLAS picks
     its kernel by row count, so a side's bits do not depend on the other
     sides or models in the call.  Any other model embeds each side with
@@ -450,8 +452,7 @@ def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckRep
             params[name] = rng.normal(0.0, 0.3, size=params[name].shape)
         texts_a = _random_texts(rng, n_pairs)
         texts_b = _random_texts(rng, n_pairs)
-        Xa = featurize_all(texts_a, encoder.featurizer)
-        Xb = featurize_all(texts_b, encoder.featurizer)
+        Xa, Xb = _featurize_sides(texts_a, texts_b, encoder.featurizer)
         ua = embed(params, Xa)
         ub = embed(params, Xb)
         if np.min(np.abs(ua - ub)) < 1e-3:

@@ -2,8 +2,11 @@
 
 ``featurize`` hashes one text's n-grams with the scalar ``fnv1a_64``
 into a ``FeatureVector``, with no cache, and ``stack_features`` stacks
-such vectors into a CSR matrix;
-``qemine.features.featurize_all`` must return exactly their matrix.
+such vectors into a CSR matrix; ``materialize`` multiplies out the
+word-factored features of ``qemine.features.featurize_all``, which must
+give exactly their matrix.  ``masked_sigmoid`` is the logistic function
+evaluated separately on each sign's entries; ``backprop._sigmoid`` must
+give its bits.
 The per-example encoder, pair features and task heads mirror
 ``qemine.backprop``'s batched forward passes, and the per-example losses
 with their analytic derivatives define the objectives its ``*_batch``
@@ -88,13 +91,19 @@ def iter_ngrams(text: str, orders: tuple[int, ...]):
                 yield marked[i : i + k]
 
 
-def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
-    """Hash the text's character n-grams into a normalized sparse vector."""
+def bucket_counts(text: str, config: FeaturizerConfig) -> dict[int, int]:
+    """The text's integer count per hashed n-gram bucket."""
     mask = config.n_features - 1
     counts: dict[int, int] = {}
     for gram in iter_ngrams(text, config.ngram_orders):
         bucket = fnv1a_64(gram.encode("utf-8"), config.hash_seed) & mask
         counts[bucket] = counts.get(bucket, 0) + 1
+    return counts
+
+
+def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
+    """Hash the text's character n-grams into a normalized sparse vector."""
+    counts = bucket_counts(text, config)
     if not counts:
         empty = np.empty(0)
         return FeatureVector(empty.astype(np.int64), empty, config.n_features)
@@ -119,6 +128,36 @@ def stack_features(vectors: list[FeatureVector], n_features: int | None = None) 
     indices = np.concatenate([fv.indices for fv in vectors if fv.nnz])
     data = np.concatenate([fv.values for fv in vectors if fv.nnz])
     return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), n_features))
+
+
+def occurrence_counts(X) -> sparse.csr_matrix:
+    """The integer word-occurrence counts of ``WordFeatures`` rows: their
+    weight rows with every entry 1, repeats kept as stored."""
+    weights = X.weights[X.rows]
+    return sparse.csr_matrix((np.ones(weights.nnz), weights.indices, weights.indptr),
+                             shape=weights.shape)
+
+
+def materialize(X) -> sparse.csr_matrix:
+    """The L2-normalized bucket counts of ``WordFeatures`` rows as one CSR
+    matrix with sorted rows: the integer counts are multiplied out, so
+    each row is normalized exactly."""
+    counts = occurrence_counts(X) @ X.grams
+    counts.sort_indices()
+    norms = np.sqrt(np.asarray(counts.multiply(counts).sum(axis=1)).ravel())
+    counts.data /= np.repeat(norms, np.diff(counts.indptr))
+    return counts
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, as 1 / (1 + e^-z) on z >= 0 and e^z / (1 + e^z)
+    below, so that no exponent overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def encode(model: EncoderModel, fv: FeatureVector) -> np.ndarray:

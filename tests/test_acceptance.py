@@ -32,7 +32,7 @@ from qemine.corpus import (
     save_tatoeba,
 )
 from qemine.estimators import ContrastiveFilter, MultitaskScorer
-from qemine.features import FeaturizerConfig, featurize_all
+from qemine.features import FeaturizerConfig
 from qemine.mining import MiningConfig, f1_score, mine_bucc, mine_tatoeba, score_matrix, tatoeba_accuracy, tune_threshold
 from qemine.model import EncoderConfig, load_model, save_model
 from qemine.optim import Adam
@@ -41,6 +41,7 @@ from qemine.synth import SynthConfig, generate_parallel, generate_qe, generate_t
 from qemine.training import (
     GRAD_CHECK_KINDS,
     TrainConfig,
+    _featurize_sides,
     _rng,
     _TAG_INIT,
     _TAG_STREAM,
@@ -283,8 +284,8 @@ def test_criterion_10_schedule_contracts(tiny_qe_records):
     _, _, history = multitask_train(qe=tiny_qe_records, sts=sts, nli=nli, config=config,
                                     encoder=encoder, tasks=("qe",), finetune_epochs=0)
     y = np.array([r.score for r in tiny_qe_records])
-    Xa = featurize_all([r.source for r in tiny_qe_records], encoder.featurizer)
-    Xb = featurize_all([r.target for r in tiny_qe_records], encoder.featurizer)
+    Xa, Xb = _featurize_sides([r.source for r in tiny_qe_records],
+                              [r.target for r in tiny_qe_records], encoder.featurizer)
     params = backprop.init_params(encoder, _rng(3, _TAG_INIT))
     adam = Adam(config.learning_rate)
     stream_rng = _rng(3, _TAG_STREAM["qe"])

@@ -2,13 +2,16 @@
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qemine import backprop
 from qemine.features import featurize_all
-from qemine.training import _rng  # deterministic stream helper
+from qemine.training import _featurize_sides, _rng
 
 from qemine.features import FeaturizerConfig
 from qemine.model import EncoderConfig
@@ -19,6 +22,8 @@ from oracles import (
     cosine_similarity,
     featurize,
     forward_heads,
+    masked_sigmoid,
+    materialize,
     task_loss,
     two_pass_contrastive_batch,
     two_pass_nli_batch,
@@ -38,9 +43,7 @@ def _setup(seed=0, n_pairs=6):
             "".join(alphabet[i] for i in rng.integers(0, 8, 4)) for _ in range(3)))
         texts_b.append(" ".join(
             "".join(alphabet[i] for i in rng.integers(0, 8, 4)) for _ in range(3)))
-    featurizer = SMALL_ENCODER.featurizer
-    Xa = featurize_all(texts_a, featurizer)
-    Xb = featurize_all(texts_b, featurizer)
+    Xa, Xb = _featurize_sides(texts_a, texts_b, SMALL_ENCODER.featurizer)
     return params, texts_a, texts_b, Xa, Xb, rng
 
 
@@ -165,7 +168,7 @@ def _scaled_error(new, oracle) -> float:
 
 
 class TestStackedPairPass:
-    """One encoder pass over [Xa; Xb] against the two-pass oracle."""
+    """One encoder pass over the joined rows [Xa; Xb] against the two-pass oracle."""
 
     @pytest.mark.parametrize("sizes", [(256, 8, 6), (8192, 256, 128)], ids=["small", "default"])
     @pytest.mark.parametrize("case", ["single", "same-texts", "empty", "mixed"])
@@ -173,7 +176,7 @@ class TestStackedPairPass:
     def test_matches_two_pass_oracle(self, objective, case, sizes):
         params, featurizer, texts_a, texts_b, _ = _stacked_setup(*sizes)
         ta, tb = _pair_inputs(case, texts_a, texts_b)
-        Xa, Xb = featurize_all(ta, featurizer), featurize_all(tb, featurizer)
+        Xa, Xb = _featurize_sides(ta, tb, featurizer)
         stacked, oracle = PAIR_OBJECTIVES[objective]
         losses, grads = _run_pair_batch(objective, stacked, params, Xa, Xb, _rng(1, 0))
         ref_losses, ref_grads = _run_pair_batch(objective, oracle, params, Xa, Xb, _rng(1, 0))
@@ -208,8 +211,11 @@ class TestStackedPairPass:
         d_emb = rng.normal(size=(X.shape[0], 6))
         grad = backprop.embed_backward(params, X, hidden, d_emb)["W1"]
         d_pre = (d_emb @ params["W2"]) * (1.0 - hidden * hidden)
-        assert np.array_equal(grad.cols, np.unique(X.indices))
-        assert np.array_equal(np.asarray(grad), X.T.dot(d_pre).T)
+        # The factored product sums per word first, so it may differ from
+        # the dense gradient in the last bits.
+        dense = materialize(X).T.dot(d_pre).T
+        assert np.array_equal(grad.cols, np.unique(materialize(X).indices))
+        assert _scaled_error(np.asarray(grad), dense) <= STACKED_TOLERANCE
 
     @pytest.mark.parametrize("objective", sorted(PAIR_OBJECTIVES) + ["alignment"])
     def test_one_encoder_pass_per_batch(self, objective, monkeypatch):
@@ -227,12 +233,78 @@ class TestStackedPairPass:
         monkeypatch.setattr(backprop, "embed_forward", counted_forward)
         monkeypatch.setattr(backprop, "embed_backward", counted_backward)
         params, featurizer, texts_a, texts_b, rng = _stacked_setup(256, 8, 6)
-        Xa, Xb = featurize_all(texts_a, featurizer), featurize_all(texts_b, featurizer)
+        Xa, Xb = _featurize_sides(texts_a, texts_b, featurizer)
         if objective == "alignment":
             backprop.alignment_batch(params, Xa, rng.normal(size=(Xa.shape[0], 6)))
         else:
             _run_pair_batch(objective, PAIR_OBJECTIVES[objective][0], params, Xa, Xb, rng)
         assert calls == {"forward": 1, "backward": 1}
+
+
+class TestRowIndependence:
+    """A text's hidden row depends only on the text: its bits are the same
+    alone, among other texts in either order, and as a row of a training
+    batch.  Its embedding's bits are the same wherever the output layer's
+    product has as many rows; BLAS picks its kernel by the row count."""
+
+    TEXT = "kafo limba kafo melo"
+    OTHERS = ["daki bemu", "", "cela kafo norz", "pyrt quvo rusk strix", "tovan", "melo melo"]
+
+    @staticmethod
+    def _params(n_features, hidden, dim):
+        encoder = EncoderConfig(FeaturizerConfig((1, 2, 3, 4), n_features, 0), hidden, dim)
+        rng = np.random.default_rng(4)
+        params = backprop.init_params(encoder, rng)
+        params["b1"] = rng.normal(0.0, 0.1, hidden).astype(np.float32)
+        params["b2"] = rng.normal(0.0, 0.1, dim).astype(np.float32)
+        return params, encoder.featurizer
+
+    @pytest.mark.parametrize("sizes", [(256, 8, 6), (8192, 256, 128)], ids=["small", "default"])
+    @pytest.mark.parametrize("text", [TEXT, ""], ids=["repeated-word", "empty"])
+    def test_hidden_row_is_the_same_in_every_call(self, text, sizes):
+        params, featurizer = self._params(*sizes)
+        others = self.OTHERS * 3
+        alone = backprop.hidden_layer(params, featurize_all([text], featurizer))[0]
+        last = backprop.embed_forward(params, featurize_all(others + [text], featurizer))
+        first = backprop.embed_forward(params, featurize_all([text] + others[::-1], featurizer))
+        Xa, Xb = _featurize_sides(others[:9], others[9:] + [text], featurizer)
+        _, ub, (_, batch_hidden) = backprop._pair_forward(params, Xa, Xb)
+        for hidden in (last[1][-1], first[1][0], batch_hidden[-1]):
+            assert hidden.tobytes() == alone.tobytes()
+        assert last[0][-1].tobytes() == first[0][0].tobytes()
+        if not text:
+            assert alone.tobytes() == np.tanh(params["b1"]).tobytes()
+        assert alone.dtype == ub.dtype == np.float32
+
+    def test_weight_rows_keep_each_text_s_word_order(self):
+        # A text's row lists the same words in the same order (each word
+        # known by its gram buckets) whatever ids the call gives them.
+        featurizer = FeaturizerConfig((1, 2), 1024, 0)
+
+        def listed_words(texts):
+            weights, grams = featurize_all(texts, featurizer)[[texts.index(self.TEXT)]].compact
+            return [grams[word].indices.tolist() for word in weights.indices]
+
+        alone = listed_words([self.TEXT])
+        assert alone[0] == alone[2] and len({str(w) for w in alone}) == 3
+        for texts in ([self.TEXT, "melo kafo"], ["melo kafo", "", self.TEXT]):
+            assert listed_words(texts) == alone
+
+
+class TestSigmoid:
+    """The unmasked logistic gives the masked form's bits in either dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3, width=32), min_size=1, max_size=50))
+    @example(values=[0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e3, -1e3])
+    def test_matches_masked_form(self, dtype, values):
+        z = np.array(values, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = backprop._sigmoid(z)
+        assert got.dtype == dtype
+        assert got.tobytes() == masked_sigmoid(z).tobytes()
 
 
 class TestFeatureHeadBatch:

@@ -1,11 +1,14 @@
 import hashlib
+import math
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import featurize, fnv1a_64, stack_features
+from oracles import (bucket_counts, featurize, fnv1a_64, materialize, occurrence_counts,
+                     stack_features)
 from qemine import features
 from qemine.features import FeaturizerConfig, distinct_texts, featurize_all
 
@@ -115,9 +118,33 @@ class TestStack:
         texts = ["one two", "three", "", "four five six"]
         X = featurize_all(texts, cfg)
         assert X.shape == (4, 128)
+        X = materialize(X)
         for row, text in enumerate(texts):
             dense = featurize(text, cfg).to_dense()
             assert np.allclose(X[row].toarray().ravel(), dense)
+
+
+def _assert_word_factored(texts, cfg):
+    """``featurize_all``'s word-factored features of ``texts``: each weight
+    row lists its text's words in the text's order, weighted by 1/‖c_t‖;
+    the integer occurrence counts times the gram counts are the per-text
+    oracle's bucket counts.  Returns their materialized matrix."""
+    X = featurize_all(texts, cfg)
+    assert X.shape == (len(texts), cfg.n_features)
+    words = [text.lower().split() for text in texts]
+    _, word_ids = distinct_texts(chain.from_iterable(words))
+    assert np.array_equal(X.weights.indptr, np.cumsum([0] + [len(w) for w in words]))
+    assert np.array_equal(X.weights.indices, word_ids)
+    counts = [bucket_counts(text, cfg) for text in texts]
+    norms = [math.sqrt(sum(c * c for c in row.values())) for row in counts]
+    scales = [1.0 / norm if norm else 0.0 for norm in norms]
+    assert X.weights.data.tobytes() == np.repeat(scales, [len(w) for w in words]).tobytes()
+    assert X.grams.has_canonical_format and X.grams.shape == (len(set(word_ids)), cfg.n_features)
+    expected = np.zeros((len(texts), cfg.n_features))
+    for row, row_counts in enumerate(counts):
+        expected[row, list(row_counts)] = list(row_counts.values())
+    assert np.array_equal((occurrence_counts(X) @ X.grams).toarray(), expected)
+    return materialize(X)
 
 
 def _assert_bit_equal(X, Y):
@@ -163,7 +190,7 @@ class TestFeaturizeAll:
         # Widths down to one bucket make grams collide, so counts exceed 1.
         cfg = FeaturizerConfig(tuple(orders), 1 << log_width, seed)
         oracle = stack_features([featurize(t, cfg) for t in texts], cfg.n_features)
-        _assert_bit_equal(featurize_all(texts, cfg), oracle)
+        _assert_bit_equal(_assert_word_factored(texts, cfg), oracle)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_matches_oracle_on_wide_characters(self, seed):
@@ -176,7 +203,7 @@ class TestFeaturizeAll:
         texts = [" ".join(rng.choice(words, rng.integers(0, 8))) for _ in range(60)]
         texts += ["\U0001f600" * 6, ""]
         cfg = FeaturizerConfig((1, 2, 3, 4, 5), 1 << 12, seed)
-        _assert_bit_equal(featurize_all(texts, cfg),
+        _assert_bit_equal(_assert_word_factored(texts, cfg),
                           stack_features([featurize(t, cfg) for t in texts], cfg.n_features))
 
     def test_hashes_each_distinct_word_once(self, monkeypatch):
@@ -197,21 +224,22 @@ class TestFeaturizeAll:
             words, config = calls[0]
             assert config == cfg
             assert sorted(words) == sorted({w for t in texts for w in t.lower().split()})
-            _assert_bit_equal(X, stack_features([featurize(t, cfg) for t in texts], 64))
+            _assert_bit_equal(materialize(X),
+                              stack_features([featurize(t, cfg) for t in texts], 64))
 
     def test_lone_surrogate_raises(self):
         with pytest.raises(UnicodeEncodeError):
             featurize_all(["fine", "bad \ud800 word"], FeaturizerConfig((1, 2), 64, 0))
 
     def test_output_digest_is_pinned(self):
-        # The SHA-256 of the output's arrays as the per-gram hasher made
-        # them; a change to the features (and so to every model's bytes)
+        # The SHA-256 of the materialized output's arrays as the per-gram
+        # hasher made them; a change to the features (and so to every model's bytes)
         # fails here.  The computation calls no BLAS, so the digest holds
         # on every machine.
         texts = ["The cat sat on the mat", "", "Straße und Ölfeld", "你好 世界 你好",
                  "emoji \U0001f600 and \U00020000 here", "a b c", "  \t ", "naïve café NAÏVE",
                  "x"]
-        X = featurize_all(texts, FeaturizerConfig((1, 2, 3, 4), 8192, 0))
+        X = materialize(featurize_all(texts, FeaturizerConfig((1, 2, 3, 4), 8192, 0)))
         digest = hashlib.sha256(X.indptr.tobytes() + X.indices.tobytes() + X.data.tobytes())
         assert digest.hexdigest() == (
             "060774507b9e84024d0edcb90241e141c7f9ab08987cfc3db139814fb1aeb55e")

@@ -431,6 +431,20 @@ class TestModelFile:
         with pytest.raises(ModelCorruptionError, match=header_errors):
             load(path)
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_resigned_hidden_width_off_by_one(self, tmp_path, delta):
+        # QEM's second header field, H, sizes W1, b1 and W2 but has no rule
+        # of its own, so the array bounds checks must catch it.
+        model = _random_model()
+        blob = bytearray(model_to_bytes(model, HeadSet.zeros(model.embedding_dim)))
+        path = tmp_path / "bad.qem"
+        hidden = int.from_bytes(blob[10:14], "little") + delta
+        blob[10:14] = hidden.to_bytes(4, "little")
+        path.write_bytes(_resign(bytes(blob[:-8])))
+        with pytest.raises(ModelCorruptionError,
+                           match="header promises more data" if delta > 0 else "trailing bytes"):
+            load_model(path)
+
 
 class TestFeatureStackModel:
     def test_head_shapes_checked_against_backbones(self):

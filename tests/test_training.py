@@ -17,6 +17,7 @@ from qemine.training import (
     GRAD_CHECK_KINDS,
     TrainConfig,
     _batches,
+    _featurize_sides,
     _rng,
     _TAG_INIT,
     _TAG_STREAM,
@@ -102,8 +103,7 @@ class TestMultitaskSchedule:
         texts_a = [r.source for r in tiny_qe_records]
         texts_b = [r.target for r in tiny_qe_records]
         y = np.array([r.score for r in tiny_qe_records])
-        Xa = featurize_all(texts_a, SMALL_ENCODER.featurizer)
-        Xb = featurize_all(texts_b, SMALL_ENCODER.featurizer)
+        Xa, Xb = _featurize_sides(texts_a, texts_b, SMALL_ENCODER.featurizer)
         params = backprop.init_params(SMALL_ENCODER, _rng(3, _TAG_INIT))
         adam = Adam(config.learning_rate)
         stream_rng = _rng(3, _TAG_STREAM["qe"])
@@ -144,8 +144,8 @@ class TestMultitaskSchedule:
         }
         arrays = {}
         for task, rows in data.items():
-            Xa = featurize_all([row[0] for row in rows], featurizer)
-            Xb = featurize_all([row[1] for row in rows], featurizer)
+            Xa, Xb = _featurize_sides([row[0] for row in rows], [row[1] for row in rows],
+                                      featurizer)
             y = np.array([row[2] for row in rows], dtype=np.int64 if task == "nli" else np.float64)
             arrays[task] = (Xa, Xb, y)
 
