@@ -442,12 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _in_unit_range(value: str) -> bool:
+    try:
+        return 0.0 <= float(value) <= 1.0
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "mine-bucc" and args.threshold == "auto" and not args.train_gold:
-            parser.error("the auto threshold cannot be resolved without --train-gold")
+        if args.command == "mine-bucc":
+            if args.threshold == "auto" and not args.train_gold:
+                parser.error("the auto threshold cannot be resolved without --train-gold")
+            if args.threshold != "auto" and not _in_unit_range(args.threshold):
+                parser.error(f"--threshold must be 'auto' or in [0, 1], got {args.threshold!r}")
+            if args.topn < 1:
+                parser.error(f"--topn must be >= 1, got {args.topn}")
         if args.command == "train" and args.until_convergence and args.epochs is not None:
             parser.error("--epochs cannot be combined with --until-convergence")
         if args.command == "train" and args.epochs is None:

@@ -21,12 +21,32 @@ as sums of n-gram vectors).  The grams are never built as strings: the
 marked distinct words are read as one array of code points, and a
 rolling FNV-1a over their UTF-8 bytes hashes every order in
 ``max(orders)`` vectorized passes, since a gram's hash state is its
-prefix's folded with one more code point.  Counts are integers held in
-float64, so every sum of squares and norm is exact and does not depend
-on summation order.  Besides the result, memory grows with the call's
-word occurrences and its distinct words' code points times the number
-of orders.  The per-text path it replaces, with a scalar FNV-1a, is the
-test oracle.
+prefix's folded with one more code point.  Besides the result, memory
+grows with the call's word occurrences and its distinct words' code
+points times the number of orders.  The per-text path it replaces, with
+a scalar FNV-1a, is the test oracle.
+
+The norms take one of two exact routes, picked from the call's sizes.
+The product route builds the bucket-major product of the grams and the
+occurrence counts, every text's bucket counts c_t, at one sparse
+multiply-add per word occurrence and stored gram entry of its word (the
+"expansion").  The Gram route uses ‖c_t‖² = n_tᵀ G n_t, where n_t is
+the text's word-occurrence counts and G = grams gramsᵀ holds the k
+distinct words' inner products, so each word pair's overlap is counted
+once per call, not once per text: Σ n_b² sparse multiply-adds for G,
+n_b being the distinct words that hit bucket b, and occurrences × k
+dense ones for R = occurrences @ G, a block of texts at a time, of
+which each text sums its occurrences' entries.  The Gram route is taken
+when Σ n_b² + occurrences × k / ``_DENSE_PER_SPARSE`` < expansion, so
+when the call has few distinct words for its word occurrences, as a
+large call over a small vocabulary has; otherwise the product stays
+faster (2,000 texts over synth's 200-word vocabulary, k = 500: 5.9
+against 12 ms).  Its extra memory is the dense k × k matrix G plus one
+block of ``_GRAM_BLOCK`` entries of R, never a texts × k array; and as
+k ≤ occurrences, the rule keeps k² below ``_DENSE_PER_SPARSE`` ×
+expansion.  Counts are integers held in float64, so every sum of
+squares, and so every norm, is exact whatever the route and the
+summation order: both routes give the same bits.
 """
 from __future__ import annotations
 
@@ -44,6 +64,24 @@ WORD_MARKER = "▁"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Entries of R per block of the Gram route: 512 KB of float64.  On
+# 2,000 to 16,384 vocabulary-50 texts (k = 125), blocks of 2**13 entries
+# took 1.5-2.3x as long, the slicing per block dominating; 2**17 to 2**20
+# gained at most 10%.
+_GRAM_BLOCK = 1 << 16
+# The dense multiply-adds of R = occurrences @ G that cost as much as one
+# sparse multiply-add, in the route rule.  On synth calls (F = 4096,
+# 64 to 16,384 texts at vocabularies 20 to 150; 2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4, scipy 1.17), a sparse multiply-add of either
+# route took 15-20 ns and a dense one about 0.9 ns.  A call's rule flips
+# where the divisor equals occurrences × k / (expansion - Σ n_b²).  The
+# Gram route was the faster one on every call that flips at 19.2 or less
+# (vocabulary 150, 16,384 texts: 52 against 58 ms) and the slower one on
+# every call that flips at 22.0 or more (vocabulary 150, 8,192 texts: 27
+# against 25 ms) but one: vocabulary 50 at 256 texts flips at 27.8, and
+# its Gram route took 0.9 against 1.2 ms.
+_DENSE_PER_SPARSE = 20
 
 
 @dataclass(frozen=True)
@@ -141,14 +179,49 @@ def featurize_all(texts, config: FeaturizerConfig) -> WordFeatures:
     grams.sum_duplicates()
     occurrences = sparse.csr_matrix((np.ones(len(word_ids)), word_ids, text_starts),
                                     shape=(len(word_lists), len(words)))
-    # The bucket-major product holds each text's integer bucket counts, so
-    # every sum of squares, and so every norm, is exact.
-    counts = grams.T.tocsr() @ occurrences.T.tocsr()
-    norms = np.sqrt(np.bincount(counts.indices, counts.data * counts.data,
-                                minlength=len(word_lists)))
+    route = _gram_norms if _takes_gram_route(occurrences, grams) else _product_norms
+    norms = np.sqrt(route(occurrences, grams))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     occurrences.data = np.repeat(scale, text_lengths)
     return WordFeatures(occurrences, grams, np.arange(len(word_lists)))
+
+
+def _takes_gram_route(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> bool:
+    """Whether the Gram route's multiply-adds, Σ n_b² sparse ones for G
+    (n_b: the distinct words that hit bucket b) plus occurrences × k dense
+    ones for R, weighed at ``_DENSE_PER_SPARSE`` dense ones per sparse
+    one, are fewer than the product route's, one per word occurrence and
+    stored gram entry of its word."""
+    hits = np.bincount(grams.indices, minlength=grams.shape[1])
+    uses = np.bincount(occurrences.indices, minlength=grams.shape[0])
+    expansion = int(uses @ np.diff(grams.indptr))
+    gram_cost = int(hits @ hits) + occurrences.nnz * grams.shape[0] // _DENSE_PER_SPARSE
+    return gram_cost < expansion
+
+
+def _product_norms(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> np.ndarray:
+    """‖c_t‖² from the bucket-major product, which holds every text's
+    integer bucket counts."""
+    counts = grams.T.tocsr() @ occurrences.T.tocsr()
+    squares = np.bincount(counts.indices, counts.data * counts.data,
+                          minlength=occurrences.shape[0])
+    return squares.astype(np.float64, copy=False)  # bincount of no entries gives integers
+
+
+def _gram_norms(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> np.ndarray:
+    """‖c_t‖² = n_tᵀ G n_t, with G = grams gramsᵀ the k words' integer
+    inner products: the sum of R[t, w] = (n_t G)[w] over t's word
+    occurrences, R computed a block of texts at a time."""
+    k = grams.shape[0]
+    gram = (grams @ grams.T).toarray()
+    squares = np.empty(occurrences.shape[0])
+    step = max(1, _GRAM_BLOCK // max(k, 1))
+    for start in range(0, len(squares), step):
+        block = occurrences[start : start + step]
+        local = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        reach = (block @ gram).ravel()[local * k + block.indices]
+        squares[start : start + step] = np.bincount(local, reach, minlength=block.shape[0])
+    return squares
 
 
 def _gram_buckets(words: list, config: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:

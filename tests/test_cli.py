@@ -101,6 +101,21 @@ class TestExitCodes:
         assert "train-gold" in capsys.readouterr().err
         assert _manifests(tmp_path) == ["corpus.manifest.json"]
 
+    @pytest.mark.parametrize("flag, value", [("--threshold", "abc"), ("--threshold", "1.5"),
+                                             ("--threshold", "-0.1"), ("--threshold", "nan"),
+                                             ("--topn", "0")])
+    def test_bad_mining_flag_is_usage_error_before_reading(self, tmp_path, capsys, flag, value):
+        # None of the input files exists, so reading any of them would exit 2.
+        missing = [tmp_path / name for name in ("a.tsv", "b.tsv", "gold.tsv", "train.tsv",
+                                                "filter.qem", "scorer.qem")]
+        code = _run(["mine-bucc", "--side-a", missing[0], "--side-b", missing[1],
+                     "--gold", missing[2], "--train-gold", missing[3],
+                     "--filter-model", missing[4], "--model", missing[5],
+                     "--out", tmp_path / "mined.tsv", flag, value])
+        assert code == 1
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert _manifests(tmp_path) == []
+
     def test_epochs_with_until_convergence_is_usage_error(self, synth_prefix, tmp_path, capsys):
         code = _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
                      "--validation", f"{synth_prefix}.qe.tsv", "--until-convergence",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (bucket_counts, featurize, fnv1a_64, materialize, occurrence_counts,
                      stack_features)
-from qemine import features
+from qemine import features, synth
 from qemine.features import FeaturizerConfig, distinct_texts, featurize_all
 
 
@@ -128,7 +129,8 @@ def _assert_word_factored(texts, cfg):
     """``featurize_all``'s word-factored features of ``texts``: each weight
     row lists its text's words in the text's order, weighted by 1/‖c_t‖;
     the integer occurrence counts times the gram counts are the per-text
-    oracle's bucket counts.  Returns their materialized matrix."""
+    oracle's bucket counts, and each norm route alone gives the oracle's
+    ‖c_t‖² bytes.  Returns their materialized matrix."""
     X = featurize_all(texts, cfg)
     assert X.shape == (len(texts), cfg.n_features)
     words = [text.lower().split() for text in texts]
@@ -144,6 +146,10 @@ def _assert_word_factored(texts, cfg):
     for row, row_counts in enumerate(counts):
         expected[row, list(row_counts)] = list(row_counts.values())
     assert np.array_equal((occurrence_counts(X) @ X.grams).toarray(), expected)
+    squares = np.array([float(sum(c * c for c in row.values())) for row in counts])
+    for route in (features._product_norms, features._gram_norms):
+        routed = route(occurrence_counts(X), X.grams)
+        assert routed.dtype == np.float64 and routed.tobytes() == squares.tobytes(), route
     return materialize(X)
 
 
@@ -247,6 +253,62 @@ class TestFeaturizeAll:
     def test_rejects_no_texts(self):
         with pytest.raises(ValueError):
             featurize_all([], FeaturizerConfig((1,), 64, 0))
+
+
+def _synth_call(vocab, count, n_features):
+    """The occurrence counts and grams of a ``featurize_all`` call over
+    ``count`` distinct synth QE texts of a ``vocab``-word language."""
+    records = synth.generate_qe(synth.SynthConfig(vocab_size=vocab, seed=1), count)
+    texts, _ = distinct_texts(t for r in records for t in (r.source, r.target))
+    assert len(texts) >= count
+    X = featurize_all(texts[:count], FeaturizerConfig((1, 2, 3, 4), n_features, 0))
+    return occurrence_counts(X), X.grams
+
+
+class TestNormRoutes:
+    """The product and Gram routes to ‖c_t‖².  Each route alone is checked
+    against the per-text oracle in ``_assert_word_factored``."""
+
+    @pytest.mark.parametrize("vocab, count", [(20, 300), (50, 2000), (200, 600)])
+    def test_routes_give_the_same_features(self, monkeypatch, vocab, count):
+        records = synth.generate_qe(synth.SynthConfig(vocab_size=vocab, seed=2), count)
+        texts = [t for r in records for t in (r.source, r.target)] + ["", "a a a a"]
+        cfg = FeaturizerConfig((1, 2, 3, 4), 4096, 0)
+        routed = []
+        for gram in (False, True):
+            monkeypatch.setattr(features, "_takes_gram_route", lambda *_, gram=gram: gram)
+            routed.append(featurize_all(texts, cfg))
+        product, gram = routed
+        assert product.weights.data.tobytes() == gram.weights.data.tobytes()
+        occurrences = occurrence_counts(product)
+        assert (features._product_norms(occurrences, product.grams).tobytes()
+                == features._gram_norms(occurrences, product.grams).tobytes())
+
+    @pytest.mark.parametrize("vocab, count, n_features, gram", [
+        (50, 2000, 4096, True),      # an inference call of the bench's desk models
+        (5000, 64, 8192, False),     # a fit featurization of train-default
+        (200, 2000, 4096, False),    # synth's default vocabulary: k = 500
+        # the two calls whose rule flips nearest the divisor, at 19.0 and 22.0
+        (100, 2048, 4096, True),
+        (150, 8192, 4096, False),
+    ])
+    def test_route_at_measured_sizes(self, vocab, count, n_features, gram):
+        assert features._takes_gram_route(*_synth_call(vocab, count, n_features)) is gram
+
+    def test_gram_route_memory_is_k_squared_plus_one_block(self):
+        occurrences, grams = _synth_call(50, 20000, 4096)
+        k = grams.shape[0]
+        tracemalloc.start()
+        try:
+            squares = features._gram_norms(occurrences, grams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # G twice over (sparse, then dense) and one block twice over (R
+        # and its texts' occurrence temporaries), all float64: 1.3 MB
+        # here, against 20 MB for a texts × k array.
+        bound = 2 * 8 * (k * k + features._GRAM_BLOCK)
+        assert peak - squares.nbytes <= bound < occurrences.shape[0] * k * 8 // 10
 
 
 class TestDistinctTexts:
