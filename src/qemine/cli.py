@@ -101,7 +101,6 @@ def _cmd_train(args):
         n_features=args.features,
         hidden_units=args.hidden,
         embedding_dim=args.dim,
-        until_convergence=args.until_convergence,
         seed=args.seed,
     )
     scorer.fit(qe, sts, nli, validation=validation)
@@ -321,16 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qemine", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qemine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # main reports its own checks with a command's usage
 
     p = sub.add_parser("train", help="multitask-train a quality scorer")
     p.add_argument("--qe", help="QE TSV path")
     p.add_argument("--sts", help="STS TSV path")
     p.add_argument("--nli", help="NLI TSV path")
-    p.add_argument("--validation", help="QE TSV used for convergence checks")
+    p.add_argument("--validation",
+                   help="QE TSV scored after each epoch; stops multitask training early")
     p.add_argument("--tasks", default="qe,sts,nli")
-    p.add_argument("--epochs", type=int, help="multitask epochs (default 3)")
+    p.add_argument("--epochs", type=int, default=3,
+                   help="multitask epochs (with --validation, the most it runs)")
     p.add_argument("--finetune-epochs", type=int, default=1)
-    p.add_argument("--until-convergence", action="store_true")
     p.add_argument("--normalize", action="store_true", help="min-max rescale QE scores")
     p.add_argument("--history", help="write per-epoch loss CSV here")
     p.add_argument("--out", required=True)
@@ -454,16 +455,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "mine-bucc":
+            error = parser.commands[args.command].error
             if args.threshold == "auto" and not args.train_gold:
-                parser.error("the auto threshold cannot be resolved without --train-gold")
+                error("the auto threshold cannot be resolved without --train-gold")
             if args.threshold != "auto" and not _in_unit_range(args.threshold):
-                parser.error(f"--threshold must be 'auto' or in [0, 1], got {args.threshold!r}")
+                error(f"--threshold must be 'auto' or in [0, 1], got {args.threshold!r}")
+            if args.threshold != "auto" and args.train_gold:
+                error("--train-gold is read only with --threshold auto")
             if args.topn < 1:
-                parser.error(f"--topn must be >= 1, got {args.topn}")
-        if args.command == "train" and args.until_convergence and args.epochs is not None:
-            parser.error("--epochs cannot be combined with --until-convergence")
-        if args.command == "train" and args.epochs is None:
-            args.epochs = 3
+                error(f"--topn must be >= 1, got {args.topn}")
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

@@ -6,8 +6,10 @@ self, fitted state lives in trailing-underscore attributes, and
 inference goes through predict/embed.  ``fit`` hands the four settings
 every pipeline reads (epochs, batch size, learning rate, seed) to its
 training function as a ``TrainConfig``, and the pipeline's own
-settings (``MultitaskScorer``'s tasks and schedule, ``ContrastiveFilter``'s
-margin, ``FeatureStackScorer``'s hidden units) as arguments of their own.
+settings (``MultitaskScorer``'s tasks and fine-tuning epochs,
+``ContrastiveFilter``'s margin, ``FeatureStackScorer``'s hidden units) as
+arguments of their own.  ``MultitaskScorer.fit`` early-stops when it is
+given a validation set.
 
 Every model exposes ``embed(texts)``: one embedding row per text, in
 input order.  Scorers add ``score_embeddings(ua, ub)``, the quality
@@ -124,10 +126,9 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
     tasks : tuple of {"qe", "sts", "nli"}
         Tasks interleaved during the first training phase.
     epochs, finetune_epochs : int
-        Multitask epochs, then QE-only fine-tuning epochs.
-    until_convergence : bool
-        Replace the fixed epoch count with early stopping on validation
-        Pearson (requires a validation set at fit time).
+        Multitask epochs, then QE-only fine-tuning epochs.  A validation
+        set passed to ``fit`` switches on early stopping on validation
+        Pearson, with ``epochs`` as the most multitask epochs.
     """
 
     _fitted = ("encoder_", "heads_")
@@ -135,8 +136,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
     def __init__(self, tasks=("qe", "sts", "nli"), epochs=3, finetune_epochs=1,
                  batch_size=32, learning_rate=1e-3, n_features=32768,
                  hidden_units=256, embedding_dim=128, ngram_orders=(1, 2, 3, 4),
-                 hash_seed=0, until_convergence=False, patience=3, max_epochs=50,
-                 seed=42):
+                 hash_seed=0, seed=42):
         self.tasks = tasks
         self.epochs = epochs
         self.finetune_epochs = finetune_epochs
@@ -147,9 +147,6 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
         self.embedding_dim = embedding_dim
         self.ngram_orders = ngram_orders
         self.hash_seed = hash_seed
-        self.until_convergence = until_convergence
-        self.patience = patience
-        self.max_epochs = max_epochs
         self.seed = seed
         self.encoder_ = None
         self.heads_ = None
@@ -158,10 +155,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
     def fit(self, qe=None, sts=None, nli=None, validation=None):
         self.encoder_, self.heads_, self.history_ = multitask_train(
             qe, sts, nli, self._train_config(), self._encoder_config(), validation,
-            tasks=self.tasks, finetune_epochs=self.finetune_epochs,
-            until_convergence=self.until_convergence, patience=self.patience,
-            max_epochs=self.max_epochs,
-        )
+            tasks=self.tasks, finetune_epochs=self.finetune_epochs)
         return self
 
     def embed(self, texts) -> np.ndarray:

@@ -310,9 +310,14 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
 
     ``threshold='auto'`` tunes the threshold on ``train_gold`` (gold id
     pairs for this corpus's training split) and reports the share of
-    them in the shortlist; without it the auto setting is a
-    configuration error.
+    them in the shortlist.  ``train_gold`` is read only then: the auto
+    setting without it, or it with a fixed threshold, is a configuration
+    error.
     """
+    if config.threshold == "auto" and train_gold is None:
+        raise ConfigError("threshold 'auto' needs train_gold pairs to tune against")
+    if config.threshold != "auto" and train_gold is not None:
+        raise ConfigError("train_gold is read only with threshold 'auto'")
     ids_a = list(corpus.side_a)
     ids_b = list(corpus.side_b)
     texts_a = [corpus.side_a[i] for i in ids_a]
@@ -327,8 +332,6 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
 
     recall = None
     if config.threshold == "auto":
-        if train_gold is None:
-            raise ConfigError("threshold 'auto' needs train_gold pairs to tune against")
         threshold = tune_threshold(rows, cols, scores, ids_a, ids_b, train_gold)
         gold = set(train_gold)
         shortlisted = _in_sorted(_gold_codes(gold, ids_a, ids_b), codes)

@@ -8,9 +8,10 @@ the models are built around the trained arrays without a copy.
 
 Each setting lives in the entry point that reads it: ``TrainConfig``
 holds the four every entry point reads (epochs, batch size, learning
-rate, seed); ``multitask_train`` takes its task list, fine-tuning and
-early-stopping settings as keywords, and ``train_filtration`` its
-contrastive ``margin``.
+rate, seed); ``multitask_train`` takes its task list and fine-tuning
+epochs as keywords, and ``train_filtration`` its contrastive ``margin``.
+A validation set given to ``multitask_train`` switches on early stopping,
+with ``config.epochs`` as the most epochs it runs.
 
 ``_embed_sides(models, sides)`` is the one way in to the embedding
 rule, for inference, mining and feature-stack training alike: each
@@ -72,6 +73,9 @@ _TAG_FEATURE = 7
 _TAG_GRADCHECK = 8
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# epochs without a validation gain before multitask_train stops phase 1
+_PATIENCE = 3
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -194,23 +198,19 @@ def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, f
 
 def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConfig(),
                     encoder: EncoderConfig = EncoderConfig(), validation=None, *,
-                    tasks=TASKS, finetune_epochs: int = 1, until_convergence: bool = False,
-                    patience: int = 3, max_epochs: int = 50):
+                    tasks=TASKS, finetune_epochs: int = 1):
     """Two-phase training: interleaved multitask epochs, then QE-only fine-tuning.
 
     Phase 1 trains ``tasks`` (a non-empty subset of ``TASKS``, run in
-    ``TASKS`` order) for ``config.epochs`` epochs, or, with
-    ``until_convergence``, until validation Pearson has not improved for
-    ``patience`` epochs (at most ``max_epochs``), keeping the best
-    epoch's weights.  Within an epoch, batches from the tasks are
-    interleaved round-robin; the largest dataset defines the epoch and
-    shorter ones are reshuffled and recycled.  Phase 2 runs
-    ``finetune_epochs`` epochs on QE only, updating the backbone and QE
-    head; the STS and NLI heads are untouched.
-
-    A fixed phase 1 reads ``config.epochs``, not ``patience``,
-    ``max_epochs`` or ``validation`` (which it checks but never
-    featurizes); ``until_convergence`` reads those three, not ``epochs``.
+    ``TASKS`` order) for at most ``config.epochs`` epochs.  Within an
+    epoch, batches from the tasks are interleaved round-robin; the largest
+    dataset defines the epoch and shorter ones are reshuffled and recycled.
+    With a ``validation`` set of scored QE pairs, phase 1 stops early: it
+    scores validation Pearson after each epoch, stops after ``_PATIENCE``
+    epochs without a gain, restores the best epoch's weights and starts
+    fine-tuning with a fresh Adam.  Phase 2 runs ``finetune_epochs``
+    epochs on QE only, updating the backbone and QE head; the STS and NLI
+    heads are untouched.
 
     Returns (EncoderModel, HeadSet, history) where history is a list of
     ``{"epoch", "task", "mean_loss"}`` rows.
@@ -221,16 +221,12 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
         raise ValueError(f"tasks must be a non-empty subset of {TASKS} with no repeats")
     if finetune_epochs < 0:
         raise ValueError("finetune_epochs must be >= 0")
-    if patience < 1 or max_epochs < 1:
-        raise ValueError("patience and max_epochs must be >= 1")
     raw = {"qe": qe, "sts": sts, "nli": nli}
     for task in tasks:
         if not raw[task]:
             raise ConfigError(f"task {task!r} is enabled but its dataset is empty")
     if finetune_epochs > 0 and not raw["qe"]:
         raise ConfigError("fine-tuning requires a QE dataset")
-    if until_convergence and validation is None:
-        raise ConfigError("until_convergence training requires a validation set")
 
     featurizer = encoder.featurizer
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
@@ -250,38 +246,33 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
 
     if validation is not None:
         va, vb, vy = as_pair_scores(validation)
-
-    def validation_pearson():
-        pred, _ = backprop.regression_head(params, "qe", embed(params, vXa), embed(params, vXb))
-        try:
-            return pearson(pred, vy)
-        except ValueError:
-            return float("-inf")
-
-    adam = Adam(config.learning_rate)
-    history = []
-    epoch = 0
-    if until_convergence:
         vXa, vXb = _featurize_sides(va, vb, featurizer)
         best_score = float("-inf")
         best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
-        wait = 0
-        while epoch < max_epochs and wait < patience:
-            epoch += 1
-            _run_epochs(params, adam, phase1, 1, history, epoch)
-            score = validation_pearson()
-            if score > best_score:
-                best_score = score
-                best_params = {k: np.copy(v) for k, v in params.items()}
-                wait = 0
-            else:
-                wait += 1
+
+    adam = Adam(config.learning_rate)
+    history = []
+    epoch = wait = 0
+    while epoch < config.epochs and wait < _PATIENCE:
+        epoch += 1
+        _run_epochs(params, adam, phase1, 1, history, epoch)
+        if validation is None:
+            continue
+        pred, _ = backprop.regression_head(params, "qe", embed(params, vXa), embed(params, vXb))
+        try:
+            score = pearson(pred, vy)
+        except ValueError:
+            score = float("-inf")
+        if score > best_score:
+            best_score = score
+            best_params = {k: np.copy(v) for k, v in params.items()}
+            wait = 0
+        else:
+            wait += 1
+    if validation is not None:
         for name, best in best_params.items():
             params[name][...] = best
         adam = Adam(config.learning_rate)
-    else:
-        _run_epochs(params, adam, phase1, config.epochs, history)
-        epoch = config.epochs
 
     if finetune_epochs:
         _run_epochs(params, adam, {"qe": streams["qe"]}, finetune_epochs, history, epoch + 1)

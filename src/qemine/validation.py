@@ -45,8 +45,10 @@ def as_pair_scores(data):
         texts_b.append(str(b))
         scores.append(float(s))
     y = np.asarray(scores, dtype=np.float64)
-    if len(y) and (y.min() < 0.0 or y.max() > 1.0):
-        raise ValueError("pair scores must lie in [0,1]")
+    bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))  # NaN fails both comparisons
+    if bad.size:
+        raise ValueError(f"pair scores must lie in [0,1], got {float(y[bad[0]])!r} "
+                         f"for pair {bad[0]}")
     return texts_a, texts_b, y
 
 

@@ -113,17 +113,30 @@ class TestExitCodes:
                      "--filter-model", missing[4], "--model", missing[5],
                      "--out", tmp_path / "mined.tsv", flag, value])
         assert code == 1
-        assert f"error: {flag} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qemine mine-bucc")
+        assert f"error: {flag} must be" in err
         assert _manifests(tmp_path) == []
 
-    def test_epochs_with_until_convergence_is_usage_error(self, synth_prefix, tmp_path, capsys):
-        code = _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
-                     "--validation", f"{synth_prefix}.qe.tsv", "--until-convergence",
-                     "--epochs", 2, "--out", tmp_path / "model.qem", *NET])
+    def test_train_gold_with_fixed_threshold_is_usage_error(self, tmp_path, capsys):
+        # None of the input files exists, so reading any of them would exit 2.
+        missing = [tmp_path / name for name in ("a.tsv", "b.tsv", "gold.tsv", "train.tsv",
+                                                "filter.qem", "scorer.qem")]
+        code = _run(["mine-bucc", "--side-a", missing[0], "--side-b", missing[1],
+                     "--gold", missing[2], "--train-gold", missing[3],
+                     "--filter-model", missing[4], "--model", missing[5],
+                     "--out", tmp_path / "mined.tsv", "--threshold", "0.1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "--epochs" in err and "--until-convergence" in err
-        assert _manifests(tmp_path) == ["corpus.manifest.json"]
+        assert err.startswith("usage: qemine mine-bucc")
+        assert "error: --train-gold is read only with --threshold auto" in err
+        assert _manifests(tmp_path) == []
+
+    def test_until_convergence_is_an_unknown_flag(self, tmp_path, capsys):
+        code = _run(["train", "--qe", tmp_path / "absent.tsv", "--until-convergence",
+                     "--out", tmp_path / "model.qem"])
+        assert code == 1
+        assert "unrecognized arguments: --until-convergence" in capsys.readouterr().err
 
 
 class TestParser:
@@ -341,8 +354,9 @@ class TestMineCli:
         out = tmp_path / "mined.tsv"
         tuning = tmp_path / "tune.gold.tsv"
         tuning.write_text((synth_prefix.parent / "corpus.bucc.gold.tsv").read_text())
+        train_gold = ["--train-gold", tuning] if threshold == "auto" else []
         assert _run(self._mine_bucc_args(synth_prefix, out) + models
-                    + ["--threshold", threshold, "--train-gold", tuning]) == 0
+                    + ["--threshold", threshold, *train_gold]) == 0
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
         summary = re.match(r"(\d+) candidates, (\d+) forward, (\d+) backward, (\d+) selected, "
                            r"threshold=([0-9.e-]+),", last_line)

@@ -5,6 +5,7 @@ from qemine.augment import AugmentConfig, augment_filtration
 from qemine.errors import NotFittedError
 from qemine.estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
 from qemine.model import save_feature_model
+from qemine.optim import Adam
 from qemine.synth import SynthConfig, generate_parallel, generate_qe
 from qemine.training import TrainConfig, align_encoders
 
@@ -25,6 +26,16 @@ class TestParamProtocol:
         assert params["seed"] == 9
         assert params["n_features"] == 256
         assert "encoder_" not in params
+        assert len(params) == 11
+
+    def test_fit_rejects_a_nan_score_before_training(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(Adam, "step", no_step)
+        records = [("a b", "c d", float("nan")), ("e f", "g h", 0.5)]
+        with pytest.raises(ValueError, match="got nan for pair 0"):
+            MultitaskScorer(tasks=("qe",), **SMALL).fit(records)
 
     def test_set_params_roundtrip(self):
         scorer = MultitaskScorer(**SMALL)

@@ -345,6 +345,12 @@ class TestMineBucc:
         with pytest.raises(ConfigError):
             mine_bucc(corpus, _RandomEmbedder(), scorer, MiningConfig(4, "auto"))
 
+    def test_fixed_threshold_rejects_train_gold(self):
+        # train_gold is read only by tuning, so a fixed threshold would ignore it
+        corpus = _corpus_from_size(4, 4)
+        with pytest.raises(ConfigError, match="train_gold"):
+            mine_bucc(corpus, _RandomEmbedder(), None, MiningConfig(4, 0.5), {("a0", "b0")})
+
 
 class TestMutualBest:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -159,7 +159,7 @@ class TestBitwiseAgainstTextPairs:
         median = float(np.median([s for _, _, s in everything]))
         train_gold = {(a, b) for a, b, s in everything if s >= median}
         if threshold == "median":
-            threshold = median
+            threshold, train_gold = median, None
         config = MiningConfig(top_n=3, threshold=threshold)
         result = mine_bucc(corpus, filter_model, scorer, config, train_gold)
         pairs, tuned = text_pair_mine_bucc(corpus, filter_model, scorer, config, train_gold)
@@ -373,7 +373,7 @@ class TestSharedEmbedding:
         filter_model, scorer = _filter(**CONFIGS[configs]), _scorer(kind, configs)
         per_side = (_per_side(filter_model), _per_side(scorer))
         everything = mine_bucc(corpus, *per_side, MiningConfig(3, 0.0)).pairs
-        train_gold = {(a, b) for a, b, _ in everything[::2]}
+        train_gold = {(a, b) for a, b, _ in everything[::2]} if threshold == "auto" else None
         config = MiningConfig(top_n=3, threshold=threshold)
         expected = mine_bucc(corpus, *per_side, config, train_gold)
         assert repr(mine_bucc(corpus, filter_model, scorer, config, train_gold)) == repr(expected)
@@ -509,7 +509,7 @@ class TestFeaturizationCount:
         filter_model, scorer = _filter(hash_seed=5), _multitask(hash_seed=5)
         assert filter_model.encoder_.featurizer == scorer.encoder_.featurizer
         mine_bucc(corpus, filter_model, scorer, MiningConfig(top_n=3, threshold=threshold),
-                  set(list(corpus.gold)[:3]))
+                  set(list(corpus.gold)[:3]) if threshold == "auto" else None)
         texts = _distinct(corpus.side_a.values(), corpus.side_b.values())
         assert featurized == [(scorer.encoder_.featurizer, texts)]
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from qemine.training import (
     _batches,
     _featurize_sides,
     _rng,
+    _PATIENCE,
     _TAG_INIT,
     _TAG_STREAM,
     _flat_view,
@@ -286,20 +288,43 @@ class TestMultitaskSchedule:
         second = multitask_train(**kwargs)
         assert model_to_bytes(*first[:2]) == model_to_bytes(*second[:2])
 
-    def test_until_convergence_stops_and_needs_validation(self, tiny_qe_records):
-        with pytest.raises(ConfigError):
-            multitask_train(qe=tiny_qe_records, encoder=SMALL_ENCODER,
-                            tasks=("qe",), until_convergence=True)
-        records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 80)
-        validation = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)[80:]
-        _, _, history = multitask_train(
-            qe=records,
-            config=TrainConfig(batch_size=16, seed=1),
-            encoder=SMALL_ENCODER,
-            tasks=("qe",), until_convergence=True, patience=2, max_epochs=6, finetune_epochs=0,
-            validation=validation,
+    @staticmethod
+    def _early_stopping_data():
+        records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)
+        return records[:80], records[80:]
+
+    def test_until_convergence_stops_and_needs_validation(self):
+        """Training runs until validation Pearson stops improving; without
+        a validation set it runs all ``config.epochs`` epochs."""
+        records, validation = self._early_stopping_data()
+        args = dict(qe=records, config=TrainConfig(epochs=8, batch_size=16, seed=2),
+                    encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=0)
+        _, _, history = multitask_train(**args, validation=validation)
+        # validation Pearson peaks after epoch 1 on this data
+        assert max(r["epoch"] for r in history) == 1 + _PATIENCE
+        _, _, history = multitask_train(**args)
+        assert max(r["epoch"] for r in history) == 8
+
+    # SHA-256 of the model bytes.  The early-stopped run stops after
+    # 1 + _PATIENCE of its 8 epochs and restores epoch 1's weights; both
+    # digests are the ones the mode-flag API gave (the early-stopped one
+    # with until_convergence=True, patience=3, max_epochs=8), so removing
+    # the flag changed no model.  Training goes through BLAS products, so
+    # these digests hold for OpenBLAS's x86-64 float32 kernels.
+    @pytest.mark.parametrize("epochs, seed, early_stopping, digest", [
+        (4, 1, False, "88de41a7c44dfb21bbfd03f8299bb767ec5591db611cbda49acb19dd5a06bb39"),
+        (8, 2, True, "0f01994e0b04c04d368ce6fa0f1f775b1ef9216225385daa32a22fe492f49abb"),
+    ], ids=["fixed-epochs", "early-stopped"])
+    def test_model_digest_is_pinned(self, epochs, seed, early_stopping, digest):
+        records, validation = self._early_stopping_data()
+        model, heads, history = multitask_train(
+            qe=records, config=TrainConfig(epochs=epochs, batch_size=16, seed=seed),
+            encoder=SMALL_ENCODER, tasks=("qe",), finetune_epochs=1,
+            validation=validation if early_stopping else None,
         )
-        assert 1 <= max(r["epoch"] for r in history) <= 6
+        phase1_epochs = 1 + _PATIENCE if early_stopping else epochs
+        assert max(r["epoch"] for r in history) == phase1_epochs + 1
+        assert hashlib.sha256(model_to_bytes(model, heads)).hexdigest() == digest
 
     def test_until_convergence_keeps_w1_feature_major(self, monkeypatch):
         """The best-epoch snapshot is restored before fine-tuning; W1 must
@@ -312,13 +337,12 @@ class TestMultitaskSchedule:
             return step(self, params, grads)
 
         monkeypatch.setattr(Adam, "step", recording_step)
-        records = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 80)
-        validation = generate_qe(SynthConfig(vocab_size=30, corruption_rate=0.5, seed=22), 110)[80:]
+        records, validation = self._early_stopping_data()
         _, _, history = multitask_train(
             qe=records,
-            config=TrainConfig(batch_size=16, seed=1),
+            config=TrainConfig(epochs=4, batch_size=16, seed=1),
             encoder=SMALL_ENCODER,
-            tasks=("qe",), until_convergence=True, patience=1, max_epochs=4, finetune_epochs=1,
+            tasks=("qe",), finetune_epochs=1,
             validation=validation,
         )
         phase1_epochs = max(r["epoch"] for r in history) - 1
@@ -337,15 +361,11 @@ _PAIRS = [("kafo melo", "norz quvo"), ("rusk", "tavo")]
     (lambda: TrainConfig(epochs=-1), "epochs"),
     (lambda: multitask_train(qe=_QE, finetune_epochs=-1), "finetune_epochs"),
     (lambda: TrainConfig(batch_size=0), "batch_size"),
-    (lambda: multitask_train(qe=_QE, tasks=("qe",), until_convergence=True,
-                             validation=_QE, patience=0), "patience"),
-    (lambda: multitask_train(qe=_QE, tasks=("qe",), until_convergence=True,
-                             validation=_QE, max_epochs=0), "max_epochs"),
     (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=0.0), "margin"),
     (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=-0.5), "margin"),
     (lambda: train_filtration(_PAIRS, _PAIRS[::-1], margin=1.5), "margin"),
 ], ids=["unknown-task", "repeated-task", "no-task", "epochs", "finetune-epochs",
-        "batch-size", "patience", "max-epochs", "margin-zero", "margin-negative",
+        "batch-size", "margin-zero", "margin-negative",
         "margin-above-one"])
 def test_invalid_setting_raises_value_error(train, message):
     with pytest.raises(ValueError, match=message):
@@ -430,26 +450,20 @@ class TestFeaturizeOnce:
     def test_multitask_train(self, tiny_qe_records, featurized, monkeypatch):
         qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
         qe += [(qe[0][0], qe[1][1], 0.3), (qe[2][1], qe[2][1], 0.8)]
-        validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
-                      ("rusk", "kafo melo", 0.5)]
         config = TrainConfig(epochs=1, batch_size=4, seed=5)
-        trained = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
-                                  validation=validation, tasks=("qe",))
-        # A fixed-epoch run never reads the validation set, so never featurizes it.
+        trained = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER, tasks=("qe",))
         assert featurized == Counter({t for row in qe for t in row[:2]})
 
         self._every_text_featurized(monkeypatch)
-        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER,
-                                    validation=validation, tasks=("qe",))
+        reference = multitask_train(qe=qe, config=config, encoder=SMALL_ENCODER, tasks=("qe",))
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*reference[:2])
 
     def test_multitask_train_until_convergence(self, tiny_qe_records, featurized, monkeypatch):
         qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
         validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
                       ("rusk", "kafo melo", 0.5), (qe[0][0], "rusk", 0.2)]
-        args = dict(qe=qe, config=TrainConfig(batch_size=4, seed=5), encoder=SMALL_ENCODER,
-                    validation=validation, tasks=("qe",), until_convergence=True,
-                    patience=1, max_epochs=2)
+        args = dict(qe=qe, config=TrainConfig(epochs=2, batch_size=4, seed=5),
+                    encoder=SMALL_ENCODER, validation=validation, tasks=("qe",))
         trained = multitask_train(**args)
         # Each distinct text once per side set: a validation text that also
         # trains is featurized again for validation.

@@ -34,6 +34,12 @@ class TestAsPairScores:
         with pytest.raises(ValueError):
             as_pair_scores([("a", "b", 1.5)])
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, score):
+        # NaN passes any < or > bound check, so it must be rejected as such
+        with pytest.raises(ValueError, match=rf"got {score!r} for pair 1"):
+            as_pair_scores([("a", "b", 0.5), ("c", "d", score)])
+
 
 class TestAsNliData:
     def test_labels_validated(self):
