@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qemine", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qemine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # main reports its own checks with a command's usage
+    parser.commands = sub.choices  # main reports unknown flags and its checks with a command's usage
 
     p = sub.add_parser("train", help="multitask-train a quality scorer")
     p.add_argument("--qe", help="QE TSV path")
@@ -453,9 +453,11 @@ def _in_unit_range(value: str) -> bool:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        error = parser.commands[args.command].error
+        if unknown:
+            error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "mine-bucc":
-            error = parser.commands[args.command].error
             if args.threshold == "auto" and not args.train_gold:
                 error("the auto threshold cannot be resolved without --train-gold")
             if args.threshold != "auto" and not _in_unit_range(args.threshold):

@@ -20,7 +20,7 @@ sets, which ``mining.score_matrix`` uses in place of aligned blocks.
 
 Each model lists its own ``(params, featurizer)`` encoders in
 ``_encoders()`` (a ``FeatureStackScorer`` lists its three backbones'),
-and ``embed`` goes through ``training._embed_sides``, the one embedding
+and ``embed`` goes through ``embedding.embed_sides``, the one embedding
 rule that mining and the feature stack's training use too.  Aligned
 pairs, from ``predict*``, ``score_pairs`` or
 ``FeatureStackScorer.predict``, are embedded as two sides, the sources
@@ -36,11 +36,11 @@ import inspect
 import numpy as np
 
 from . import backprop, mining
+from .embedding import embed_sides
 from .errors import ConfigError
 from .features import FeaturizerConfig, featurize_all  # noqa: F401 - perfbench/tracing.py wraps it here
 from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
-from .training import (TrainConfig, _embed_sides, multitask_train, train_filtration,
-                       train_feature_stack)
+from .training import TrainConfig, multitask_train, train_feature_stack, train_filtration
 from .validation import as_text_pairs, check_is_fitted
 
 __all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer"]
@@ -79,7 +79,7 @@ def _check_aligned(ua, ub) -> None:
 
 def _score_sides(scorer, texts_a, texts_b, **head) -> np.ndarray:
     """Scores of the aligned pairs of two text lists, embedded as two sides."""
-    return scorer.score_embeddings(*_embed_sides([scorer], [texts_a, texts_b])[0], **head)
+    return scorer.score_embeddings(*embed_sides([scorer], [texts_a, texts_b])[0], **head)
 
 
 def _score_text_pairs(scorer, pairs, **head) -> np.ndarray:
@@ -160,7 +160,7 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
 
     def embed(self, texts) -> np.ndarray:
         """Backbone embeddings, one row per text."""
-        return _embed_sides([self], [texts])[0][0]
+        return embed_sides([self], [texts])[0][0]
 
     def score_embeddings(self, ua, ub, task="qe") -> np.ndarray:
         """QE (default) or STS scores in (0,1), or NLI class probabilities."""
@@ -232,11 +232,11 @@ class ContrastiveFilter(_EstimatorMixin, _EncoderParams):
 
     def embed(self, texts) -> np.ndarray:
         """Raw sentence embeddings, one row per text."""
-        return _embed_sides([self], [texts])[0][0]
+        return embed_sides([self], [texts])[0][0]
 
     def pair_cosines(self, texts_a, texts_b) -> np.ndarray:
         """Cosine per aligned pair (not the full cross product)."""
-        return backprop._cos_forward(*_embed_sides([self], [texts_a, texts_b])[0])[0]
+        return backprop._cos_forward(*embed_sides([self], [texts_a, texts_b])[0])[0]
 
     def save(self, path) -> None:
         check_is_fitted(self, "encoder_")
@@ -286,7 +286,7 @@ class FeatureStackScorer(_EstimatorMixin):
 
     def embed(self, texts) -> np.ndarray:
         """The three backbones' embeddings side by side, one row per text."""
-        return _embed_sides([self], [texts])[0][0]
+        return embed_sides([self], [texts])[0][0]
 
     def pair_features(self, ua, ub) -> np.ndarray:
         """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""

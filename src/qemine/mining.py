@@ -5,7 +5,7 @@ tuning and the retrieval metrics.
 Filtration encoders expose ``embed(texts)``, one embedding row per
 text.  Quality scorers expose ``embed(texts)`` too, plus
 ``score_embeddings(ua, ub)``, which scores aligned embedding rows.
-Both models embed both sides in one ``training._embed_sides`` call,
+Both models embed both sides in one ``embedding.embed_sides`` call,
 which featurizes each distinct sentence once per featurizer config and
 embeds as ``predict`` and feature-stack training do.  The similarity
 matrix is ``backprop.cosine_grid`` in float64.  Index pairs into the
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backprop, training
+from . import backprop, embedding
 from .errors import ConfigError
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
@@ -151,7 +151,7 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     if not references or not hypotheses:
         raise ValueError("reference and hypothesis lists must be non-empty")
     n, m = len(references), len(hypotheses)
-    [(ua, ub)] = training._embed_sides([scorer], [references, hypotheses])
+    [(ua, ub)] = embedding.embed_sides([scorer], [references, hypotheses])
     if not hasattr(scorer, "score_grid"):
         return ScoreMatrix(_score_index_pairs(scorer, ua, ub, range(n * m), m).reshape(n, m))
     values = np.empty((n, m))
@@ -182,7 +182,7 @@ def tatoeba_accuracy(predicted, size: int) -> float:
 
 def embed_and_similarity(filter_model, side_a, side_b) -> ScoreMatrix:
     """Pairwise cosine matrix of the filter's embeddings of two sides."""
-    [(ua, ub)] = training._embed_sides([filter_model], [side_a, side_b])
+    [(ua, ub)] = embedding.embed_sides([filter_model], [side_a, side_b])
     return _cosine_matrix(ua, ub)
 
 
@@ -323,7 +323,7 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
     texts_a = [corpus.side_a[i] for i in ids_a]
     texts_b = [corpus.side_b[i] for i in ids_b]
 
-    (fa, fb), (ua, ub) = training._embed_sides([filter_model, scorer], [texts_a, texts_b])
+    (fa, fb), (ua, ub) = embedding.embed_sides([filter_model, scorer], [texts_a, texts_b])
     similarity = _cosine_matrix(fa, fb)
     row_cands, col_cands = topn_candidates(similarity, config.top_n)
     codes = _shortlist(row_cands, col_cands, config.top_n)

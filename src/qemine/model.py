@@ -129,7 +129,7 @@ class EncoderModel:
         return {"W1": self.w1, "b1": self.b1, "W2": self.w2, "b2": self.b2}
 
     def _encoders(self) -> list:
-        """The one ``(params, featurizer)`` encoder that ``training._embed_sides`` embeds with."""
+        """The one ``(params, featurizer)`` encoder that ``embedding.embed_sides`` embeds with."""
         return [(self.params(), self.featurizer)]
 
 

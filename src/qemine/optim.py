@@ -13,8 +13,9 @@ momentum.  Each column has its own step count, so a column first
 touched at step 5 is bias-corrected as at its step 1.  The block must be
 feature-major: an (H, F) array whose transpose is C-contiguous, so that
 a column is one contiguous row of ``param.T`` and of the moment arrays.
-When every column is touched at every step the lazy update equals the
-dense one bit for bit.
+Every other block must be C-contiguous, and is updated by the same
+routine as one row of its C-order entries.  When every column is touched
+at every step the lazy update equals dense Adam bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import TrainingError
 
 __all__ = ["Adam", "ColumnGrad"]
 
-# Entries per chunk of a lazy update (128 KiB of float32 per temporary)
+# Entries per chunk of an update (128 KiB of float32 per temporary)
 _CHUNK_ELEMS = 1 << 15
 # Moment decay rates and the denominator's epsilon (Kingma & Ba's defaults)
 _BETA1 = 0.9
@@ -68,86 +69,73 @@ class Adam:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
         self._state: dict[str, tuple] = {}
-        # 1 - beta**t for t = 1, 2, ..., in Python floats as the dense update
+        self._steps = 0
+        # 1 - beta**t for t = 1, 2, ..., in Python floats as dense Adam
         # computes them (numpy's vectorized power may differ in the last bit)
         self._corrections = np.empty((2, 0))
 
     def step(self, params: dict, grads: dict) -> None:
         """Update every block named in grads in place; other blocks stay untouched."""
+        # no row is updated more often than step is called
+        self._steps += 1
+        if self._steps > self._corrections.shape[1]:
+            steps = range(1, 2 * self._steps + 1)
+            self._corrections = np.array([[1.0 - _BETA1 ** k for k in steps],
+                                          [1.0 - _BETA2 ** k for k in steps]])
         for name, grad in grads.items():
+            param = params[name]
             if isinstance(grad, ColumnGrad):
-                self._column_step(name, params[name], grad)
-                continue
-            grad = np.asarray(grad, dtype=params[name].dtype)
-            if not np.all(np.isfinite(grad)):
-                raise TrainingError(f"non-finite gradient in parameter block {name!r}")
-            if name in self._state:
-                m, v, t = self._state[name]
+                if not param.T.flags.c_contiguous:
+                    raise TrainingError(f"parameter block {name!r} is not feature-major")
+                self._update(name, param.T, grad.cols, grad.rows)
             else:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-                t = 0
-            t += 1
-            m += (1.0 - _BETA1) * (grad - m)
-            v += (1.0 - _BETA2) * (grad * grad - v)
-            m_hat = m / (1.0 - _BETA1 ** t)
-            v_hat = v / (1.0 - _BETA2 ** t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
-            self._state[name] = (m, v, t)
+                if not param.flags.c_contiguous:
+                    raise TrainingError(f"parameter block {name!r} is not C-contiguous")
+                grad = np.asarray(grad, dtype=param.dtype).reshape(1, -1)
+                self._update(name, param.reshape(1, -1), slice(None), grad)
 
-    def _column_step(self, name: str, param: np.ndarray, grad: ColumnGrad) -> None:
-        """Lazy update of the touched columns of a feature-major block.
-
-        Each entry goes through the dense update's operations in the same
-        order.  The columns are updated a chunk at a time, so that the
-        temporaries of one chunk stay in cache.
-        """
-        table = param.T
-        if not table.flags.c_contiguous:
-            raise TrainingError(f"parameter block {name!r} is not feature-major")
-        if not np.all(np.isfinite(grad.rows)):
+    def _update(self, name: str, table: np.ndarray, touched, rows: np.ndarray) -> None:
+        """Update the rows ``touched`` (a strictly increasing index array, or
+        ``slice(None)`` for all) of ``table``, a C-contiguous view of block
+        ``name``, by their gradients ``rows``.  Each row has its own moments
+        and step count.  The rows go a chunk at a time, so that the
+        temporaries of one chunk stay in cache."""
+        if not np.isfinite(rows).all():
             raise TrainingError(f"non-finite gradient in parameter block {name!r}")
         if name not in self._state:
-            # np.zeros maps pages lazily: only touched columns take memory
+            # np.zeros maps pages lazily: only touched rows take memory
             self._state[name] = (np.zeros(table.shape, table.dtype),
                                  np.zeros(table.shape, table.dtype),
                                  np.zeros(len(table), dtype=np.int64))
         m_all, v_all, t_all = self._state[name]
-        t = t_all[grad.cols] + 1
-        t_all[grad.cols] = t
-        # in the block's dtype, as the dense update rounds its Python-float divisors
-        c1, c2 = self._bias_corrections(t).astype(table.dtype)
+        t = t_all[touched] + 1
+        t_all[touched] = t
+        # in the block's dtype, as numpy rounds dense Adam's Python-float divisors
+        c1, c2 = self._corrections.take(t - 1, axis=1).astype(table.dtype)
         chunk = max(1, _CHUNK_ELEMS // table.shape[1])
+        whole = isinstance(touched, slice)
         for lo in range(0, len(t), chunk):
-            cols = grad.cols[lo : lo + chunk]
-            rows = grad.rows[lo : lo + chunk]
-            m = m_all[cols]
-            step = np.subtract(rows, m)
+            at = slice(lo, lo + chunk) if whole else touched[lo : lo + chunk]
+            grad = rows[lo : lo + chunk]
+            # copies of the moments, which the update then overwrites (a
+            # slice's rows are views, an index array's are copies already)
+            m = m_all[at].copy() if whole else m_all[at]
+            step = np.subtract(grad, m)
             step *= 1.0 - _BETA1
             m += step
-            m_all[cols] = m
-            v = v_all[cols]
-            np.multiply(rows, rows, out=step)
+            m_all[at] = m
+            v = v_all[at].copy() if whole else v_all[at]
+            np.multiply(grad, grad, out=step)
             step -= v
             step *= 1.0 - _BETA2
             v += step
-            v_all[cols] = v
+            v_all[at] = v
             m /= c1[lo : lo + chunk, None]
             m *= self.learning_rate
             v /= c2[lo : lo + chunk, None]
             np.sqrt(v, out=v)
             v += _EPS
             m /= v
-            updated = table[cols]
+            updated = table[at]
             updated -= m
-            table[cols] = updated
-
-    def _bias_corrections(self, t: np.ndarray) -> np.ndarray:
-        """(1 - beta1**t, 1 - beta2**t) for an array of step counts."""
-        known = self._corrections.shape[1]
-        need = int(t.max(initial=0))
-        if need > known:
-            steps = range(1, max(need, 2 * known) + 1)
-            self._corrections = np.array([[1.0 - _BETA1 ** k for k in steps],
-                                          [1.0 - _BETA2 ** k for k in steps]])
-        return self._corrections[:, t - 1]
+            table[at] = updated

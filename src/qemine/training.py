@@ -12,12 +12,6 @@ rate, seed); ``multitask_train`` takes its task list and fine-tuning
 epochs as keywords, and ``train_filtration`` its contrastive ``margin``.
 A validation set given to ``multitask_train`` switches on early stopping,
 with ``config.epochs`` as the most epochs it runs.
-
-``_embed_sides(models, sides)`` is the one way in to the embedding
-rule, for inference, mining and feature-stack training alike: each
-model lists its own encoders (``_encoders()``), and the distinct texts
-of all sides are featurized once per config and embedded once per
-encoder.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -35,13 +28,12 @@ from .backprop import (
     contrastive_batch,
     embed,
     feature_head_batch,
-    hidden_layer,
     init_params,
     nli_batch,
-    output_layer,
     regression_batch,
     stacked_pair_features,
 )
+from .embedding import embed_sides
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
 from .model import TASKS, EncoderConfig, EncoderModel, FeatureStackModel, HeadSet
@@ -133,45 +125,6 @@ def _featurize_sides(texts_a, texts_b, featurizer):
     return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
 
 
-def _embed_sides(models, sides) -> list:
-    """``[[model.embed(side) for side in sides] for model in models]``.
-
-    A model with ``_encoders()``, the ``(params, FeaturizerConfig)`` pairs
-    whose embeddings side by side are its ``embed`` rows, embeds by one
-    rule.  The distinct texts of all sides are featurized once per config
-    and go through each encoder's hidden layer once, which projects each
-    distinct word's grams once and sums the projections per text; a hidden
-    row's bits depend only on its own text.  The output layer runs once per side,
-    over that side's distinct rows in first-occurrence order: BLAS picks
-    its kernel by row count, so a side's bits do not depend on the other
-    sides or models in the call.  Any other model embeds each side with
-    its own ``embed``.
-    """
-    sides = [list(side) for side in sides]
-    groups = [model._encoders() if hasattr(model, "_encoders") else None for model in models]
-    configs = dict.fromkeys(config for group in groups if group for _, config in group)
-    if configs:
-        if not all(sides):
-            raise ValueError("cannot featurize an empty list of texts")
-        distinct, rows = distinct_texts(list(chain.from_iterable(sides)))
-        features = {config: featurize_all(distinct, config) for config in configs}
-        # per side: its distinct texts as rows of the hidden layer, and each text's row among them
-        bounds = np.cumsum([len(side) for side in sides[:-1]])
-        per_side = [distinct_texts(side_rows.tolist()) for side_rows in np.split(rows, bounds)]
-    embedded = []
-    for model, group in zip(models, groups):
-        if group is None:
-            embedded.append([model.embed(side) for side in sides])
-            continue
-        blocks = []
-        for params, config in group:
-            hidden = hidden_layer(params, features[config])
-            blocks.append([output_layer(params, hidden[at])[local] for at, local in per_side])
-        embedded.append([parts[0] if len(parts) == 1 else np.hstack(parts)
-                         for parts in zip(*blocks)])
-    return embedded
-
-
 def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
     """``epochs`` epochs of Adam steps; returns ``history`` with one
     ``{"epoch", "task", "mean_loss"}`` row appended per epoch and task.
@@ -205,12 +158,12 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     ``TASKS`` order) for at most ``config.epochs`` epochs.  Within an
     epoch, batches from the tasks are interleaved round-robin; the largest
     dataset defines the epoch and shorter ones are reshuffled and recycled.
-    With a ``validation`` set of scored QE pairs, phase 1 stops early: it
-    scores validation Pearson after each epoch, stops after ``_PATIENCE``
-    epochs without a gain, restores the best epoch's weights and starts
-    fine-tuning with a fresh Adam.  Phase 2 runs ``finetune_epochs``
-    epochs on QE only, updating the backbone and QE head; the STS and NLI
-    heads are untouched.
+    With a ``validation`` set of scored QE pairs (3 or more, not all
+    scored alike), phase 1 stops early: it scores validation Pearson after
+    each epoch, stops after ``_PATIENCE`` epochs without a gain, restores
+    the best epoch's weights and starts fine-tuning with a fresh Adam.
+    Phase 2 runs ``finetune_epochs`` epochs on QE only, updating the
+    backbone and QE head; the STS and NLI heads are untouched.
 
     Returns (EncoderModel, HeadSet, history) where history is a list of
     ``{"epoch", "task", "mean_loss"}`` rows.
@@ -227,6 +180,12 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
             raise ConfigError(f"task {task!r} is enabled but its dataset is empty")
     if finetune_epochs > 0 and not raw["qe"]:
         raise ConfigError("fine-tuning requires a QE dataset")
+    if validation is not None:
+        va, vb, vy = as_pair_scores(validation)
+        try:
+            pearson(vy, vy)  # undefined here means undefined for every model
+        except ValueError as exc:
+            raise ConfigError(f"validation set of {len(vy)} pairs has no Pearson: {exc}") from None
 
     featurizer = encoder.featurizer
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
@@ -245,7 +204,6 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     phase1 = {task: streams[task] for task in tasks}
 
     if validation is not None:
-        va, vb, vy = as_pair_scores(validation)
         vXa, vXb = _featurize_sides(va, vb, featurizer)
         best_score = float("-inf")
         best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
@@ -364,7 +322,7 @@ def train_feature_stack(sts_backbone, nli_backbone, qe_backbone, qe_data,
     """
     backbones = (sts_backbone, nli_backbone, qe_backbone)
     sources, targets, y = as_pair_scores(qe_data)
-    ua, ub = (np.hstack(side) for side in zip(*_embed_sides(backbones, [sources, targets])))
+    ua, ub = (np.hstack(side) for side in zip(*embed_sides(backbones, [sources, targets])))
     feats = stacked_pair_features(ua, ub, [b.embedding_dim for b in backbones])
     width = feats.shape[1]
 

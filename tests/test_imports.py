@@ -71,3 +71,11 @@ def test_package_modules_import_each_other_at_module_level():
         nested += [f"{name}:{node.lineno} imports {target}"
                    for node, target in _package_imports(tree) if node not in top_level]
     assert nested == []
+
+
+def test_mining_and_the_embedding_rule_do_not_import_the_trainer():
+    graph = {name: {target for _, target in _package_imports(tree)}
+             for name, tree in _trees().items()}
+    assert "embedding" in graph["mining"]  # the graph sees the edge
+    assert "training" not in graph["mining"]
+    assert graph["embedding"].isdisjoint({"training", "estimators", "mining"})

@@ -68,6 +68,18 @@ class TestAdam:
         with pytest.raises(TrainingError, match="w1"):
             adam.step(params, {"w1": np.array([np.nan])})
 
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_rejects_a_dense_block_that_is_not_c_contiguous(self, layout):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(3, 8))
+        block = np.asfortranarray(block) if layout == "F" else block[:, ::2]
+        original = block.copy()
+        adam = Adam(1e-3)
+        with pytest.raises(TrainingError, match="'W2' is not C-contiguous"):
+            adam.step({"W2": block}, {"W2": rng.normal(size=block.shape)})
+        assert block.tobytes() == original.tobytes()
+        assert adam._state == {}
+
     def test_rejects_nonpositive_learning_rate(self):
         with pytest.raises(ValueError):
             Adam(0.0)
@@ -88,9 +100,11 @@ class TestLazyAdam:
     @staticmethod
     def _every_column_against_dense(dtype):
         # 64 hidden units and 1,200 columns: the lazy update runs in several chunks
-        hidden, n_features = 64, 1200
+        # W2 is a C-contiguous (d, H) block; the head gets no gradient on odd steps
+        hidden, n_features, dim = 64, 1200, 24
         rng = np.random.default_rng(0)
-        lazy = {"W1": _feature_major(rng, hidden, n_features), "b1": rng.normal(size=hidden)}
+        lazy = {"W1": _feature_major(rng, hidden, n_features), "b1": rng.normal(size=hidden),
+                "W2": rng.normal(size=(dim, hidden)), "qe_w": rng.normal(size=4 * dim + 1)}
         lazy = {name: value.astype(dtype) for name, value in lazy.items()}
         dense = {name: np.copy(value) for name, value in lazy.items()}
         lazy_adam, dense_adam = Adam(1e-2), DenseAdam(1e-2)
@@ -98,7 +112,10 @@ class TestLazyAdam:
             scale = 10.0 ** rng.uniform(-6, 2)
             grad = _column_grad(rng, np.arange(n_features), hidden, n_features, scale)
             grads = {"W1": ColumnGrad(grad.cols, grad.rows.astype(dtype), grad.shape),
-                     "b1": rng.normal(size=hidden).astype(dtype)}
+                     "b1": rng.normal(size=hidden).astype(dtype),
+                     "W2": rng.normal(0.0, scale, size=(dim, hidden)).astype(dtype)}
+            if step % 2 == 0:
+                grads["qe_w"] = rng.normal(size=4 * dim + 1).astype(dtype)
             lazy_adam.step(lazy, grads)
             dense_adam.step(dense, grads)
             for name in lazy:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import qemine.estimators
+import qemine.features
 import qemine.mining
 import qemine.training
 from qemine import backprop
@@ -483,9 +484,10 @@ class TestFeaturizationCount:
     @pytest.fixture
     def featurized(self, monkeypatch):
         """(config, texts) of every ``featurize_all`` call made through the
-        estimators and training modules."""
+        features (where the embedding rule reads it), estimators and
+        training modules."""
         calls = []
-        for module in (qemine.estimators, qemine.training):
+        for module in (qemine.features, qemine.estimators, qemine.training):
             def counting(texts, config, original=module.featurize_all):
                 calls.append((config, list(texts)))
                 return original(texts, config)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qemine.features
 import qemine.training
 from qemine import backprop
 from qemine.augment import AugmentConfig, augment_filtration
@@ -305,6 +306,25 @@ class TestMultitaskSchedule:
         _, _, history = multitask_train(**args)
         assert max(r["epoch"] for r in history) == 8
 
+    @pytest.mark.parametrize("validation", [
+        [],
+        [("kafo melo", "norz quvo", 0.4)],
+        [("kafo melo", "norz quvo", 0.4), ("rusk", "kafo melo", 0.6)],
+        [("kafo melo", "norz quvo", 0.5), ("rusk", "kafo melo", 0.5), ("rusk", "norz", 0.5)],
+    ], ids=["empty", "one-pair", "two-pairs", "equal-scores"])
+    def test_validation_set_without_pearson_is_rejected_before_training(
+            self, validation, monkeypatch):
+        """Early stopping on an undefined Pearson would restore the untrained
+        weights, so such a validation set is refused before any step."""
+        def no_step(self, params, grads):
+            raise AssertionError("trained before the validation set was checked")
+
+        monkeypatch.setattr(Adam, "step", no_step)
+        records, _ = self._early_stopping_data()
+        with pytest.raises(ConfigError, match=f"validation set of {len(validation)} pairs"):
+            multitask_train(qe=records, config=TrainConfig(epochs=4, batch_size=16, seed=2),
+                            encoder=SMALL_ENCODER, tasks=("qe",), validation=validation)
+
     # SHA-256 of the model bytes.  The early-stopped run stops after
     # 1 + _PATIENCE of its 8 epochs and restores epoch 1's weights; both
     # digests are the ones the mode-flag API gave (the early-stopped one
@@ -432,14 +452,15 @@ class TestFeaturizeOnce:
 
     @pytest.fixture
     def featurized(self, monkeypatch):
+        """Texts of every ``featurize_all`` call made through the training
+        module or the features module, where the embedding rule reads it."""
         counts = Counter()
-        original = qemine.training.featurize_all
+        for module in (qemine.features, qemine.training):
+            def counting(texts, config, original=module.featurize_all):
+                counts.update(texts)
+                return original(texts, config)
 
-        def counting(texts, config):
-            counts.update(texts)
-            return original(texts, config)
-
-        monkeypatch.setattr(qemine.training, "featurize_all", counting)
+            monkeypatch.setattr(module, "featurize_all", counting)
         return counts
 
     @staticmethod
