@@ -2,7 +2,11 @@
 
 State (first/second moments and step count) is kept per block, in the
 block's dtype, so a block that is frozen for some phase of training
-keeps its bias correction consistent when it resumes.
+keeps its bias correction consistent when it resumes.  The update is
+Kingma & Ba's efficient order (arXiv:1412.6980, §2) on the moments
+stored as m/(1-β1) and v/(1-β2): a row's t-th update subtracts
+α_t·m/(√v + ε_t), with α_t = lr·(1-β1)/(1-β1^t)·s_t, ε_t = ε·s_t and
+s_t = √((1-β2^t)/(1-β2)), which is lr·m̂/(√v̂ + ε) in exact arithmetic.
 
 A block whose gradient is a ``ColumnGrad`` (the encoder's ``W1``) is
 updated lazily, with the semantics of TensorFlow's LazyAdam and
@@ -13,13 +17,15 @@ momentum.  Each column has its own step count, so a column first
 touched at step 5 is bias-corrected as at its step 1.  The block must be
 feature-major: an (H, F) array whose transpose is C-contiguous, so that
 a column is one contiguous row of ``param.T`` and of the moment arrays.
-Every other block must be C-contiguous, and is updated by the same
-routine as one row of its C-order entries.  When every column is touched
-at every step the lazy update equals dense Adam bit for bit.
+Every other block must be C-contiguous; the dense blocks of one step
+go through the same routine in one call, as one row of all their
+C-order entries.  When every column is touched at every step the lazy
+update equals dense Adam bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +34,8 @@ from .errors import TrainingError
 
 __all__ = ["Adam", "ColumnGrad"]
 
-# Entries per chunk of an update (128 KiB of float32 per temporary)
-_CHUNK_ELEMS = 1 << 15
+# Bytes per chunk buffer of an update, just below glibc's 128 KiB mmap threshold
+_CHUNK_BYTES = (1 << 17) - 1
 # Moment decay rates and the denominator's epsilon (Kingma & Ba's defaults)
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -70,72 +76,89 @@ class Adam:
         self.learning_rate = learning_rate
         self._state: dict[str, tuple] = {}
         self._steps = 0
-        # 1 - beta**t for t = 1, 2, ..., in Python floats as dense Adam
-        # computes them (numpy's vectorized power may differ in the last bit)
-        self._corrections = np.empty((2, 0))
+        # (alpha_t, eps_t) for t = 1, 2, ...; powers in Python floats, as dense Adam's
+        self._factors = np.empty((2, 0))
 
     def step(self, params: dict, grads: dict) -> None:
         """Update every block named in grads in place; other blocks stay untouched."""
         # no row is updated more often than step is called
         self._steps += 1
-        if self._steps > self._corrections.shape[1]:
+        if self._steps > self._factors.shape[1]:
             steps = range(1, 2 * self._steps + 1)
-            self._corrections = np.array([[1.0 - _BETA1 ** k for k in steps],
-                                          [1.0 - _BETA2 ** k for k in steps]])
+            scales = [math.sqrt((1.0 - _BETA2 ** t) / (1.0 - _BETA2)) for t in steps]
+            self._factors = np.array([[self.learning_rate * (1.0 - _BETA1) / (1.0 - _BETA1 ** t) * s
+                                       for t, s in zip(steps, scales)], [_EPS * s for s in scales]])
+        dense = {}
         for name, grad in grads.items():
             param = params[name]
+            rows = grad.rows if isinstance(grad, ColumnGrad) else np.asarray(grad, param.dtype)
+            # a finite sum has only finite terms
+            if not np.isfinite(rows.sum()) and not np.isfinite(rows).all():
+                raise TrainingError(f"non-finite gradient in parameter block {name!r}")
             if isinstance(grad, ColumnGrad):
                 if not param.T.flags.c_contiguous:
                     raise TrainingError(f"parameter block {name!r} is not feature-major")
-                self._update(name, param.T, grad.cols, grad.rows)
+                m, v, factors = self._advance(name, param.T, grad.cols)
+                self._update(param.T, m, v, grad.cols, rows, *factors[:, :, None])
+            elif not param.flags.c_contiguous:
+                raise TrainingError(f"parameter block {name!r} is not C-contiguous")
             else:
-                if not param.flags.c_contiguous:
-                    raise TrainingError(f"parameter block {name!r} is not C-contiguous")
-                grad = np.asarray(grad, dtype=param.dtype).reshape(1, -1)
-                self._update(name, param.reshape(1, -1), slice(None), grad)
+                dense.setdefault(param.dtype, {})[name] = rows.reshape(1, -1)
+        # the dense blocks of one dtype: one row of all their entries
+        for blocks in dense.values():
+            tables = [params[name].reshape(1, -1) for name in blocks]
+            m, v, factors = zip(*(self._advance(name, table, slice(None))
+                                  for name, table in zip(blocks, tables)))
+            sizes = [table.size for table in tables]
+            packed = [np.concatenate(arrays, axis=1)
+                      for arrays in (tables, m, v, [*blocks.values()])]
+            self._update(*packed[:3], slice(None), packed[3],
+                         *np.repeat(np.hstack(factors), sizes, axis=1)[:, None])
+            for arrays, whole in zip((tables, m, v), packed):
+                for array, end, size in zip(arrays, np.cumsum(sizes).tolist(), sizes):
+                    array[0] = whole[0, end - size : end]
 
-    def _update(self, name: str, table: np.ndarray, touched, rows: np.ndarray) -> None:
-        """Update the rows ``touched`` (a strictly increasing index array, or
-        ``slice(None)`` for all) of ``table``, a C-contiguous view of block
-        ``name``, by their gradients ``rows``.  Each row has its own moments
-        and step count.  The rows go a chunk at a time, so that the
-        temporaries of one chunk stay in cache."""
-        if not np.isfinite(rows).all():
-            raise TrainingError(f"non-finite gradient in parameter block {name!r}")
-        if name not in self._state:
-            # np.zeros maps pages lazily: only touched rows take memory
-            self._state[name] = (np.zeros(table.shape, table.dtype),
-                                 np.zeros(table.shape, table.dtype),
+    def _advance(self, name: str, table: np.ndarray, touched) -> tuple:
+        """Block ``name``'s moments, after advancing the step counts of the
+        rows ``touched`` of ``table``, and those rows' (alpha_t, eps_t)."""
+        if name not in self._state:  # np.zeros maps pages lazily: only touched rows take memory
+            self._state[name] = (*np.zeros((2, *table.shape), table.dtype),
                                  np.zeros(len(table), dtype=np.int64))
-        m_all, v_all, t_all = self._state[name]
-        t = t_all[touched] + 1
-        t_all[touched] = t
-        # in the block's dtype, as numpy rounds dense Adam's Python-float divisors
-        c1, c2 = self._corrections.take(t - 1, axis=1).astype(table.dtype)
-        chunk = max(1, _CHUNK_ELEMS // table.shape[1])
+        m, v, t = self._state[name]
+        t[touched] += 1
+        # in the block's dtype, as numpy rounds dense Adam's Python-float factors
+        return m, v, self._factors.take(t[touched] - 1, axis=1).astype(table.dtype)
+
+    @staticmethod
+    def _update(table, m_all, v_all, touched, rows, alpha, eps) -> None:
+        """Update the rows ``touched`` (a strictly increasing index array, or
+        ``slice(None)`` for all) of ``table`` and its moments by their
+        gradients ``rows`` and the factors ``alpha`` and ``eps`` broadcast
+        against them, a chunk at a time through buffers that stay in cache."""
+        chunk = max(1, _CHUNK_BYTES // table[:1].nbytes)
         whole = isinstance(touched, slice)
-        for lo in range(0, len(t), chunk):
-            at = slice(lo, lo + chunk) if whole else touched[lo : lo + chunk]
+        # the step, then the gathered m, v and rows
+        buffers = [np.empty_like(table[: min(chunk, len(rows))]) for _ in range(1 if whole else 4)]
+        for lo in range(0, len(rows), chunk):
             grad = rows[lo : lo + chunk]
-            # copies of the moments, which the update then overwrites (a
-            # slice's rows are views, an index array's are copies already)
-            m = m_all[at].copy() if whole else m_all[at]
-            step = np.subtract(grad, m)
-            step *= 1.0 - _BETA1
-            m += step
-            m_all[at] = m
-            v = v_all[at].copy() if whole else v_all[at]
+            step = buffers[0][: len(grad)]
+            if whole:
+                at = slice(lo, lo + chunk)
+                m, v, updated = m_all[at], v_all[at], table[at]
+            else:
+                at = touched[lo : lo + chunk]
+                # np.take's default mode "raise" would buffer ``out``
+                m, v, updated = (np.take(source, at, axis=0, out=buffer[: len(at)], mode="clip")
+                                 for source, buffer in zip((m_all, v_all, table), buffers[1:]))
+            m *= _BETA1
+            m += grad
+            v *= _BETA2
             np.multiply(grad, grad, out=step)
-            step -= v
-            step *= 1.0 - _BETA2
             v += step
-            v_all[at] = v
-            m /= c1[lo : lo + chunk, None]
-            m *= self.learning_rate
-            v /= c2[lo : lo + chunk, None]
-            np.sqrt(v, out=v)
-            v += _EPS
-            m /= v
-            updated = table[at]
-            updated -= m
-            table[at] = updated
+            np.sqrt(v, out=step)
+            step += eps[lo : lo + chunk]
+            np.divide(m, step, out=step)
+            step *= alpha[lo : lo + chunk]
+            updated -= step
+            if not whole:
+                m_all[at], v_all[at], table[at] = m, v, updated

@@ -4,7 +4,9 @@ All training here is single-threaded and fully deterministic: every
 random draw comes from a generator derived from (seed, stream tag), so
 identical inputs and configs produce bit-identical serialized models.
 Training runs in float32 on the arrays that the returned models hold:
-the models are built around the trained arrays without a copy.
+the models are built around the trained arrays without a copy.  A fit
+featurizes its distinct texts once, in the parameters' dtype: one
+featurization serves all of ``multitask_train``'s streams and validation.
 
 Each setting lives in the entry point that reads it: ``TrainConfig``
 holds the four every entry point reads (epochs, batch size, learning
@@ -17,7 +19,7 @@ with ``config.epochs`` as the most epochs it runs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -117,12 +119,15 @@ def _stream(config: TrainConfig, tag: int, objective, *rows):
     return -(-size // config.batch_size), batches, lambda idx: objective(*(r[idx] for r in rows))
 
 
-def _featurize_sides(texts_a, texts_b, featurizer):
-    """Feature rows of two aligned text lists, from one featurization, so
-    that pair objectives can join them; each distinct text is featurized once."""
-    distinct, rows = distinct_texts(list(texts_a) + list(texts_b))
+def _featurize_sides(*sides, dtype=np.float64) -> list:
+    """Feature rows of aligned text lists ``(texts_a, texts_b, ...,
+    featurizer)`` from one featurization of their distinct texts, cast to
+    ``dtype`` once, so that pair objectives can join any of them."""
+    sides, featurizer = [list(side) for side in sides[:-1]], sides[-1]
+    distinct, rows = distinct_texts([text for side in sides for text in side])
     X = featurize_all(distinct, featurizer)
-    return X[rows[: len(texts_a)]], X[rows[len(texts_a) :]]
+    X = replace(X, weights=backprop._cast(X.weights, dtype), grams=backprop._cast(X.grams, dtype))
+    return [X[side] for side in np.split(rows, np.cumsum([len(s) for s in sides])[:-1])]
 
 
 def _run_epochs(params, adam: Adam, streams: dict, epochs: int, history: list, first_epoch=1):
@@ -191,20 +196,22 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
 
     # Only the tasks that train get a stream; each stream's RNG is seeded
-    # by its own task tag, so skipping the others changes no model.
+    # by its own task tag, so skipping the others changes no model.  One
+    # featurization in the parameters' dtype serves them and validation.
+    data = {task: (as_nli_data if task == "nli" else as_pair_scores)(raw[task])
+            for task in dict.fromkeys(tasks + (("qe",) if finetune_epochs > 0 else ()))}
+    sides = [side for a, b, _ in data.values() for side in (a, b)]
+    X = _featurize_sides(*sides, *([va, vb] if validation is not None else []), featurizer,
+                         dtype=params["W1"].dtype)
     streams = {}
-    for task in tasks + (("qe",) if finetune_epochs > 0 else ()):
-        if task not in streams:
-            is_nli = task == "nli"
-            a, b, y = (as_nli_data if is_nli else as_pair_scores)(raw[task])
-            objective = (partial(nli_batch, params) if is_nli
-                         else partial(regression_batch, params, task))
-            streams[task] = _stream(config, _TAG_STREAM[task], objective,
-                                    *_featurize_sides(a, b, featurizer), y)
+    for k, (task, (_, _, y)) in enumerate(data.items()):
+        objective = (partial(nli_batch, params) if task == "nli"
+                     else partial(regression_batch, params, task))
+        streams[task] = _stream(config, _TAG_STREAM[task], objective, X[2 * k], X[2 * k + 1], y)
     phase1 = {task: streams[task] for task in tasks}
 
     if validation is not None:
-        vXa, vXb = _featurize_sides(va, vb, featurizer)
+        vXa, vXb = X[-2:]
         best_score = float("-inf")
         best_params = {k: np.copy(v) for k, v in params.items()}  # np.copy keeps W1's layout
 
@@ -257,8 +264,8 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
 
     featurizer = encoder.featurizer
-    Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer)
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
+    Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer, dtype=params["W1"].dtype)
     objective = partial(contrastive_batch, params, margin=margin)
     streams = {"contrastive": _stream(config, _TAG_FILTER, objective, Xa, Xb, y)}
     history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
@@ -295,7 +302,7 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     if len(train) == 0:
         raise ConfigError("no training pairs left after the held-out split")
 
-    Xs, Xt = _featurize_sides(*zip(*pairs), model.featurizer)
+    Xs, Xt = _featurize_sides(*zip(*pairs), model.featurizer, dtype=model.w1.dtype)
     arrays = (model.w1, model.b1, model.w2, model.b2)
     aligned = EncoderModel(model.featurizer, *map(np.copy, arrays))  # np.copy keeps W1's layout
     params = aligned.params()

@@ -533,7 +533,15 @@ def two_pass_contrastive_batch(params, Xa, Xb, y, margin):
 
 class DenseAdam:
     """Adam over whole blocks: every entry's moments and step count advance
-    at every step, also where the gradient is zero."""
+    at every step, also where the gradient is zero.
+
+    The update is Kingma & Ba's efficient order (arXiv:1412.6980, §2):
+    the bias corrections and the learning rate fold into one factor
+    alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), and the added
+    epsilon is eps * sqrt(1 - beta2^t), so that the update equals
+    lr * m_hat / (sqrt(v_hat) + eps) in exact arithmetic.  The moments
+    are stored divided by (1 - beta1) and (1 - beta2), which folds those
+    constants into the two factors too."""
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -555,9 +563,11 @@ class DenseAdam:
                 v = np.zeros_like(grad)
                 t = 0
             t += 1
-            m += (1.0 - self.beta1) * (grad - m)
-            v += (1.0 - self.beta2) * (grad * grad - v)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += grad
+            v *= self.beta2
+            v += grad * grad
+            scale = math.sqrt((1.0 - self.beta2 ** t) / (1.0 - self.beta2))
+            alpha = self.learning_rate * (1.0 - self.beta1) / (1.0 - self.beta1 ** t) * scale
+            params[name] -= alpha * (m / (np.sqrt(v) + self.eps * scale))
             self._state[name] = (m, v, t)

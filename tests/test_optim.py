@@ -68,6 +68,15 @@ class TestAdam:
         with pytest.raises(TrainingError, match="w1"):
             adam.step(params, {"w1": np.array([np.nan])})
 
+    def test_nonfinite_gradient_names_its_block_among_the_dense_blocks(self):
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]]), "c": np.array([5.0])}
+        original = {name: value.copy() for name, value in params.items()}
+        adam = Adam(1e-3)
+        with pytest.raises(TrainingError, match="'b'"):
+            adam.step(params, {"a": np.ones(2), "b": np.array([[1.0], [np.inf]]), "c": np.ones(1)})
+        assert all(np.array_equal(params[name], original[name]) for name in params)
+        assert adam._state == {}
+
     @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_rejects_a_dense_block_that_is_not_c_contiguous(self, layout):
         rng = np.random.default_rng(5)
@@ -100,11 +109,14 @@ class TestLazyAdam:
     @staticmethod
     def _every_column_against_dense(dtype):
         # 64 hidden units and 1,200 columns: the lazy update runs in several chunks
-        # W2 is a C-contiguous (d, H) block; the head gets no gradient on odd steps
+        # W2 is a C-contiguous (d, H) block; the head gets no gradient on odd
+        # steps, and nli_w none before step 7: each block of the one dense
+        # update is bias-corrected by its own step count
         hidden, n_features, dim = 64, 1200, 24
         rng = np.random.default_rng(0)
         lazy = {"W1": _feature_major(rng, hidden, n_features), "b1": rng.normal(size=hidden),
-                "W2": rng.normal(size=(dim, hidden)), "qe_w": rng.normal(size=4 * dim + 1)}
+                "W2": rng.normal(size=(dim, hidden)), "qe_w": rng.normal(size=4 * dim + 1),
+                "nli_w": rng.normal(size=(3, 4 * dim + 1))}
         lazy = {name: value.astype(dtype) for name, value in lazy.items()}
         dense = {name: np.copy(value) for name, value in lazy.items()}
         lazy_adam, dense_adam = Adam(1e-2), DenseAdam(1e-2)
@@ -116,6 +128,8 @@ class TestLazyAdam:
                      "W2": rng.normal(0.0, scale, size=(dim, hidden)).astype(dtype)}
             if step % 2 == 0:
                 grads["qe_w"] = rng.normal(size=4 * dim + 1).astype(dtype)
+            if step >= 6:
+                grads["nli_w"] = rng.normal(0.0, scale, size=(3, 4 * dim + 1)).astype(dtype)
             lazy_adam.step(lazy, grads)
             dense_adam.step(dense, grads)
             for name in lazy:
@@ -123,6 +137,8 @@ class TestLazyAdam:
                 assert lazy[name].tobytes() == dense[name].tobytes(), (name, step)
         assert lazy["W1"].T.flags.c_contiguous
         assert all(m.dtype == dtype for m, _, _ in lazy_adam._state.values())
+        assert [lazy_adam._state[name][2].tolist() for name in ("b1", "qe_w", "nli_w")] \
+            == [[40], [20], [34]]
 
     def test_every_column_touched_equals_dense_adam(self):
         self._every_column_against_dense(np.float64)

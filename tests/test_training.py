@@ -326,14 +326,14 @@ class TestMultitaskSchedule:
                             encoder=SMALL_ENCODER, tasks=("qe",), validation=validation)
 
     # SHA-256 of the model bytes.  The early-stopped run stops after
-    # 1 + _PATIENCE of its 8 epochs and restores epoch 1's weights; both
-    # digests are the ones the mode-flag API gave (the early-stopped one
-    # with until_convergence=True, patience=3, max_epochs=8), so removing
-    # the flag changed no model.  Training goes through BLAS products, so
-    # these digests hold for OpenBLAS's x86-64 float32 kernels.
+    # 1 + _PATIENCE of its 8 epochs and restores epoch 1's weights.  Both
+    # digests come from Adam's update in Kingma & Ba's order, with the
+    # per-step epsilon and the stored moment scaling.  Training goes
+    # through BLAS products, so these digests hold for OpenBLAS's x86-64
+    # float32 kernels.
     @pytest.mark.parametrize("epochs, seed, early_stopping, digest", [
-        (4, 1, False, "88de41a7c44dfb21bbfd03f8299bb767ec5591db611cbda49acb19dd5a06bb39"),
-        (8, 2, True, "0f01994e0b04c04d368ce6fa0f1f775b1ef9216225385daa32a22fe492f49abb"),
+        (4, 1, False, "fa02f5804ad4088921dd4b2d012b6fb3454d35d09ef37e1f07de201179b07b09"),
+        (8, 2, True, "dc729930392c847795cab62c4ec43a0c9eeb1821d16b86f6508c8af833417727"),
     ], ids=["fixed-epochs", "early-stopped"])
     def test_model_digest_is_pinned(self, epochs, seed, early_stopping, digest):
         records, validation = self._early_stopping_data()
@@ -486,13 +486,47 @@ class TestFeaturizeOnce:
         args = dict(qe=qe, config=TrainConfig(epochs=2, batch_size=4, seed=5),
                     encoder=SMALL_ENCODER, validation=validation, tasks=("qe",))
         trained = multitask_train(**args)
-        # Each distinct text once per side set: a validation text that also
-        # trains is featurized again for validation.
-        assert featurized == Counter({t for row in qe for t in row[:2]}) \
-            + Counter({t for row in validation for t in row[:2]})
+        # Each distinct text once: a validation text that also trains shares
+        # the training streams' featurization.
+        assert featurized == Counter({t for row in qe + validation for t in row[:2]})
 
         self._every_text_featurized(monkeypatch)
         assert model_to_bytes(*trained[:2]) == model_to_bytes(*multitask_train(**args)[:2])
+
+    @pytest.mark.parametrize("validated", [False, True], ids=["fixed-epochs", "validation"])
+    def test_multitask_train_featurizes_once_in_the_parameters_dtype(
+            self, tiny_qe_records, monkeypatch, validated):
+        """One featurize_all call covers every task stream and the validation
+        set, and its two matrices are cast to float32 once: during training
+        backprop._cast returns its input."""
+        calls, built = [], []
+        for module in (qemine.features, qemine.training):
+            def counting(texts, config, original=module.featurize_all):
+                calls.append(list(texts))
+                return original(texts, config)
+
+            monkeypatch.setattr(module, "featurize_all", counting)
+
+        def cast(matrix, dtype, original=backprop._cast):
+            cast_matrix = original(matrix, dtype)
+            built.append(cast_matrix is not matrix)
+            return cast_matrix
+
+        monkeypatch.setattr(backprop, "_cast", cast)
+        rng = np.random.default_rng(7)
+        data = {"qe": [(r.source, r.target, r.score) for r in tiny_qe_records],
+                "sts": _sts_records(rng, 7), "nli": _nli_records(rng, 17)}
+        validation = [("kafo melo", "norz quvo", 0.4), ("kafo melo", "rusk", 0.6),
+                      ("rusk", "kafo melo", 0.5), (data["qe"][0][0], "rusk", 0.2)]
+        if validated:
+            data["validation"] = validation
+        multitask_train(qe=data["qe"], sts=data["sts"], nli=data["nli"],
+                        config=TrainConfig(epochs=2, batch_size=4, seed=5),
+                        encoder=SMALL_ENCODER, validation=data.get("validation"))
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted({t for rows in data.values() for row in rows
+                                           for t in row[:2]})
+        assert built[:2] == [True, True] and len(built) > 2 and not any(built[2:])
 
     def test_multitask_train_skips_disabled_tasks(self, tiny_qe_records, featurized):
         qe = [(r.source, r.target, r.score) for r in tiny_qe_records]
