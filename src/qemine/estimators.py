@@ -22,11 +22,11 @@ Each model lists its own ``(params, featurizer)`` encoders in
 ``_encoders()`` (a ``FeatureStackScorer`` lists its three backbones'),
 and ``embed`` goes through ``embedding.embed_sides``, the one embedding
 rule that mining and the feature stack's training use too.  Aligned
-pairs, from ``predict*``, ``score_pairs`` or
-``FeatureStackScorer.predict``, are embedded as two sides, the sources
-and the targets, as mining embeds its two sides.  Inference reads the
-fitted models' own float32 arrays at every call, through
-``_require_fitted``, so a reassigned model is used at once.
+pairs, from ``predict*``, ``score_pairs`` or ``FeatureStackScorer.predict``,
+are embedded as two sides, the sources and the targets, as mining embeds
+its two sides; a pair scores alike alone, in a batch and in mining.
+Inference reads the fitted models' own float32 arrays at every call,
+through ``_require_fitted``, so a reassigned model is used at once.
 """
 
 from __future__ import annotations

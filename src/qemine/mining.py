@@ -9,14 +9,13 @@ Both models embed both sides in one ``embedding.embed_sides`` call,
 which featurizes each distinct sentence once per featurizer config and
 embeds as ``predict`` and feature-stack training do.  The similarity
 matrix is ``backprop.cosine_grid`` in float64.  Index pairs into the
-two sides, as flat codes ``i * m + j``, are then scored in blocks of
-``SCORE_BLOCK`` codes, so memory holds one block of pair features,
-never one per pair.
+two sides are then scored in blocks of ``SCORE_BLOCK`` pairs, so memory
+holds one block of pair features, never one per pair.
 
-A scorer may also expose ``score_grid(ua, ub)``, the scores of every
-(ua row, ub row) pair, as ``MultitaskScorer`` does.  ``score_matrix``
-then scores the grid in row blocks of about ``64 * SCORE_BLOCK`` pairs,
-so memory holds the n×m result plus one row block.
+``score_matrix`` scores every pair in row blocks of about ``64 *
+SCORE_BLOCK`` pairs, so memory holds the n×m result plus one row block:
+by ``score_grid(ua, ub)``, the scores of every (ua row, ub row) pair,
+when the scorer has it (``MultitaskScorer`` does), else by index pairs.
 
 Tie-breaking is fixed everywhere: argmax ties go to the lowest index /
 first occurrence, threshold ties to the largest threshold.
@@ -47,9 +46,7 @@ from .errors import ConfigError
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
 # call's temporaries small: at 4096 pairs of 64-dim embeddings, scoring a
-# 400x400 matrix page-faulted on every block and ran 40% slower.  A
-# multiple of 4: OpenBLAS's matrix-vector kernels sum rows in groups of
-# four, so such blocks give every pair the same bits as one call for all.
+# 400x400 matrix page-faulted on every block and ran 40% slower.
 SCORE_BLOCK = 512
 
 __all__ = [
@@ -128,39 +125,37 @@ class MiningResult:
         return {(a, b) for a, b, _ in self.pairs}
 
 
-def _score_index_pairs(scorer, ua, ub, codes, m) -> np.ndarray:
-    """Scores of the pairs (ua[i], ub[j]) of the scorer's embeddings of
-    two sides, for the flat codes ``i * m + j`` (an array or a ``range``),
-    one block of ``SCORE_BLOCK`` codes at a time."""
-    scores = np.empty(len(codes))
-    for start in range(0, len(codes), SCORE_BLOCK):
-        block = codes[start : start + SCORE_BLOCK]
-        if isinstance(block, range):  # numpy reads a range one element at a time
-            block = np.arange(block.start, block.stop, block.step)
-        rows, cols = np.divmod(block, m)
-        scores[start : start + SCORE_BLOCK] = scorer.score_embeddings(ua[rows], ub[cols])
+def _score_index_pairs(scorer, ua, ub, rows, cols) -> np.ndarray:
+    """Scores of the pairs (ua[rows[k]], ub[cols[k]]) of the scorer's
+    embeddings of two sides, one block of ``SCORE_BLOCK`` pairs at a time."""
+    scores = np.empty(len(rows))
+    for start in range(0, len(rows), SCORE_BLOCK):
+        at = slice(start, start + SCORE_BLOCK)
+        scores[at] = scorer.score_embeddings(ua[rows[at]], ub[cols[at]])
     return scores
 
 
 def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
-    """Score every (reference, hypothesis) combination with the quality scorer:
-    by ``score_grid`` row blocks when the scorer has it, else by aligned
-    ``score_embeddings`` blocks of ``SCORE_BLOCK`` index pairs."""
+    """Score every (reference, hypothesis) combination with the quality scorer,
+    in row blocks: by ``score_grid`` when the scorer has it, else by index pairs."""
     references = list(references)
     hypotheses = list(hypotheses)
     if not references or not hypotheses:
         raise ValueError("reference and hypothesis lists must be non-empty")
     n, m = len(references), len(hypotheses)
     [(ua, ub)] = embedding.embed_sides([scorer], [references, hypotheses])
-    if not hasattr(scorer, "score_grid"):
-        return ScoreMatrix(_score_index_pairs(scorer, ua, ub, range(n * m), m).reshape(n, m))
     values = np.empty((n, m))
     # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
     # grid of 64-dim rows, 81-row blocks ran as fast as one block of 400
     # rows, and 2.5 times as fast as one-row blocks.
     step = max(1, 64 * SCORE_BLOCK // m)
     for start in range(0, n, step):
-        values[start : start + step] = scorer.score_grid(ua[start : start + step], ub)
+        block = ua[start : start + step]
+        if hasattr(scorer, "score_grid"):
+            values[start : start + step] = scorer.score_grid(block, ub)
+        else:
+            pairs = np.divmod(np.arange(len(block) * m), m)
+            values[start : start + step].flat = _score_index_pairs(scorer, block, ub, *pairs)
     return ScoreMatrix(values)
 
 
@@ -328,7 +323,7 @@ def mine_bucc(corpus, filter_model, scorer, config: MiningConfig = MiningConfig(
     row_cands, col_cands = topn_candidates(similarity, config.top_n)
     codes = _shortlist(row_cands, col_cands, config.top_n)
     rows, cols = np.divmod(codes, len(ids_b))
-    scores = _score_index_pairs(scorer, ua, ub, codes, len(ids_b))
+    scores = _score_index_pairs(scorer, ua, ub, rows, cols)
 
     recall = None
     if config.threshold == "auto":

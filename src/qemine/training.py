@@ -164,9 +164,10 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     epoch, batches from the tasks are interleaved round-robin; the largest
     dataset defines the epoch and shorter ones are reshuffled and recycled.
     With a ``validation`` set of scored QE pairs (3 or more, not all
-    scored alike), phase 1 stops early: it scores validation Pearson after
-    each epoch, stops after ``_PATIENCE`` epochs without a gain, restores
-    the best epoch's weights and starts fine-tuning with a fresh Adam.
+    scored alike), which needs "qe" in ``tasks``, phase 1 stops early: it
+    scores validation Pearson after each epoch, stops after ``_PATIENCE``
+    epochs without a gain, restores the best epoch's weights and starts
+    fine-tuning with a fresh Adam.
     Phase 2 runs ``finetune_epochs`` epochs on QE only, updating the
     backbone and QE head; the STS and NLI heads are untouched.
 
@@ -186,6 +187,8 @@ def multitask_train(qe=None, sts=None, nli=None, config: TrainConfig = TrainConf
     if finetune_epochs > 0 and not raw["qe"]:
         raise ConfigError("fine-tuning requires a QE dataset")
     if validation is not None:
+        if "qe" not in tasks:
+            raise ConfigError("validation early-stops on QE Pearson; tasks must include 'qe'")
         va, vb, vy = as_pair_scores(validation)
         try:
             pearson(vy, vy)  # undefined here means undefined for every model

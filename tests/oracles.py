@@ -15,6 +15,9 @@ featurizes and embeds every text of every pair; the package's
 ``embed`` + ``score_embeddings`` path must reproduce its scores bit for
 bit, and ``per_backbone_embeddings`` embeds a feature stack's training
 pairs with each backbone on its own, over each side's distinct texts.
+This path's output layer and heads multiply one row at a time, each
+alone in a zero block of ``backprop._ROW_BLOCK`` rows (``_row_alone``),
+so a pair scores as it would alone, whatever shares the package's call.
 ``loop_topn_candidates`` and ``grid_tune_threshold`` are the per-row
 argsort shortlist and the threshold sweep that reruns the
 mutual-best selection at every grid point; the package's vectorized
@@ -310,8 +313,21 @@ def alignment_loss(embedding_pairs):
 # -- text-pair scoring: every text of every pair featurized and embedded ----
 
 
+def _row_alone(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` one row at a time, each row the first of an otherwise zero
+    block of ``backprop._ROW_BLOCK`` rows: the bits every forward product
+    of the package must give a row, however many rows share its call."""
+    block = np.zeros((backprop._ROW_BLOCK, x.shape[1]), dtype=x.dtype)
+    out = []
+    for row in x:
+        block[0] = row
+        out.append((block @ w)[0])
+    return np.array(out)
+
+
 def _embed_each(params, featurizer, texts) -> np.ndarray:
-    return backprop.embed(params, featurize_all(list(texts), featurizer))
+    hidden = backprop.hidden_layer(params, featurize_all(list(texts), featurizer))
+    return _row_alone(hidden, params["W2"].T) + params["b2"]
 
 
 def per_backbone_embeddings(backbones, texts_a, texts_b) -> list:
@@ -347,17 +363,17 @@ def text_pair_scores(scorer, texts_a, texts_b, task="qe") -> np.ndarray:
             ub = _embed_each(p, backbone.featurizer, texts_b)
             blocks.append(backprop._reg_features_forward(ua, ub)[0])
         feats = np.concatenate(blocks, axis=1)
-        hidden = np.tanh(feats @ model.hidden_w.T + model.hidden_b)
-        return backprop._sigmoid(hidden @ model.out_w + model.out_b[0])
+        hidden = np.tanh(_row_alone(feats, model.hidden_w.T) + model.hidden_b)
+        return backprop._sigmoid(_row_alone(hidden, model.out_w) + model.out_b[0])
     params = scorer._require_fitted()
     ua = _embed_each(params, scorer.encoder_.featurizer, texts_a)
     ub = _embed_each(params, scorer.encoder_.featurizer, texts_b)
     if task == "nli":
         feats = np.concatenate([ua, ub, np.abs(ua - ub), ua * ub], axis=1)
         w = params["nli_w"]
-        return backprop._softmax_rows(feats @ w[:, :-1].T + w[:, -1])
+        return backprop._softmax_rows(_row_alone(feats, w[:, :-1].T) + w[:, -1])
     feats, _ = backprop._reg_features_forward(ua, ub)
-    return backprop._sigmoid(feats @ params[f"{task}_w"] + params[f"{task}_b"][0])
+    return backprop._sigmoid(_row_alone(feats, params[f"{task}_w"]) + params[f"{task}_b"][0])
 
 
 def text_pair_score_matrix(scorer, references, hypotheses) -> np.ndarray:

@@ -14,7 +14,8 @@ from qemine.features import featurize_all
 from qemine.training import _featurize_sides, _rng
 
 from qemine.features import FeaturizerConfig
-from qemine.model import EncoderConfig
+from qemine.model import EncoderConfig, HeadSet
+from qemine.synth import SynthConfig, generate_qe
 
 from conftest import SMALL_ENCODER, as_float64, encoder_model, head_set
 from oracles import (
@@ -241,11 +242,19 @@ class TestStackedPairPass:
         assert calls == {"forward": 1, "backward": 1}
 
 
+# The desk and default encoder sizes (F, H, d), and the row counts of the
+# calls that must give every row the bits it gets in any other call:
+# below, at and above one and eight row blocks, and every count up to 33,
+# where BLAS kernels for small products would differ.
+ENCODER_SIZES = {"desk": (4096, 128, 64), "default": (8192, 256, 128)}
+CALL_ROWS = [*range(1, 34), 63, 64, 65, 511, 512, 513]
+
+
 class TestRowIndependence:
-    """A text's hidden row depends only on the text: its bits are the same
-    alone, among other texts in either order, and as a row of a training
-    batch.  Its embedding's bits are the same wherever the output layer's
-    product has as many rows; BLAS picks its kernel by the row count."""
+    """A text's hidden row and embedding depend only on the text: their
+    bits are the same alone, among other texts in either order, as a row
+    of a training batch and in a call of any size.  So do an aligned
+    pair's head outputs."""
 
     TEXT = "kafo limba kafo melo"
     OTHERS = ["daki bemu", "", "cela kafo norz", "pyrt quvo rusk strix", "tovan", "melo melo"]
@@ -264,17 +273,60 @@ class TestRowIndependence:
     def test_hidden_row_is_the_same_in_every_call(self, text, sizes):
         params, featurizer = self._params(*sizes)
         others = self.OTHERS * 3
-        alone = backprop.hidden_layer(params, featurize_all([text], featurizer))[0]
+        emb, hidden = backprop.embed_forward(params, featurize_all([text], featurizer))
         last = backprop.embed_forward(params, featurize_all(others + [text], featurizer))
         first = backprop.embed_forward(params, featurize_all([text] + others[::-1], featurizer))
         Xa, Xb = _featurize_sides(others[:9], others[9:] + [text], featurizer)
         _, ub, (_, batch_hidden) = backprop._pair_forward(params, Xa, Xb)
-        for hidden in (last[1][-1], first[1][0], batch_hidden[-1]):
-            assert hidden.tobytes() == alone.tobytes()
-        assert last[0][-1].tobytes() == first[0][0].tobytes()
+        for other in (last[1][-1], first[1][0], batch_hidden[-1]):
+            assert other.tobytes() == hidden[0].tobytes()
+        for other in (last[0][-1], first[0][0], ub[-1]):
+            assert other.tobytes() == emb[0].tobytes()
         if not text:
-            assert alone.tobytes() == np.tanh(params["b1"]).tobytes()
-        assert alone.dtype == ub.dtype == np.float32
+            assert hidden.tobytes() == np.tanh(params["b1"]).tobytes()
+        assert hidden.dtype == ub.dtype == np.float32
+
+    @staticmethod
+    def _texts(count):
+        records = generate_qe(SynthConfig(vocab_size=200, seed=3), count)
+        return [r.source for r in records] + [r.target for r in records]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", sorted(ENCODER_SIZES))
+    def test_embedding_is_the_same_in_calls_of_any_size(self, size, dtype):
+        params, featurizer = self._params(*ENCODER_SIZES[size])
+        params = {name: block.astype(dtype) for name, block in params.items()}
+        X = featurize_all(self._texts(400), featurizer)
+        whole = backprop.embed(params, X)
+        assert whole.dtype == dtype
+        for n in CALL_ROWS:
+            # the call's rows are the last n, so no call is a prefix of the whole one
+            assert backprop.embed(params, X[np.arange(800 - n, 800)]).tobytes() == \
+                whole[800 - n :].tobytes(), n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", sorted(ENCODER_SIZES))
+    def test_head_rows_are_the_same_in_calls_of_any_size(self, size, dtype):
+        _, hidden, dim = ENCODER_SIZES[size]
+        rng = np.random.default_rng(5)
+        ua, ub = rng.normal(size=(2, 600, dim)).astype(dtype)
+        params = {name: rng.normal(0.0, 0.3, block.shape).astype(dtype)
+                  for name, block in HeadSet.zeros(dim).params().items()}
+        stack = (rng.normal(0.0, 0.1, (hidden // 4, 2 * dim + 1)).astype(dtype),
+                 rng.normal(0.0, 0.1, hidden // 4).astype(dtype),
+                 rng.normal(0.0, 1.0, hidden // 4).astype(dtype), np.zeros(1, dtype))
+        heads = {
+            "qe": lambda a, b: backprop.regression_head(params, "qe", a, b)[0],
+            "sts": lambda a, b: backprop.regression_head(params, "sts", a, b)[0],
+            "nli": lambda a, b: backprop.nli_head(params, a, b)[0],
+            "feature-stack": lambda a, b: backprop.feature_head(
+                backprop.stacked_pair_features(a, b, [dim]), *stack)[0],
+        }
+        for name, head in heads.items():
+            whole = head(ua, ub)
+            assert whole.dtype == dtype, name
+            for n in CALL_ROWS:
+                assert head(ua[-n:], ub[-n:]).tobytes() == whole[-n:].tobytes(), (name, n)
 
     def test_weight_rows_keep_each_text_s_word_order(self):
         # A text's row lists the same words in the same order (each word

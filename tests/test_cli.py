@@ -193,6 +193,16 @@ class TestTrainPipeline:
         manifest = json.loads((tmp_path / "model.qem.manifest.json").read_text())
         assert manifest["command"] == "train"
 
+    def test_validation_without_the_qe_task_is_a_config_error(self, synth_prefix, tmp_path,
+                                                              capsys):
+        qe = f"{synth_prefix}.qe.tsv"  # QE scores in [0, 1] are valid raw STS scores
+        code = _run(["train", "--sts", qe, "--tasks", "sts", "--finetune-epochs", 0,
+                     "--validation", qe, "--out", tmp_path / "model.qem", *NET])
+        assert code == 2
+        assert "tasks must include 'qe'" in capsys.readouterr().err
+        assert _manifests(tmp_path) == ["corpus.manifest.json"]  # synth's own
+        assert not (tmp_path / "model.qem").exists()
+
     def test_train_defaults_to_three_epochs(self, synth_prefix, tmp_path):
         history = tmp_path / "history.csv"
         assert _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",

@@ -20,6 +20,7 @@ import qemine.mining
 import qemine.training
 from qemine import backprop
 from qemine.corpus import BuccCorpus
+from qemine.embedding import embed_sides
 from qemine.estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
 from qemine.features import FeaturizerConfig, distinct_texts
 from qemine.mining import MiningConfig, mine_bucc, score_matrix
@@ -69,8 +70,8 @@ def _backbones(seed, n_features=(128, 256, 512), hash_seeds=(None, None, None)):
             for k in range(3)]
 
 
-def _feature_stack(seed=20, hidden_units=5, **configs):
-    backbones = _backbones(seed, **configs)
+def _feature_stack(seed=20, hidden_units=5, backbones=None, **configs):
+    backbones = backbones or _backbones(seed, **configs)
     width = sum(2 * b.embedding_dim + 1 for b in backbones)
     rng = np.random.default_rng(seed)
     stack = FeatureStackScorer(*backbones)
@@ -141,8 +142,8 @@ class TestBitwiseAgainstTextPairs:
                               expected)
 
     def test_score_matrix_across_blocks(self, scorer, monkeypatch):
-        assert qemine.mining.SCORE_BLOCK % 4 == 0
-        monkeypatch.setattr(qemine.mining, "SCORE_BLOCK", 8)
+        # 7 pairs per block: no block size makes a pair's bits depend on its neighbours
+        monkeypatch.setattr(qemine.mining, "SCORE_BLOCK", 7)
         pairs = _pairs()
         references = [a for a, _ in pairs][:9]
         hypotheses = [b for _, b in pairs]
@@ -428,9 +429,14 @@ class TestSharedEmbedding:
         assert (tmp_path / "shared").read_bytes() == (tmp_path / "oracle").read_bytes()
 
 
-# The desk size, at which OpenBLAS picks another output-layer kernel for
-# 1–18 rows than for the same rows inside a larger product.
+# The desk and default sizes.  At the desk size, OpenBLAS picks another
+# output-layer kernel for a product of 1–18 rows than for the same rows
+# inside a larger product.
 DESK = {"n_features": 4096, "hidden": 128, "dim": 64}
+SIZES = {"desk": DESK, "default": {"n_features": 8192, "hidden": 256, "dim": 128}}
+# Pair counts of the calls whose scores must equal the same pairs' scores
+# in one larger call.
+CALL_PAIRS = [*range(1, 34), 63, 64, 65, 511, 512, 513]
 
 
 def _sides(records):
@@ -447,9 +453,42 @@ def _train_on_embeddings(monkeypatch, backbones, records, config, ua, ub):
 
 
 class TestOneEmbeddingRule:
-    """``predict``, ``score_pairs`` and feature-stack training embed as
-    mining does, so the same pairs get the same bits at sizes where BLAS's
-    kernel depends on the row count."""
+    """``predict``, ``score_pairs``, training batches and feature-stack
+    training embed as mining does, and a pair scores alike in a call of
+    any size, at sizes where BLAS's kernel depends on the row count."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return [(r.source, r.target) for r in generate_qe(SynthConfig(vocab_size=200, seed=5), 600)]
+
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_a_pair_scores_alike_in_calls_of_any_size(self, size, pairs):
+        scorer, filter_model = _multitask(**SIZES[size]), _filter(**SIZES[size])
+        backbones = [encoder_model(*_random_params(50 + k, **SIZES[size])) for k in range(3)]
+        stack = _feature_stack(backbones=backbones)
+        methods = {
+            "predict": scorer.predict, "predict_sts": scorer.predict_sts,
+            "predict_nli": scorer.predict_nli, "feature-stack": stack.predict,
+            "pair_cosines": lambda p: filter_model.pair_cosines(*map(list, zip(*p))),
+        }
+        for name, method in methods.items():
+            whole = method(pairs)
+            for n in CALL_PAIRS:
+                assert method(pairs[-n:]).tobytes() == whole[-n:].tobytes(), (name, n)
+
+    @pytest.mark.parametrize("n_pairs", [1, 5, 32, 33])
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_training_batch_embeds_as_embed_sides(self, size, n_pairs, pairs):
+        [(params, featurizer)] = _multitask(**SIZES[size])._encoders()
+        # a batch's rows come from one featurization of the whole data set
+        Xa, Xb = qemine.training._featurize_sides(*map(list, zip(*pairs)), featurizer,
+                                                  dtype=np.float32)
+        batch = np.random.default_rng(n_pairs).permutation(len(pairs))[:n_pairs]
+        ua, ub, _ = backprop._pair_forward(params, Xa[batch], Xb[batch])
+        sides = [[pairs[k][0] for k in batch], [pairs[k][1] for k in batch]]
+        [(ea, eb)] = embed_sides([SimpleNamespace(_encoders=lambda: [(params, featurizer)])], sides)
+        assert ua.tobytes() == ea.tobytes()
+        assert ub.tobytes() == eb.tobytes()
 
     @pytest.fixture(scope="class")
     def desk_scorer(self):

@@ -325,6 +325,21 @@ class TestMultitaskSchedule:
             multitask_train(qe=records, config=TrainConfig(epochs=4, batch_size=16, seed=2),
                             encoder=SMALL_ENCODER, tasks=("qe",), validation=validation)
 
+    def test_validation_set_needs_the_qe_task(self, monkeypatch):
+        """Without the QE task the QE head never trains in phase 1, so
+        validation Pearson is undefined every epoch and early stopping
+        would return the untrained weights; such a call is refused."""
+        def no_step(self, params, grads):
+            raise AssertionError("trained before the tasks were checked")
+
+        monkeypatch.setattr(Adam, "step", no_step)
+        records, validation = self._early_stopping_data()
+        sts = [(r.source, r.target, r.score) for r in records]
+        with pytest.raises(ConfigError, match="tasks must include 'qe'"):
+            multitask_train(sts=sts, config=TrainConfig(epochs=3, batch_size=16, seed=2),
+                            encoder=SMALL_ENCODER, tasks=("sts",), finetune_epochs=0,
+                            validation=validation)
+
     # SHA-256 of the model bytes.  The early-stopped run stops after
     # 1 + _PATIENCE of its 8 epochs and restores epoch 1's weights.  Both
     # digests come from Adam's update in Kingma & Ba's order, with the
