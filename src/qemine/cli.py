@@ -294,7 +294,7 @@ def _cmd_gradcheck(args):
         prefix = f"{kind}:" if len(kinds) > 1 else ""
         for block, err in sorted(report.errors.items()):
             rows.append(f"{prefix}{block},{err!r}")
-        worst = max(worst, report.max_error)
+        worst = np.maximum(worst, report.max_error)  # keeps a NaN, as max() would not
     csv = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,9 +17,10 @@ momentum.  Each column has its own step count, so a column first
 touched at step 5 is bias-corrected as at its step 1.  The block must be
 feature-major: an (H, F) array whose transpose is C-contiguous, so that
 a column is one contiguous row of ``param.T`` and of the moment arrays.
-Every other block must be C-contiguous; the dense blocks of one step
-go through the same routine in one call, as one row of all their
-C-order entries.  When every column is touched at every step the lazy
+Every other block must be C-contiguous and goes through the same
+routine as one row of its own C-order entries.  Every block is checked
+(finite gradient of the block's shape, layout) before any block moves.
+When every column is touched at every step the lazy
 update equals dense Adam bit for bit.
 """
 
@@ -71,8 +72,8 @@ class ColumnGrad:
 
 class Adam:
     def __init__(self, learning_rate: float = 1e-3):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
         self.learning_rate = learning_rate
         self._state: dict[str, tuple] = {}
         self._steps = 0
@@ -88,35 +89,30 @@ class Adam:
             scales = [math.sqrt((1.0 - _BETA2 ** t) / (1.0 - _BETA2)) for t in steps]
             self._factors = np.array([[self.learning_rate * (1.0 - _BETA1) / (1.0 - _BETA1 ** t) * s
                                        for t, s in zip(steps, scales)], [_EPS * s for s in scales]])
-        dense = {}
+        checked = []
         for name, grad in grads.items():
             param = params[name]
-            rows = grad.rows if isinstance(grad, ColumnGrad) else np.asarray(grad, param.dtype)
+            if isinstance(grad, ColumnGrad):
+                rows, shape, table, layout = grad.rows, grad.shape, param.T, "feature-major"
+            else:
+                rows = np.asarray(grad, param.dtype)
+                shape, table, layout = rows.shape, param, "C-contiguous"
             # a finite sum has only finite terms
             if not np.isfinite(rows.sum()) and not np.isfinite(rows).all():
                 raise TrainingError(f"non-finite gradient in parameter block {name!r}")
+            if shape != param.shape:
+                raise TrainingError(f"gradient of shape {shape} for parameter block {name!r} "
+                                    f"of shape {param.shape}")
+            if not table.flags.c_contiguous:
+                raise TrainingError(f"parameter block {name!r} is not {layout}")
             if isinstance(grad, ColumnGrad):
-                if not param.T.flags.c_contiguous:
-                    raise TrainingError(f"parameter block {name!r} is not feature-major")
-                m, v, factors = self._advance(name, param.T, grad.cols)
-                self._update(param.T, m, v, grad.cols, rows, *factors[:, :, None])
-            elif not param.flags.c_contiguous:
-                raise TrainingError(f"parameter block {name!r} is not C-contiguous")
+                checked.append((name, table, grad.cols, rows))
             else:
-                dense.setdefault(param.dtype, {})[name] = rows.reshape(1, -1)
-        # the dense blocks of one dtype: one row of all their entries
-        for blocks in dense.values():
-            tables = [params[name].reshape(1, -1) for name in blocks]
-            m, v, factors = zip(*(self._advance(name, table, slice(None))
-                                  for name, table in zip(blocks, tables)))
-            sizes = [table.size for table in tables]
-            packed = [np.concatenate(arrays, axis=1)
-                      for arrays in (tables, m, v, [*blocks.values()])]
-            self._update(*packed[:3], slice(None), packed[3],
-                         *np.repeat(np.hstack(factors), sizes, axis=1)[:, None])
-            for arrays, whole in zip((tables, m, v), packed):
-                for array, end, size in zip(arrays, np.cumsum(sizes).tolist(), sizes):
-                    array[0] = whole[0, end - size : end]
+                checked.append((name, param.reshape(1, -1), slice(None), rows.reshape(1, -1)))
+        # every block checked before any moves: a bad gradient leaves all of them as they were
+        for name, table, touched, rows in checked:
+            m, v, factors = self._advance(name, table, touched)
+            self._update(table, m, v, touched, rows, *factors[:, :, None])
 
     def _advance(self, name: str, table: np.ndarray, touched) -> tuple:
         """Block ``name``'s moments, after advancing the step counts of the

@@ -19,6 +19,7 @@ with ``config.epochs`` as the most epochs it runs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -90,6 +91,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -293,6 +297,8 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
 
     Returns (EncoderModel, AlignmentReport); ``model`` is left unchanged.
     """
+    if not 0 < heldout_fraction < 1:
+        raise ConfigError(f"held-out fraction must be in (0, 1), got {heldout_fraction!r}")
     pairs = parallel.pairs if hasattr(parallel, "pairs") else as_text_pairs(parallel)
     total = len(pairs)
     heldout_size = int(total * heldout_fraction)
@@ -362,7 +368,8 @@ class GradCheckReport:
 
     @property
     def max_error(self) -> float:
-        return max(self.errors.values()) if self.errors else 0.0
+        # np.max, unlike max(), returns NaN when any error is NaN
+        return float(np.max([*self.errors.values()], initial=0.0))
 
 
 GRAD_CHECK_KINDS = ("qe-mse", "sts-mse", "nli-ce", "contrastive", "alignment")
@@ -399,6 +406,8 @@ def grad_check(loss_kind: str, seed: int = 0, eps: float = 1e-4) -> GradCheckRep
     """
     if loss_kind not in GRAD_CHECK_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {GRAD_CHECK_KINDS}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     rng = _rng(seed, _TAG_GRADCHECK)
     encoder = EncoderConfig(FeaturizerConfig((1, 2, 3), 64, 0), hidden_units=6, embedding_dim=5)
     margin = 0.8

@@ -11,7 +11,7 @@ import qemine.cli
 from qemine.cli import build_parser, main
 from qemine.corpus import load_qe
 from qemine.stats import pearson
-from qemine.training import grad_check
+from qemine.training import GradCheckReport, grad_check
 
 NET = ["--features", "512", "--hidden", "8", "--dim", "6"]
 
@@ -203,6 +203,16 @@ class TestTrainPipeline:
         assert _manifests(tmp_path) == ["corpus.manifest.json"]  # synth's own
         assert not (tmp_path / "model.qem").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_a_learning_rate_outside_zero_to_infinity_is_a_data_error(self, synth_prefix,
+                                                                       tmp_path, capsys, lr):
+        code = _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe", "--lr", lr,
+                     "--out", tmp_path / "model.qem", *NET])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: learning_rate must be positive and finite, got {float(lr)!r}\n"
+        assert not (tmp_path / "model.qem").exists()
+
     def test_train_defaults_to_three_epochs(self, synth_prefix, tmp_path):
         history = tmp_path / "history.csv"
         assert _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
@@ -284,6 +294,20 @@ class TestAlignCli:
         assert (tmp_path / "al1.qem").read_bytes() == (tmp_path / "al2.qem").read_bytes()
         _check_manifest(tmp_path / "al1.qem", "align", 6,
                         [model, f"{synth_prefix}.parallel.tsv"], [tmp_path / "al1.qem"])
+
+    @pytest.mark.parametrize("fraction", ["inf", "nan"])
+    def test_a_heldout_fraction_outside_the_unit_interval_is_a_data_error(
+            self, synth_prefix, tmp_path, capsys, fraction):
+        model = tmp_path / "model.qem"
+        _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
+              "--epochs", 1, "--seed", 5, "--out", model, *NET])
+        capsys.readouterr()
+        code = _run(["align", "--model", model, "--parallel", f"{synth_prefix}.parallel.tsv",
+                     "--heldout-fraction", fraction, "--out", tmp_path / "al.qem"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: held-out fraction must be in (0, 1), got {float(fraction)!r}\n"
+        assert not (tmp_path / "al.qem").exists()
 
 
 class TestMineCli:
@@ -442,6 +466,23 @@ class TestStatsCli:
         assert _run(["gradcheck", "--loss", "contrastive", "--seed", 1]) == 0
         assert capsys.readouterr().out == out.read_text()
         assert _manifests(tmp_path) == ["gc.csv.manifest.json"]
+
+    @pytest.mark.parametrize("eps", ["nan", "0"])
+    def test_gradcheck_rejects_an_eps_that_is_not_finite_and_positive(self, tmp_path, capsys,
+                                                                      eps):
+        code = _run(["gradcheck", "--loss", "qe-mse", "--eps", eps, "--out", tmp_path / "gc.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: eps must be positive and finite, got {float(eps)!r}\n"
+        assert _manifests(tmp_path) == []
+
+    def test_gradcheck_summary_keeps_a_nan(self, tmp_path, monkeypatch, capsys):
+        # the NaN comes neither first nor last of the five kinds
+        nan_in_nli = lambda kind, seed, eps: GradCheckReport(
+            kind, eps, {"W1": float("nan") if kind == "nli-ce" else 0.5})
+        monkeypatch.setattr(qemine.cli, "grad_check", nan_in_nli)
+        assert _run(["gradcheck", "--out", tmp_path / "gc.csv"]) == 0
+        assert capsys.readouterr().err == "max relative error nan\n"
 
 
 class TestFeaturePipeline:

@@ -89,9 +89,19 @@ class TestAdam:
         assert block.tobytes() == original.tobytes()
         assert adam._state == {}
 
+    def test_rejects_a_gradient_of_another_shape(self):
+        block = np.arange(6.0).reshape(2, 3)
+        adam = Adam(1e-3)
+        with pytest.raises(TrainingError,
+                           match=r"\(3, 2\) for parameter block 'W2' of shape \(2, 3\)"):
+            adam.step({"W2": block}, {"W2": np.ones((3, 2))})
+        assert np.array_equal(block, np.arange(6.0).reshape(2, 3))
+        assert adam._state == {}
+
     def test_rejects_nonpositive_learning_rate(self):
-        with pytest.raises(ValueError):
-            Adam(0.0)
+        for learning_rate in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+                Adam(learning_rate)
 
 
 def _feature_major(rng, hidden, n_features):
@@ -186,6 +196,19 @@ class TestLazyAdam:
         with pytest.raises(TrainingError, match="W1"):
             Adam(1e-3).step(params, {"W1": grad})
         assert np.array_equal(params["W1"], original)
+
+    def test_a_bad_head_gradient_leaves_W1_and_every_block_unchanged(self):
+        rng = np.random.default_rng(6)
+        params = {"W1": _feature_major(rng, 3, 8), "b1": rng.normal(size=3),
+                  "qe_w": rng.normal(size=5)}
+        original = {name: value.copy() for name, value in params.items()}
+        adam = Adam(1e-3)
+        grads = {"W1": _column_grad(rng, [0, 5], 3, 8), "b1": rng.normal(size=3),
+                 "qe_w": np.array([1.0, 2.0, np.nan, 4.0, 5.0])}
+        with pytest.raises(TrainingError, match="'qe_w'"):
+            adam.step(params, grads)
+        assert all(params[name].tobytes() == original[name].tobytes() for name in params)
+        assert adam._state == {}
 
     def test_rejects_a_block_that_is_not_feature_major(self):
         rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from qemine.optim import Adam
 from qemine.synth import SynthConfig, generate_parallel, generate_qe
 from qemine.training import (
     GRAD_CHECK_KINDS,
+    GradCheckReport,
     TrainConfig,
     _batches,
     _featurize_sides,
@@ -77,6 +78,15 @@ class TestGradCheck:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             grad_check("bleu")
+
+    @pytest.mark.parametrize("errors", [{"a": 0.1, "b": np.nan}, {"a": np.nan, "b": 0.1}])
+    def test_max_error_keeps_a_nan(self, errors):
+        assert np.isnan(GradCheckReport("qe-mse", 1e-4, errors).max_error)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan, np.inf])
+    def test_rejects_an_eps_that_is_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            grad_check("qe-mse", eps=eps)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_flat_view_perturbs_the_block_in_place(self, order):
@@ -268,6 +278,11 @@ class TestMultitaskSchedule:
         )
         losses = [row["mean_loss"] for row in history]
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, np.nan, np.inf])
+    def test_config_rejects_a_learning_rate_outside_zero_to_infinity(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=learning_rate)
 
     def test_empty_enabled_dataset_rejected(self, tiny_qe_records):
         with pytest.raises(ConfigError):
@@ -599,6 +614,18 @@ class TestAlignment:
         )
         assert report.cosine_after > report.cosine_before
         assert model_to_bytes(aligned) != model_to_bytes(model)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, np.nan, np.inf])
+    def test_heldout_fraction_outside_the_unit_interval(self, fraction, monkeypatch):
+        def featurize(*args, **kwargs):
+            raise AssertionError("featurized before the fraction was checked")
+
+        model = self._trained_encoder(seed=44)
+        monkeypatch.setattr(qemine.training, "_featurize_sides", featurize)
+        pairs = ParallelSet(tuple((f"w{i}", f"v{i}") for i in range(20)))
+        with pytest.raises(ConfigError, match=rf"held-out fraction must be in \(0, 1\), "
+                                              rf"got {fraction!r}"):
+            align_encoders(model, pairs, TrainConfig(), fraction)
 
     def test_heldout_fraction_too_small(self):
         model = self._trained_encoder(seed=43)
