@@ -108,13 +108,21 @@ _ROW_BLOCK = 64
 
 def _by_blocks(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` in zero-padded products of ``_ROW_BLOCK`` rows, so that a row's
-    bits do not depend on the BLAS kernel picked for the call's size.  ``w`` in C
-    order took 0.6-0.8x the time of a transposed view on 2,000 rows (1 thread)."""
+    bits do not depend on the BLAS kernel picked for the call's size.  Only a
+    partial last block is copied, into a padded one.  ``w`` in C order took
+    0.6-0.8x the time of a transposed view on 2,000 rows (1 thread)."""
     n, width = x.shape
-    if n % _ROW_BLOCK:
-        x = np.concatenate([x, np.zeros((_ROW_BLOCK - n % _ROW_BLOCK, width), x.dtype)])
-    out = np.matmul(x.reshape(-1, _ROW_BLOCK, width), np.ascontiguousarray(w))
-    return out.reshape(len(x), *out.shape[2:])[:n]
+    w = np.ascontiguousarray(w)
+    whole = n - n % _ROW_BLOCK
+    out = np.empty((n, *w.shape[1:]), np.result_type(x, w))
+    if whole:
+        np.matmul(x[:whole].reshape(-1, _ROW_BLOCK, width), w,
+                  out=out[:whole].reshape(-1, _ROW_BLOCK, *w.shape[1:]))
+    if whole < n:
+        last = np.zeros((1, _ROW_BLOCK, width), x.dtype)
+        last[0, : n - whole] = x[whole:]
+        out[whole:] = np.matmul(last, w)[0, : n - whole]
+    return out
 
 
 def output_layer(params: dict, hidden: np.ndarray) -> np.ndarray:
@@ -219,15 +227,23 @@ def regression_head(params: dict, task: str, ua: np.ndarray, ub: np.ndarray):
     return _sigmoid(z), (feats, cache)
 
 
+# (row, column, dimension) entries of ``regression_head_grid``'s |u−v|
+# workspace, allocated once per call (512 KiB in float32).  On a 400×400 grid
+# of 64-dim rows, one-row chunks took the head 15% longer, and a 2**19-entry
+# workspace page-faulted about 1,200 times per grid.
+_GRID_CHUNK = 1 << 17
+
+
 def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """QE or STS scores of every (ua row, ub row) pair, as a len(ua) × len(ub) array.
 
     The head is linear before its sigmoid, so no pair features are built:
     the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine term is
     ``cosine_grid``'s (0 for a zero row, as in ``_cos_forward``).  The
-    weighted ``|u−v|`` term is taken over chunks of 2**15 (row, column,
-    dimension) differences.  Equal to ``regression_head`` up to
-    summation order.
+    weighted ``|u−v|`` term is taken a few ua rows at a time through one
+    workspace of about ``_GRID_CHUNK`` (row, column, dimension) entries,
+    one matrix-vector product per row, so a pair's bits do not depend on
+    the workspace size.  Equal to ``regression_head`` up to summation order.
     """
     if task not in ("qe", "sts"):
         raise ValueError(f"no grid head for task {task!r}; expected 'qe' or 'sts'")
@@ -236,10 +252,14 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
     z *= w[2 * dim]
     z += (ua * w[dim : 2 * dim]) @ ub.T
     z += params[f"{task}_b"][0]
-    step = max(1, (1 << 15) // max(1, ub.size))
+    step = max(1, min(len(ua), _GRID_CHUNK // max(1, ub.size)))
+    work = np.empty((step, *ub.shape), np.result_type(ua, ub))
+    weighted = np.empty((step, len(ub)), np.result_type(work, w))
     for start in range(0, len(ua), step):
-        diff = ua[start : start + step, None, :] - ub[None, :, :]
-        z[start : start + step] += np.abs(diff, out=diff) @ w[:dim]
+        block = ua[start : start + step]
+        diff = np.subtract(block[:, None, :], ub, out=work[: len(block)])
+        np.abs(diff, out=diff)
+        z[start : start + step] += np.matmul(diff, w[:dim], out=weighted[: len(block)])
     return _sigmoid(z)
 
 

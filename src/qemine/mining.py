@@ -12,8 +12,8 @@ matrix is ``backprop.cosine_grid`` in float64.  Index pairs into the
 two sides are then scored in blocks of ``SCORE_BLOCK`` pairs, so memory
 holds one block of pair features, never one per pair.
 
-``score_matrix`` scores every pair in row blocks of about ``64 *
-SCORE_BLOCK`` pairs, so memory holds the n×m result plus one row block:
+``score_matrix`` scores every pair in row blocks of about
+``GRID_BLOCK`` pairs, so memory holds the n×m result plus one row block:
 by ``score_grid(ua, ub)``, the scores of every (ua row, ub row) pair,
 when the scorer has it (``MultitaskScorer`` does), else by index pairs.
 
@@ -48,6 +48,11 @@ from .errors import ConfigError
 # call's temporaries small: at 4096 pairs of 64-dim embeddings, scoring a
 # 400x400 matrix page-faulted on every block and ran 40% slower.
 SCORE_BLOCK = 512
+# Pairs per ``score_matrix`` row block: 256 KiB per float32 temporary of the
+# grid head.  On a 400×400 grid of 64-dim rows, 163-row blocks ran 1.13x as
+# fast as 81-row ones, and 327-row blocks page-faulted about 1,100 times per
+# matrix.
+GRID_BLOCK = 1 << 16
 
 __all__ = [
     "ScoreMatrix",
@@ -75,7 +80,11 @@ class ScoreMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise ValueError(f"score matrix must be 2-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # a finite sum has only finite terms, so only a sum that is not
+        # (finite entries can overflow it) takes the exact check's n×m mask
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not np.isfinite(total) and not np.isfinite(values).all():
             raise ValueError("score matrix contains non-finite entries")
 
     @property
@@ -145,10 +154,7 @@ def score_matrix(scorer, references, hypotheses) -> ScoreMatrix:
     n, m = len(references), len(hypotheses)
     [(ua, ub)] = embedding.embed_sides([scorer], [references, hypotheses])
     values = np.empty((n, m))
-    # 64 * SCORE_BLOCK pairs: 128 KiB per float32 temporary.  On a 400×400
-    # grid of 64-dim rows, 81-row blocks ran as fast as one block of 400
-    # rows, and 2.5 times as fast as one-row blocks.
-    step = max(1, 64 * SCORE_BLOCK // m)
+    step = max(1, GRID_BLOCK // m)
     for start in range(0, n, step):
         block = ua[start : start + step]
         if hasattr(scorer, "score_grid"):

@@ -19,7 +19,9 @@ feature-major: an (H, F) array whose transpose is C-contiguous, so that
 a column is one contiguous row of ``param.T`` and of the moment arrays.
 Every other block must be C-contiguous and goes through the same
 routine as one row of its own C-order entries.  Every block is checked
-(finite gradient of the block's shape, layout) before any block moves.
+(finite gradient of the block's shape, layout, and for a ``ColumnGrad``
+one row of width H per column, strictly increasing columns in [0, F))
+before any block or step count moves.
 When every column is touched at every step the lazy
 update equals dense Adam bit for bit.
 """
@@ -82,13 +84,6 @@ class Adam:
 
     def step(self, params: dict, grads: dict) -> None:
         """Update every block named in grads in place; other blocks stay untouched."""
-        # no row is updated more often than step is called
-        self._steps += 1
-        if self._steps > self._factors.shape[1]:
-            steps = range(1, 2 * self._steps + 1)
-            scales = [math.sqrt((1.0 - _BETA2 ** t) / (1.0 - _BETA2)) for t in steps]
-            self._factors = np.array([[self.learning_rate * (1.0 - _BETA1) / (1.0 - _BETA1 ** t) * s
-                                       for t, s in zip(steps, scales)], [_EPS * s for s in scales]])
         checked = []
         for name, grad in grads.items():
             param = params[name]
@@ -106,10 +101,25 @@ class Adam:
             if not table.flags.c_contiguous:
                 raise TrainingError(f"parameter block {name!r} is not {layout}")
             if isinstance(grad, ColumnGrad):
-                checked.append((name, table, grad.cols, rows))
+                cols = np.asarray(grad.cols)
+                if cols.ndim != 1 or rows.shape != (len(cols), table.shape[1]):
+                    raise TrainingError(f"gradient rows of shape {rows.shape} for {cols.size} "
+                                        f"columns of parameter block {name!r} of shape {shape}")
+                if cols.dtype.kind not in "iu" or cols.size and (
+                        cols[0] < 0 or cols[-1] >= len(table) or np.any(cols[1:] <= cols[:-1])):
+                    raise TrainingError(f"gradient columns of parameter block {name!r} are not "
+                                        f"strictly increasing integers in [0, {len(table)})")
+                checked.append((name, table, cols, rows))
             else:
                 checked.append((name, param.reshape(1, -1), slice(None), rows.reshape(1, -1)))
-        # every block checked before any moves: a bad gradient leaves all of them as they were
+        # every block checked before any moves: a bad gradient leaves all of them as they were;
+        # no row is updated more often than step is called
+        self._steps += 1
+        if self._steps > self._factors.shape[1]:
+            steps = range(1, 2 * self._steps + 1)
+            scales = [math.sqrt((1.0 - _BETA2 ** t) / (1.0 - _BETA2)) for t in steps]
+            self._factors = np.array([[self.learning_rate * (1.0 - _BETA1) / (1.0 - _BETA1 ** t) * s
+                                       for t, s in zip(steps, scales)], [_EPS * s for s in scales]])
         for name, table, touched, rows in checked:
             m, v, factors = self._advance(name, table, touched)
             self._update(table, m, v, touched, rows, *factors[:, :, None])

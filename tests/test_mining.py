@@ -150,6 +150,28 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             score_matrix(scorer, [], ["b"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        values = np.zeros((3, 4))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScoreMatrix(values)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        values = np.full((2, 3), np.finfo(np.float64).max)
+        assert ScoreMatrix(values).shape == (2, 3)
+
+    def test_validation_allocates_no_array_per_pair(self):
+        values = np.random.default_rng(0).uniform(size=(1000, 1000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ScoreMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * values.size
+
 
 class TestEmbedAndSimilarity:
     def test_identical_sentence_gives_unit_cosine(self):

@@ -210,6 +210,30 @@ class TestLazyAdam:
         assert all(params[name].tobytes() == original[name].tobytes() for name in params)
         assert adam._state == {}
 
+    @pytest.mark.parametrize("cols, rows", [
+        ([1, 4], np.ones((2, 5))),  # rows of the wrong width
+        ([1, 4], np.ones((3, 3))),  # one row too many
+        ([[1, 4]], np.ones((1, 3))),  # columns not a 1-D array
+        ([4, 1], np.ones((2, 3))),  # decreasing
+        ([1, 1], np.ones((2, 3))),  # repeated
+        ([-1, 4], np.ones((2, 3))),
+        ([1, 8], np.ones((2, 3))),  # past the last column
+        ([1.0, 4.0], np.ones((2, 3))),
+    ], ids=["width", "count", "2-d", "decreasing", "repeated", "negative", "past-end", "float"])
+    def test_a_malformed_column_grad_leaves_every_block_and_state_unchanged(self, cols, rows):
+        rng = np.random.default_rng(7)
+        params = {"b1": rng.normal(size=3), "W1": _feature_major(rng, 3, 8)}
+        adam = Adam(1e-3)
+        adam.step(params, {"b1": rng.normal(size=3), "W1": _column_grad(rng, [0, 4, 6], 3, 8)})
+        before = [params[name].tobytes() for name in params]
+        state = [a.tobytes() for arrays in adam._state.values() for a in arrays]
+        grads = {"b1": rng.normal(size=3), "W1": ColumnGrad(np.asarray(cols), rows, (3, 8))}
+        with pytest.raises(TrainingError, match="'W1'"):
+            adam.step(params, grads)
+        assert [params[name].tobytes() for name in params] == before
+        assert [a.tobytes() for arrays in adam._state.values() for a in arrays] == state
+        assert adam._steps == 1
+
     def test_rejects_a_block_that_is_not_feature_major(self):
         rng = np.random.default_rng(3)
         params = {"W1": rng.normal(size=(3, 8))}

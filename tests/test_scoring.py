@@ -223,8 +223,8 @@ class TestScoreGrid:
         _assert_grid_close(score_matrix(scorer, references, hypotheses).values, expected)
 
     def test_score_matrix_across_blocks(self, monkeypatch):
-        # 64 * SCORE_BLOCK // 19 hypotheses = 3 rows per block: 19 rows in 7 blocks
-        monkeypatch.setattr(qemine.mining, "SCORE_BLOCK", 1)
+        # GRID_BLOCK // 19 hypotheses = 3 rows per block: 19 rows in 7 blocks
+        monkeypatch.setattr(qemine.mining, "GRID_BLOCK", 64)
         calls = []
         scorer = _float64_multitask()
         original = scorer.score_grid
@@ -238,7 +238,7 @@ class TestScoreGrid:
 
     @pytest.mark.parametrize("signs", ["positive", "negative", "mixed", "zero"])
     @pytest.mark.parametrize("task", ["qe", "sts"])
-    # (41, 1200): the |u−v| term runs in chunks of 3 rows, the last one of 2
+    # (41, 1200): the |u−v| term runs in chunks of 12 rows, the last one of 5
     @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (37, 5), (41, 1200)])
     def test_matches_aligned_head(self, signs, task, shape):
         scorer = _signed_multitask(signs)
@@ -249,6 +249,22 @@ class TestScoreGrid:
         ub[-1] = 0.0
         grid = scorer.score_grid(ua, ub, task=task)
         _assert_grid_close(grid, _aligned_grid(scorer, ua, ub, task))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # 23×400 rows of 64: chunks of 5 rows, the last one of 3; 3×2100: m·d
+    # is above the chunk, so one row per chunk
+    @pytest.mark.parametrize("shape", [(23, 400), (3, 2100)])
+    def test_bits_do_not_depend_on_the_workspace_size(self, monkeypatch, shape, dtype):
+        n, m = shape
+        rng = np.random.default_rng(m)
+        ua, ub = rng.normal(size=(n, 64)).astype(dtype), rng.normal(size=(m, 64)).astype(dtype)
+        params = {"qe_w": rng.normal(0.0, 0.5, 4 * 64 + 1).astype(dtype),
+                  "qe_b": rng.normal(size=1).astype(dtype)}
+        default = backprop.regression_head_grid(params, "qe", ua, ub)
+        assert default.dtype == dtype
+        for chunk in (1, n * m * 64 + 1):
+            monkeypatch.setattr(backprop, "_GRID_CHUNK", chunk)
+            assert np.array_equal(backprop.regression_head_grid(params, "qe", ua, ub), default)
 
     def test_nli_has_no_grid(self):
         u = np.ones((2, 6))
