@@ -68,10 +68,16 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
     return {**params, **HeadSet.zeros(dim).params()}
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """The logistic function in ``z``'s dtype; ``exp`` only sees -|z|, so it never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1, e) / (1 + e)
+def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+    """The logistic function in ``z``'s dtype, into ``out`` (which may be
+    ``z`` itself); ``exp`` only sees -|z|, so it never overflows."""
+    positive = z >= 0
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = 1 + e
+    e[positive] = 1
+    return np.divide(e, denominator, out=e)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -239,11 +245,10 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
 
     The head is linear before its sigmoid, so no pair features are built:
     the ``u∘v`` term is ``(ua * w) @ ub.T`` and the cosine term is
-    ``cosine_grid``'s (0 for a zero row, as in ``_cos_forward``).  The
-    weighted ``|u−v|`` term is taken a few ua rows at a time through one
-    workspace of about ``_GRID_CHUNK`` (row, column, dimension) entries,
-    one matrix-vector product per row, so a pair's bits do not depend on
-    the workspace size.  Equal to ``regression_head`` up to summation order.
+    ``cosine_grid``'s (0 for a zero row, as in ``_cos_forward``); the
+    weighted ``|u−v|`` term is ``_add_abs_diff_term``'s.  The logistic then
+    overwrites the grid in place.  Equal to ``regression_head`` up to
+    summation order.
     """
     if task not in ("qe", "sts"):
         raise ValueError(f"no grid head for task {task!r}; expected 'qe' or 'sts'")
@@ -252,6 +257,16 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
     z *= w[2 * dim]
     z += (ua * w[dim : 2 * dim]) @ ub.T
     z += params[f"{task}_b"][0]
+    _add_abs_diff_term(z, ua, ub, w[:dim])
+    return _sigmoid(z, out=z)
+
+
+def _add_abs_diff_term(z: np.ndarray, ua: np.ndarray, ub: np.ndarray, w: np.ndarray) -> None:
+    """Add ``|ua[i] − ub[j]| @ w`` to every ``z[i, j]``, a few ua rows at a
+    time through one workspace of about ``_GRID_CHUNK`` (row, column,
+    dimension) entries, one matrix-vector product per row, so a pair's
+    bits do not depend on the workspace size.  The workspace is freed on
+    return."""
     step = max(1, min(len(ua), _GRID_CHUNK // max(1, ub.size)))
     work = np.empty((step, *ub.shape), np.result_type(ua, ub))
     weighted = np.empty((step, len(ub)), np.result_type(work, w))
@@ -259,8 +274,7 @@ def regression_head_grid(params: dict, task: str, ua: np.ndarray, ub: np.ndarray
         block = ua[start : start + step]
         diff = np.subtract(block[:, None, :], ub, out=work[: len(block)])
         np.abs(diff, out=diff)
-        z[start : start + step] += np.matmul(diff, w[:dim], out=weighted[: len(block)])
-    return _sigmoid(z)
+        z[start : start + step] += np.matmul(diff, w, out=weighted[: len(block)])
 
 
 def _unit_rows(u: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import backprop, embedding
 from .errors import ConfigError
+from .validation import all_finite
 
 # Index pairs scored per ``score_embeddings`` call.  Small blocks keep each
 # call's temporaries small: at 4096 pairs of 64-dim embeddings, scoring a
@@ -80,11 +81,7 @@ class ScoreMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise ValueError(f"score matrix must be 2-D, got shape {values.shape}")
-        # a finite sum has only finite terms, so only a sum that is not
-        # (finite entries can overflow it) takes the exact check's n×m mask
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = values.sum()
-        if not np.isfinite(total) and not np.isfinite(values).all():
+        if not all_finite(values):
             raise ValueError("score matrix contains non-finite entries")
 
     @property

@@ -26,12 +26,19 @@ are written at version 4, whose digest is the first 8 bytes of SHA-256.
 Version 3 differs only in its digest, BLAKE2b with an 8-byte output;
 version 2 also stores W1 as (H, F) and loads through one transposing
 copy.  Both still load.  Version-1 files are rejected.
+
+Loading reads the whole file in one pass into one buffer that starts 2
+bytes past a 4-byte boundary.  Every header is 2 mod 4 bytes long (QEM
+30 + 4·orders, QEF 82 + 12·orders), so every array starts on a 4-byte
+boundary and the model's arrays are writable views of that buffer; a
+version-2 file keeps the buffer alive next to its transposed copy of W1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +46,7 @@ import numpy as np
 
 from .errors import ModelCorruptionError, ModelFormatError
 from .features import FeaturizerConfig
+from .validation import all_finite
 
 __all__ = [
     "EncoderModel",
@@ -112,7 +120,7 @@ class EncoderModel:
         if self.b1.shape != (hidden,) or self.w2.shape != (dim, hidden) or self.b2.shape != (dim,):
             raise ValueError("backbone weight shapes are inconsistent")
         for name in ("w1", "b1", "w2", "b2"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not all_finite(getattr(self, name)):
                 raise ValueError(f"non-finite values in {name}")
 
     @property
@@ -231,15 +239,42 @@ def _encoder_arrays(model: EncoderModel) -> list:
     return [model.w1.T, model.b1, model.w2, model.b2]
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialized uint8 buffer of ``size`` bytes that starts 2 bytes
+    past a 4-byte boundary, so that a container read into it has every
+    array on a 4-byte boundary."""
+    raw = np.empty(size + 3, np.uint8)
+    lead = (2 - raw.ctypes.data) % 4
+    return raw[lead : lead + size]
+
+
+def _read(path) -> np.ndarray:
+    """The whole file at ``path``, read in one pass into one aligned buffer."""
+    with open(path, "rb", buffering=0) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        # one spare byte, so that a file that grew since fstat fills it
+        buffer = _aligned_empty(size + 1)
+        view, filled = memoryview(buffer), 0
+        while filled < len(view):
+            count = handle.readinto(view[filled:])
+            if not count:
+                break
+            filled += count
+    if filled != size:
+        raise ModelCorruptionError(f"{path}: file changed size while being read")
+    return buffer[:size]
+
+
 class _FrameReader:
     """Checks a container's magic, version and digest, then serves
     bounds-checked reads of its body."""
 
-    def __init__(self, blob: bytes, magic: bytes, path):
+    def __init__(self, buffer, magic: bytes, path):
         self.path = path
+        blob = memoryview(buffer).cast("B")
         if len(blob) < len(magic) + 2 + _DIGEST_SIZE:
             raise ModelCorruptionError(f"{path}: file truncated at {len(blob)} bytes")
-        found = blob[:4]
+        found = bytes(blob[:4])
         if found == magic[:3] + b"1":
             raise ModelFormatError(f"{path}: version-1 model file ({found!r}); retrain the model")
         if found != magic:
@@ -247,7 +282,7 @@ class _FrameReader:
         (self.version,) = struct.unpack_from("<H", blob, 4)
         if self.version not in _HASHES:
             raise ModelFormatError(f"{path}: unsupported version {self.version}")
-        self.body = memoryview(blob)[:-_DIGEST_SIZE]
+        self.body = blob[:-_DIGEST_SIZE]
         if _digest(self.version, self.body) != blob[-_DIGEST_SIZE:]:
             raise ModelCorruptionError(f"{path}: checksum mismatch")
         self.offset = 6
@@ -264,12 +299,15 @@ class _FrameReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def view(self, shape) -> np.ndarray:
-        return np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        """The next array, as a view of the buffer; copied only when it does
+        not start on a 4-byte boundary, as in a buffer that was not laid
+        out by ``_aligned_empty``."""
+        array = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        return array if array.flags.aligned else array.copy()
 
     def arrays(self, shapes) -> list[np.ndarray]:
-        # Copies: views would be misaligned (the header is 2 mod 4 bytes
-        # long) and would keep the whole file buffer alive.
-        return [self.view(shape).copy() for shape in shapes]
+        # Views, which keep the whole buffer alive; the model owns no other copy.
+        return [self.view(shape) for shape in shapes]
 
     def finish(self) -> None:
         if self.offset != len(self.body):
@@ -291,8 +329,9 @@ class _FrameReader:
     def encoder(self, header) -> EncoderModel:
         featurizer, hidden, dim = header
         n_features = featurizer.n_features
-        # W1 is stored as (F, H), or as (H, F) in version 2: one copy either way
-        w1 = (self.view((n_features, hidden)).copy().T if self.version >= 3
+        # W1 is stored as (F, H), whose transpose is the feature-major view,
+        # or as (H, F) in version 2, which takes one transposing copy
+        w1 = (self.view((n_features, hidden)).T if self.version >= 3
               else np.asfortranarray(self.view((hidden, n_features))))
         rest = self.arrays([(hidden,), (dim, hidden), (dim,)])
         return self.build(EncoderModel, featurizer, w1, *rest)
@@ -316,8 +355,17 @@ def save_model(model: EncoderModel, heads: HeadSet, path) -> None:
         handle.writelines(_model_frame(model, heads))
 
 
-def model_from_bytes(blob: bytes, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
-    """Parse a serialized model; inverse of model_to_bytes."""
+def model_from_bytes(blob, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
+    """Parse a serialized model; inverse of model_to_bytes.
+
+    The arrays returned are writable views of one buffer: ``blob`` itself
+    when it is a writable numpy array (``load_model`` passes its read
+    buffer so), otherwise one aligned copy of ``blob``.
+    """
+    if not (isinstance(blob, np.ndarray) and blob.flags.writeable):
+        data = memoryview(blob).cast("B")
+        blob = _aligned_empty(len(data))
+        blob[:] = data
     reader = _FrameReader(blob, MAGIC, path)
     model = reader.encoder(reader.encoder_header())
     dim = model.embedding_dim
@@ -328,9 +376,7 @@ def model_from_bytes(blob: bytes, path="<bytes>") -> tuple[EncoderModel, HeadSet
 
 def load_model(path) -> tuple[EncoderModel, HeadSet]:
     """Read a model file back; inverse of save_model."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    return model_from_bytes(blob, path)
+    return model_from_bytes(_read(path), path)
 
 
 def save_feature_model(model: FeatureStackModel, path) -> None:
@@ -345,8 +391,7 @@ def save_feature_model(model: FeatureStackModel, path) -> None:
 
 def load_feature_model(path) -> FeatureStackModel:
     """Read a QEF2 file back; inverse of save_feature_model."""
-    with open(path, "rb") as handle:
-        reader = _FrameReader(handle.read(), FEATURE_MAGIC, path)
+    reader = _FrameReader(_read(path), FEATURE_MAGIC, path)
     (hidden,) = reader.unpack("<I")
     headers = [reader.encoder_header() for _ in range(3)]
     backbones = [reader.encoder(header) for header in headers]

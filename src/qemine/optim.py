@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
+from .validation import all_finite
 
 __all__ = ["Adam", "ColumnGrad"]
 
@@ -92,8 +93,7 @@ class Adam:
             else:
                 rows = np.asarray(grad, param.dtype)
                 shape, table, layout = rows.shape, param, "C-contiguous"
-            # a finite sum has only finite terms
-            if not np.isfinite(rows.sum()) and not np.isfinite(rows).all():
+            if not all_finite(rows):
                 raise TrainingError(f"non-finite gradient in parameter block {name!r}")
             if shape != param.shape:
                 raise TrainingError(f"gradient of shape {shape} for parameter block {name!r} "

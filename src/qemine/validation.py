@@ -3,6 +3,8 @@
 Training and prediction entry points accept either the record types
 from ``corpus`` or plain tuples; these helpers normalize both into
 text lists plus numpy label arrays and raise early on bad labels.
+``all_finite`` is the one finiteness check of Adam's gradients, score
+matrices and model weights.
 """
 
 from __future__ import annotations
@@ -11,7 +13,19 @@ import numpy as np
 
 from .errors import NotFittedError
 
-__all__ = ["as_text_pairs", "as_pair_scores", "as_nli_data", "check_is_fitted"]
+__all__ = ["all_finite", "as_text_pairs", "as_pair_scores", "as_nli_data", "check_is_fitted"]
+
+
+def all_finite(array) -> bool:
+    """Whether every entry of ``array`` is finite.
+
+    A finite sum has only finite terms, so only a sum that is not (a NaN
+    or infinity, or finite entries that overflow it) takes the exact
+    check's one-byte-per-entry mask.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(array)
+    return bool(np.isfinite(total) or np.isfinite(array).all())
 
 
 def _pair_of(item) -> tuple[str, str]:

@@ -1,10 +1,14 @@
 import hashlib
+import os
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qemine.model
+from qemine import backprop
 from qemine.errors import ModelCorruptionError, ModelFormatError
 from qemine.estimators import MultitaskScorer
 from qemine.features import FeaturizerConfig
@@ -14,10 +18,13 @@ from qemine.model import (
     HeadSet,
     load_feature_model,
     load_model,
+    model_from_bytes,
     model_to_bytes,
     save_feature_model,
     save_model,
 )
+from qemine.optim import Adam
+from qemine.training import _featurize_sides
 
 from oracles import cosine_similarity, encode, featurize, forward_heads
 
@@ -360,6 +367,95 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < path.stat().st_size + model.w1.nbytes * 3 // 2
 
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_load_holds_the_file_buffer_and_little_more(self, tmp_path, version):
+        """From version 3 on, the arrays are views of the one read buffer and
+        the finiteness check builds no mask, so a load holds about the file."""
+        model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
+        heads = _random_heads(model.embedding_dim, seed=29)
+        path = tmp_path / "m.qem"
+        path.write_bytes(_documented_qem(model, heads, version))
+        load_model(path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + model.w1.nbytes // 8
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_loaded_arrays_are_writable_aligned_and_equal_a_bytes_load(self, tmp_path,
+                                                                       version):
+        model = _random_model(seed=46)
+        heads = _random_heads(model.embedding_dim, seed=47)
+        path = tmp_path / "m.qem"
+        path.write_bytes(_documented_qem(model, heads, version))
+        loaded, loaded_heads = load_model(path)
+        parsed, parsed_heads = model_from_bytes(path.read_bytes())
+        assert parsed.featurizer == loaded.featurizer
+        for a, b in zip([*loaded.params().values(), *loaded_heads.params().values()],
+                        [*parsed.params().values(), *parsed_heads.params().values()]):
+            for array in (a, b):
+                assert array.flags.writeable and array.flags.aligned
+                assert array.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+        assert loaded.w1.T.flags.c_contiguous and parsed.w1.T.flags.c_contiguous
+        # read-only bytes at every offset mod 4, some of which would give aligned views
+        for lead in range(4):
+            shifted = memoryview(bytes(lead) + path.read_bytes())[lead:]
+            assert all(a.flags.writeable for a in model_from_bytes(shifted)[0].params().values())
+
+    def test_training_updates_arrays_from_model_from_bytes(self):
+        model = _random_model(seed=48)
+        heads = _random_heads(model.embedding_dim, seed=49)
+        loaded, loaded_heads = model_from_bytes(model_to_bytes(model, heads))
+        params = {**loaded.params(), **loaded_heads.params()}
+        # np.copy keeps W1 feature-major
+        reference = {name: np.copy(a) for name, a in {**model.params(), **heads.params()}.items()}
+        texts_a = ["a small example", "another one", "third text here"]
+        texts_b = ["small example a", "one more", "text three"]
+        Xa, Xb = _featurize_sides(texts_a, texts_b, model.featurizer, dtype=np.float32)
+        y = np.array([0.9, 0.2, 0.5])
+        for blocks in (params, reference):
+            _, grads = backprop.regression_batch(blocks, "qe", Xa, Xb, y)
+            Adam(1e-2).step(blocks, grads)
+        assert not np.array_equal(params["W1"], model.w1)
+        for name, array in params.items():
+            assert array.tobytes() == reference[name].tobytes(), name
+        assert params["W1"] is loaded.w1  # updated in place
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["grew", "shrank"])
+    def test_file_that_changes_size_while_read(self, model_file, monkeypatch, delta):
+        blob, load, path = model_file
+        path.write_bytes(blob)
+
+        def stale_fstat(fd):
+            return SimpleNamespace(st_size=os.fstat(fd).st_size + delta)
+
+        monkeypatch.setattr(qemine.model, "os", SimpleNamespace(fstat=stale_fstat))
+        with pytest.raises(ModelCorruptionError, match="file changed size while being read"):
+            load(path)
+
+    def test_misaligned_buffer_falls_back_to_copies(self):
+        model = _random_model(seed=50)
+        heads = _random_heads(model.embedding_dim, seed=51)
+        blob = model_to_bytes(model, heads)
+        raw = np.empty(len(blob) + 4, np.uint8)
+        expected = [*model.params().values(), *heads.params().values()]
+        for lead in range(4):
+            buffer = raw[lead : lead + len(blob)]
+            buffer[:] = np.frombuffer(blob, np.uint8)
+            # every array starts a multiple of 4 bytes past the 42-byte header
+            aligned = (buffer.ctypes.data + 42) % 4 == 0
+            loaded, loaded_heads = model_from_bytes(buffer)
+            arrays = [*loaded.params().values(), *loaded_heads.params().values()]
+            for array, original in zip(arrays, expected):
+                assert array.flags.aligned and array.flags.writeable
+                assert array.tobytes() == original.tobytes()
+                assert np.shares_memory(array, buffer) == aligned
+            assert model_to_bytes(loaded, loaded_heads) == blob
+
     def test_save_allocates_no_copy_of_the_weights(self, tmp_path):
         model = _random_model(seed=26, n_features=65536)  # W1 is 2 MiB of float32
         heads = _random_heads(model.embedding_dim, seed=27)
@@ -444,6 +540,24 @@ class TestModelFile:
         with pytest.raises(ModelCorruptionError,
                            match="header promises more data" if delta > 0 else "trailing bytes"):
             load_model(path)
+
+
+class TestEncoderModel:
+    def test_accepts_finite_weights_whose_sum_overflows(self):
+        model = _random_model()
+        # the tests turn numpy's overflow warning into an error
+        big = EncoderModel(model.featurizer, np.full(model.w1.shape, 3e38, np.float32),
+                           model.b1, model.w2, model.b2)
+        assert np.all(big.w1 == np.float32(3e38))
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value(self, name, bad):
+        model = _random_model()
+        arrays = {key: np.copy(getattr(model, key)) for key in ("w1", "b1", "w2", "b2")}
+        arrays[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+            EncoderModel(model.featurizer, **arrays)
 
 
 class TestFeatureStackModel:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,25 @@ class TestAdam:
             adam.step(params, {"a": np.ones(2), "b": np.array([[1.0], [np.inf]]), "c": np.ones(1)})
         assert all(np.array_equal(params[name], original[name]) for name in params)
         assert adam._state == {}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value_with_the_block_name(self, bad):
+        params = {"b": np.zeros(4, np.float32)}
+        grad = np.ones(4, np.float32)
+        grad[2] = bad
+        with pytest.raises(TrainingError, match="non-finite gradient in parameter block 'b'"):
+            Adam(1e-3).step(params, {"b": grad})
+        assert np.array_equal(params["b"], np.zeros(4, np.float32))
+
+    def test_accepts_a_finite_gradient_whose_sum_overflows(self):
+        """The check sums the gradient first; an overflowing sum must go to
+        the exact check without a warning, which the tests make an error."""
+        params = {"b": np.zeros(4, np.float32)}
+        with warnings.catch_warnings():
+            # squaring 3e38 into the second moment overflows, as Adam's rule does
+            warnings.filterwarnings("ignore", "overflow encountered in multiply", RuntimeWarning)
+            Adam(1e-3).step(params, {"b": np.full(4, 3e38, np.float32)})
+        assert np.isfinite(params["b"]).all()
 
     @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_rejects_a_dense_block_that_is_not_c_contiguous(self, layout):

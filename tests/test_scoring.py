@@ -289,6 +289,24 @@ class TestScoreGrid:
         assert matrix.shape == (1000, 1000)
         assert peak < 12 * 1000 * 1000
 
+    def test_grid_head_peak_memory(self):
+        """A float32 grid holds its 4-byte scores, the |u−v| workspace (about
+        8 bytes per pair at 163×400) and the logistic's sign mask and
+        denominator; the logistic's other temporaries would add 16."""
+        rng = np.random.default_rng(163)
+        ua, ub = (rng.normal(size=(n, 64)).astype(np.float32) for n in (163, 400))
+        params = {"qe_w": rng.normal(0.0, 0.5, 4 * 64 + 1).astype(np.float32),
+                  "qe_b": rng.normal(size=1).astype(np.float32)}
+        backprop.regression_head_grid(params, "qe", ua, ub)
+        tracemalloc.start()
+        try:
+            grid = backprop.regression_head_grid(params, "qe", ua, ub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.dtype == np.float32
+        assert peak < 16 * grid.size
+
 
 def test_feature_stack_scores_with_replaced_weights():
     """Every prediction reads the backbones and head the scorer holds at

@@ -1,9 +1,46 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qemine.corpus import NLIRecord, QERecord, STSRecord
 from qemine.errors import NotFittedError
-from qemine.validation import as_nli_data, as_pair_scores, as_text_pairs, check_is_fitted
+from qemine.validation import (
+    all_finite,
+    as_nli_data,
+    as_pair_scores,
+    as_text_pairs,
+    check_is_fitted,
+)
+
+
+class TestAllFinite:
+    def test_finite_arrays(self):
+        assert all_finite(np.arange(6.0).reshape(2, 3))
+        assert all_finite(np.zeros(0, np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_each_non_finite_value(self, bad, dtype):
+        values = np.ones((3, 5), dtype)
+        values[1, 3] = bad
+        assert not all_finite(values)
+        assert not all_finite(values.T)
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # the tests turn numpy's overflow warning into an error
+        assert all_finite(np.full(4, 3e38, np.float32))
+        assert all_finite(np.array([np.finfo(np.float64).max] * 2 + [-np.finfo(np.float64).max]))
+
+    def test_allocates_no_mask_for_finite_entries(self):
+        values = np.ones((1000, 1000), np.float32)
+        tracemalloc.start()
+        try:
+            assert all_finite(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.size // 10
 
 
 class TestAsTextPairs:
