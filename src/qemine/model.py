@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -249,9 +250,18 @@ def _aligned_empty(size: int) -> np.ndarray:
 
 
 def _read(path) -> np.ndarray:
-    """The whole file at ``path``, read in one pass into one aligned buffer."""
+    """The whole file at ``path``, read in one pass into one aligned buffer.
+
+    A pipe or FIFO has no size to read into, so it is read to its end and
+    then copied once into such a buffer."""
     with open(path, "rb", buffering=0) as handle:
-        size = os.fstat(handle.fileno()).st_size
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            data = handle.readall()
+            buffer = _aligned_empty(len(data))
+            buffer[:] = np.frombuffer(data, np.uint8)
+            return buffer
+        size = info.st_size
         # one spare byte, so that a file that grew since fstat fills it
         buffer = _aligned_empty(size + 1)
         view, filled = memoryview(buffer), 0
@@ -299,11 +309,7 @@ class _FrameReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def view(self, shape) -> np.ndarray:
-        """The next array, as a view of the buffer; copied only when it does
-        not start on a 4-byte boundary, as in a buffer that was not laid
-        out by ``_aligned_empty``."""
-        array = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        return array if array.flags.aligned else array.copy()
+        return np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
 
     def arrays(self, shapes) -> list[np.ndarray]:
         # Views, which keep the whole buffer alive; the model owns no other copy.
@@ -358,11 +364,14 @@ def save_model(model: EncoderModel, heads: HeadSet, path) -> None:
 def model_from_bytes(blob, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
     """Parse a serialized model; inverse of model_to_bytes.
 
-    The arrays returned are writable views of one buffer: ``blob`` itself
-    when it is a writable numpy array (``load_model`` passes its read
-    buffer so), otherwise one aligned copy of ``blob``.
+    The arrays returned are writable, aligned views of one buffer.  That
+    buffer is ``blob`` itself when it is a writable numpy array laid out as
+    ``_aligned_empty`` lays it out, 2 bytes past a 4-byte boundary
+    (``load_model`` passes its read buffer so), and the model then shares
+    its memory; any other ``blob`` is copied once into such a buffer.
     """
-    if not (isinstance(blob, np.ndarray) and blob.flags.writeable):
+    if not (isinstance(blob, np.ndarray) and blob.flags.writeable
+            and blob.ctypes.data % 4 == 2):
         data = memoryview(blob).cast("B")
         blob = _aligned_empty(len(data))
         blob[:] = data

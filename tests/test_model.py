@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -431,13 +432,32 @@ class TestModelFile:
         path.write_bytes(blob)
 
         def stale_fstat(fd):
-            return SimpleNamespace(st_size=os.fstat(fd).st_size + delta)
+            info = os.fstat(fd)
+            return SimpleNamespace(st_mode=info.st_mode, st_size=info.st_size + delta)
 
         monkeypatch.setattr(qemine.model, "os", SimpleNamespace(fstat=stale_fstat))
         with pytest.raises(ModelCorruptionError, match="file changed size while being read"):
             load(path)
 
-    def test_misaligned_buffer_falls_back_to_copies(self):
+    def test_load_from_a_fifo(self, model_file, tmp_path):
+        """A FIFO's fstat size is 0, so it is read to its end instead."""
+        blob, load, path = model_file
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            loaded = load(fifo)
+        finally:
+            writer.join(timeout=10)
+        if isinstance(loaded, tuple):
+            assert loaded[0].w1.flags.aligned and loaded[0].w1.flags.writeable
+            assert model_to_bytes(*loaded) == blob
+        else:
+            save_feature_model(loaded, path)
+            assert path.read_bytes() == blob
+
+    def test_misaligned_buffer_is_copied_once(self):
         model = _random_model(seed=50)
         heads = _random_heads(model.embedding_dim, seed=51)
         blob = model_to_bytes(model, heads)
