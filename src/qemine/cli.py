@@ -36,7 +36,7 @@ from .corpus import (
     save_tatoeba,
 )
 from .errors import ConfigError, QemineError
-from .estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer
+from .estimators import ContrastiveFilter, FeatureStackScorer, MultitaskScorer, load_qe_scorer
 from .mining import (
     MiningConfig,
     f1_score,
@@ -45,7 +45,7 @@ from .mining import (
     score_matrix,
     tatoeba_accuracy,
 )
-from .model import FEATURE_MAGIC, load_model, save_feature_model, save_model
+from .model import load_model, save_feature_model, save_model
 from .stats import histogram_csv, pearson, score_histogram, t_tail, williams_test
 from .synth import SynthConfig, generate_corpus
 from .training import (
@@ -230,13 +230,7 @@ def _cmd_mine_bucc(args):
 
 def _cmd_eval_qe(args):
     records = load_qe(args.qe, normalize=args.normalize)
-    # Any QEF version goes to the feature-model reader, which reports its own errors.
-    with open(args.model, "rb") as handle:
-        is_feature_model = handle.read(3) == FEATURE_MAGIC[:3]
-    if is_feature_model:
-        predictions = FeatureStackScorer.load(args.model).predict(records)
-    else:
-        predictions = MultitaskScorer.load(args.model).predict(records)
+    predictions = load_qe_scorer(args.model).predict(records)
     labels = np.array([r.score for r in records])
     correlation = pearson(predictions, labels)
     if args.out:

@@ -39,11 +39,12 @@ from . import backprop, mining
 from .embedding import embed_sides
 from .errors import ConfigError
 from .features import FeaturizerConfig, featurize_all  # noqa: F401 - perfbench/tracing.py wraps it here
-from .model import EncoderConfig, HeadSet, load_feature_model, load_model, save_model
+from .model import (EncoderConfig, FeatureStackModel, HeadSet, load_feature_model, load_model,
+                    load_qe_model, save_model)
 from .training import TrainConfig, multitask_train, train_feature_stack, train_filtration
 from .validation import as_text_pairs, check_is_fitted
 
-__all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer"]
+__all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer", "load_qe_scorer"]
 
 
 class _EstimatorMixin:
@@ -198,7 +199,10 @@ class MultitaskScorer(_EstimatorMixin, _EncoderParams):
 
     @classmethod
     def load(cls, path) -> "MultitaskScorer":
-        model, heads = load_model(path)
+        return cls._from_model(*load_model(path))
+
+    @classmethod
+    def _from_model(cls, model, heads) -> "MultitaskScorer":
         est = cls._from_encoder(model)
         est.heads_ = heads
         return est
@@ -307,7 +311,20 @@ class FeatureStackScorer(_EstimatorMixin):
     @classmethod
     def load(cls, path) -> "FeatureStackScorer":
         """A fitted scorer over the backbones and head of a QEF file."""
-        model = load_feature_model(path)
+        return cls._from_model(load_feature_model(path))
+
+    @classmethod
+    def _from_model(cls, model) -> "FeatureStackScorer":
         est = cls(*model.backbones, hidden_units=model.hidden_w.shape[0])
         est.model_ = model
         return est
+
+
+def load_qe_scorer(path):
+    """The scorer saved at ``path``: a ``FeatureStackScorer`` for a QEF
+    file, else a ``MultitaskScorer``.  The file is read once, so ``path``
+    may be a pipe."""
+    loaded = load_qe_model(path)
+    if isinstance(loaded, FeatureStackModel):
+        return FeatureStackScorer._from_model(loaded)
+    return MultitaskScorer._from_model(*loaded)

@@ -27,11 +27,22 @@ Version 3 differs only in its digest, BLAKE2b with an 8-byte output;
 version 2 also stores W1 as (H, F) and loads through one transposing
 copy.  Both still load.  Version-1 files are rejected.
 
+Saving writes the container over the file's old bytes, without
+truncating it first, and then truncates a regular file to the
+container's length; a pipe, FIFO or character device is written to and
+not truncated.  Reusing the old file's pages and blocks makes a repeated
+save to one path cheaper than freeing them all and allocating them
+again.  A save that fails part way (a full disk, say) leaves a file whose
+digest does not match, which loading rejects with
+``ModelCorruptionError``, as it rejects a truncated partial file.
+
 Loading reads the whole file in one pass into one buffer that starts 2
 bytes past a 4-byte boundary.  Every header is 2 mod 4 bytes long (QEM
 30 + 4·orders, QEF 82 + 12·orders), so every array starts on a 4-byte
 boundary and the model's arrays are writable views of that buffer; a
 version-2 file keeps the buffer alive next to its transposed copy of W1.
+Nothing maps a model file, so an overwrite changes no model already
+loaded from it.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ __all__ = [
     "model_from_bytes",
     "save_feature_model",
     "load_feature_model",
+    "load_qe_model",
     "TASKS",
 ]
 
@@ -84,6 +96,12 @@ _HASHES = {2: _blake2b_64, 3: _blake2b_64, 4: hashlib.sha256}
 
 def _f32(array) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(array), dtype=np.float32)
+
+
+def _require_finite(model, names) -> None:
+    for name in names:
+        if not all_finite(getattr(model, name)):
+            raise ValueError(f"non-finite values in {name}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +138,7 @@ class EncoderModel:
             raise ValueError("W1 width disagrees with the featurizer")
         if self.b1.shape != (hidden,) or self.w2.shape != (dim, hidden) or self.b2.shape != (dim,):
             raise ValueError("backbone weight shapes are inconsistent")
-        for name in ("w1", "b1", "w2", "b2"):
-            if not all_finite(getattr(self, name)):
-                raise ValueError(f"non-finite values in {name}")
+        _require_finite(self, ("w1", "b1", "w2", "b2"))
 
     @property
     def hidden_units(self) -> int:
@@ -165,6 +181,7 @@ class HeadSet:
             raise ValueError("head biases must have shape (1,)")
         if self.nli_w.shape != (3, 4 * dim + 1):
             raise ValueError(f"NLI head must be 3 x (4d+1), got {self.nli_w.shape}")
+        _require_finite(self, ("qe_w", "qe_b", "sts_w", "sts_b", "nli_w"))
 
     def params(self) -> dict:
         """The head arrays themselves (not copies), keyed by field name."""
@@ -200,6 +217,7 @@ class FeatureStackModel:
         hidden = self.hidden_w.shape[0]
         if shapes != ((hidden, width), (hidden,), (hidden,), (1,)):
             raise ValueError(f"feature head shapes {shapes} do not fit {width} pair features")
+        _require_finite(self, ("hidden_w", "hidden_b", "out_w", "out_b"))
 
     @property
     def backbones(self) -> tuple[EncoderModel, EncoderModel, EncoderModel]:
@@ -273,6 +291,21 @@ def _read(path) -> np.ndarray:
     if filled != size:
         raise ModelCorruptionError(f"{path}: file changed size while being read")
     return buffer[:size]
+
+
+def _keep_bytes(path, flags: int) -> int:
+    """``open``'s opener for writing over a file's old bytes: its flags
+    without ``O_TRUNC``, and the mode ``open`` would give a new file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write(path, chunks) -> None:
+    """Write ``chunks`` over the old bytes of ``path``, then cut a regular
+    file to their length; a FIFO or device cannot be truncated."""
+    with open(path, "wb", opener=_keep_bytes) as handle:
+        handle.writelines(chunks)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 class _FrameReader:
@@ -357,8 +390,7 @@ def _model_frame(model: EncoderModel, heads: HeadSet) -> list:
 
 def save_model(model: EncoderModel, heads: HeadSet, path) -> None:
     """Write the QEM2 file described in the module docstring."""
-    with open(path, "wb") as handle:
-        handle.writelines(_model_frame(model, heads))
+    _write(path, _model_frame(model, heads))
 
 
 def model_from_bytes(blob, path="<bytes>") -> tuple[EncoderModel, HeadSet]:
@@ -394,13 +426,12 @@ def save_feature_model(model: FeatureStackModel, path) -> None:
     header += b"".join(_encoder_header(backbone) for backbone in model.backbones)
     arrays = [array for backbone in model.backbones for array in _encoder_arrays(backbone)]
     arrays += [model.hidden_w, model.hidden_b, model.out_w, model.out_b]
-    with open(path, "wb") as handle:
-        handle.writelines(_frame(FEATURE_MAGIC, header, arrays))
+    _write(path, _frame(FEATURE_MAGIC, header, arrays))
 
 
-def load_feature_model(path) -> FeatureStackModel:
-    """Read a QEF2 file back; inverse of save_feature_model."""
-    reader = _FrameReader(_read(path), FEATURE_MAGIC, path)
+def _parse_feature_model(buffer, path) -> FeatureStackModel:
+    """Parse a QEF2 file from the buffer ``_read`` returns, sharing it."""
+    reader = _FrameReader(buffer, FEATURE_MAGIC, path)
     (hidden,) = reader.unpack("<I")
     headers = [reader.encoder_header() for _ in range(3)]
     backbones = [reader.encoder(header) for header in headers]
@@ -408,3 +439,20 @@ def load_feature_model(path) -> FeatureStackModel:
     head = reader.arrays([(hidden, width), (hidden,), (hidden,), (1,)])
     reader.finish()
     return reader.build(FeatureStackModel, *backbones, *head)
+
+
+def load_feature_model(path) -> FeatureStackModel:
+    """Read a QEF2 file back; inverse of save_feature_model."""
+    return _parse_feature_model(_read(path), path)
+
+
+def load_qe_model(path) -> FeatureStackModel | tuple[EncoderModel, HeadSet]:
+    """A QEF file's ``FeatureStackModel``, or a QEM file's encoder and heads.
+
+    The file is read once, so ``path`` may be a pipe.  Any QEF version
+    goes to the feature-model parser, which reports its own errors.
+    """
+    buffer = _read(path)
+    if bytes(buffer[:3]) == FEATURE_MAGIC[:3]:
+        return _parse_feature_model(buffer, path)
+    return model_from_bytes(buffer, path)

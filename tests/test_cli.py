@@ -2,7 +2,9 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -254,6 +256,48 @@ class TestTrainPipeline:
         capsys.readouterr()
         assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    def test_eval_qe_reads_a_fifo_once(self, synth_prefix, tmp_path, capsys, kind):
+        """A FIFO can be opened for reading only once per writer, so a second
+        open of the model file would wait for a writer that never comes."""
+        qe = f"{synth_prefix}.qe.tsv"
+        model = tmp_path / "model.qem"
+        _run(["train", "--qe", qe, "--tasks", "qe", "--epochs", 1, "--seed", 5,
+              "--out", model, *NET])
+        if kind == "qef":
+            stack = tmp_path / "stack.qef"
+            _run(["train-feature", "--sts-backbone", model, "--nli-backbone", model,
+                  "--qe-backbone", model, "--qe", qe, "--epochs", 1, "--seed", 4,
+                  "--out", stack])
+            model = stack
+        capsys.readouterr()
+        assert _run(["eval-qe", "--qe", qe, "--model", model]) == 0
+        expected = capsys.readouterr().out
+        assert expected.startswith("pearson=")
+
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(model.read_bytes(),),
+                                  daemon=True)
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(_run(["eval-qe", "--qe", qe, "--model", fifo])),
+            daemon=True)
+        writer.start()
+        runner.start()
+        runner.join(timeout=60)
+        hung = runner.is_alive()
+        if hung:
+            # a writer that closes at once lets a hung open return, at end of file
+            with open(fifo, "wb"):
+                pass
+            runner.join(timeout=10)
+        writer.join(timeout=10)
+        assert not hung and not writer.is_alive()
+        assert codes == [0]
+        assert capsys.readouterr().out == expected
+
 
 class TestAugmentAndFilter:
     def test_augment_output_loads_as_qe(self, synth_prefix, tmp_path):

@@ -1,8 +1,10 @@
 import hashlib
 import os
+import stat
 import struct
 import threading
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,14 +221,39 @@ def _documented_qef(stack, version) -> bytes:
                    arrays + [stack.hidden_w, stack.hidden_b, stack.out_w, stack.out_b])
 
 
-def _feature_model_bytes(path) -> bytes:
-    rng = np.random.default_rng(30)
-    backbones = [_random_model(seed=31), _random_model(seed=32, dim=4), _random_model(seed=33)]
+def _random_stack(seed=30, hidden=5, n_features=256) -> FeatureStackModel:
+    rng = np.random.default_rng(seed)
+    backbones = [_random_model(seed=seed + 1, n_features=n_features),
+                 _random_model(seed=seed + 2, n_features=n_features, dim=4),
+                 _random_model(seed=seed + 3, n_features=n_features)]
     width = sum(2 * b.embedding_dim + 1 for b in backbones)
-    model = FeatureStackModel(*backbones, rng.normal(0, 0.3, (5, width)),
-                              rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 5), rng.normal(0, 0.3, 1))
-    save_feature_model(model, path)
+    return FeatureStackModel(*backbones, rng.normal(0, 0.3, (hidden, width)),
+                             rng.normal(0, 0.3, hidden), rng.normal(0, 0.3, hidden),
+                             rng.normal(0, 0.3, 1))
+
+
+def _feature_model_bytes(path) -> bytes:
+    save_feature_model(_random_stack(), path)
     return path.read_bytes()
+
+
+def _save_case(kind, seed, large=False):
+    """(save to a path, the bytes it writes, the loader) of a random model
+    of format ``kind``; a ``large`` one has a 4-times wider W1."""
+    n_features = 1024 if large else 256
+    if kind == "qem":
+        model = _random_model(seed=seed, n_features=n_features)
+        heads = _random_heads(model.embedding_dim, seed=seed + 1)
+        return partial(save_model, model, heads), model_to_bytes(model, heads), load_model
+    stack = _random_stack(seed, hidden=12 if large else 5, n_features=n_features)
+    return partial(save_feature_model, stack), _documented_qef(stack, 4), load_feature_model
+
+
+def _serialized(loaded) -> bytes:
+    """A loaded model's container bytes, for bit-for-bit comparison."""
+    if isinstance(loaded, tuple):
+        return model_to_bytes(*loaded)
+    return _documented_qef(loaded, 4)
 
 
 @pytest.fixture(params=["qem", "qef"])
@@ -351,10 +378,10 @@ class TestModelFile:
 
     @pytest.mark.parametrize("version", [2, 3, 4])
     def test_load_allocates_one_copy_of_the_weights(self, tmp_path, version):
-        """Load holds the file's bytes, the arrays it returns (one copy of
-        W1, made straight from the file buffer in every version) and the
-        one-byte-per-weight mask of the finiteness check.  A second copy of
-        W1 would add W1.nbytes."""
+        """Load holds the file's bytes and the arrays it returns: views of
+        that buffer from version 3 on, with no finiteness mask, and in
+        version 2 one transposing copy of W1 made straight from the buffer.
+        A second copy of W1 would add W1.nbytes."""
         model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
         heads = _random_heads(model.embedding_dim, seed=29)
         path = tmp_path / "m.qem"
@@ -488,6 +515,74 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < model.w1.nbytes // 16
 
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    @pytest.mark.parametrize("first_large", [True, False], ids=["shrink", "grow"])
+    def test_save_over_a_file_of_another_size(self, tmp_path, kind, first_large):
+        """The file ends up exactly the new container, whichever is longer."""
+        path = tmp_path / f"m.{kind}"
+        save_first, first_blob, _ = _save_case(kind, seed=60, large=first_large)
+        save, blob, load = _save_case(kind, seed=61, large=not first_large)
+        save_first(path)
+        assert len(first_blob) != len(blob)
+        save(path)
+        assert path.read_bytes() == blob
+        assert _serialized(load(path)) == blob
+
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    def test_save_into_a_fifo(self, tmp_path, kind):
+        """A FIFO is written to and not truncated, which would fail there."""
+        save, blob, _ = _save_case(kind, seed=64)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            save(fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [blob]
+
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    def test_save_to_devnull(self, kind):
+        save, _, _ = _save_case(kind, seed=66)
+        save(os.devnull)
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        save, _, _ = _save_case("qem", seed=68)
+        previous = os.umask(0o027)
+        try:
+            save(tmp_path / "m.qem")
+            open(tmp_path / "plain", "wb").close()
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("m.qem", "plain")]
+        assert modes[0] == modes[1] == 0o640
+
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    def test_non_finite_head_weights_are_corrupt(self, tmp_path, kind):
+        """A valid digest does not make NaN or infinite head weights loadable."""
+        path = tmp_path / f"m.{kind}"
+        if kind == "qem":
+            model = _random_model(seed=70)
+            heads = SimpleNamespace(**_random_heads(model.embedding_dim, seed=71).params())
+            heads.qe_w = np.copy(heads.qe_w)
+            heads.qe_w[2] = np.nan
+            path.write_bytes(_documented_qem(model, heads, 4))
+            load, name = load_model, "qe_w"
+        else:
+            stack = _random_stack(seed=72)
+            hidden_w = np.copy(stack.hidden_w)
+            hidden_w[1, 3] = np.inf
+            path.write_bytes(_documented_qef(SimpleNamespace(
+                backbones=stack.backbones, hidden_w=hidden_w, hidden_b=stack.hidden_b,
+                out_w=stack.out_w, out_b=stack.out_b), 4))
+            load, name = load_feature_model, "hidden_w"
+        with pytest.raises(ModelCorruptionError, match=f"non-finite values in {name}"):
+            load(path)
+
     def test_wrong_magic(self, model_file):
         _, load, path = model_file
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -580,7 +675,27 @@ class TestEncoderModel:
             EncoderModel(model.featurizer, **arrays)
 
 
+class TestHeadSet:
+    @pytest.mark.parametrize("name", ["qe_w", "qe_b", "sts_w", "sts_b", "nli_w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value(self, name, bad):
+        arrays = {key: np.copy(a) for key, a in _random_heads().params().items()}
+        arrays[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+            HeadSet(**arrays)
+
+
 class TestFeatureStackModel:
+    @pytest.mark.parametrize("name", ["hidden_w", "hidden_b", "out_w", "out_b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value(self, name, bad):
+        stack = _random_stack()
+        arrays = {key: np.copy(getattr(stack, key))
+                  for key in ("hidden_w", "hidden_b", "out_w", "out_b")}
+        arrays[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+            FeatureStackModel(*stack.backbones, **arrays)
+
     def test_head_shapes_checked_against_backbones(self):
         backbones = [_random_model(seed=34), _random_model(seed=35, dim=4), _random_model(seed=36)]
         width = sum(2 * b.embedding_dim + 1 for b in backbones)
