@@ -235,8 +235,10 @@ def regression_head(params: dict, task: str, ua: np.ndarray, ub: np.ndarray):
 
 # (row, column, dimension) entries of ``regression_head_grid``'s |u−v|
 # workspace, allocated once per call (512 KiB in float32).  On a 400×400 grid
-# of 64-dim rows, one-row chunks took the head 15% longer, and a 2**19-entry
-# workspace page-faulted about 1,200 times per grid.
+# of 64-dim float32 rows in mining's 163-row blocks (2-vCPU x86-64 host, 1
+# BLAS thread, numpy 2.4), the head took 6.9 ms at 2**17 entries against 7.4
+# at 2**16 and 8.5-9.0 at 2**15; at 2**18 it page-faulted about 600 times per
+# grid and took 7.9-9.5 ms, at 2**19 8.3-8.8 ms.
 _GRID_CHUNK = 1 << 17
 
 
@@ -265,14 +267,24 @@ def _add_abs_diff_term(z: np.ndarray, ua: np.ndarray, ub: np.ndarray, w: np.ndar
     """Add ``|ua[i] − ub[j]| @ w`` to every ``z[i, j]``, a few ua rows at a
     time through one workspace of about ``_GRID_CHUNK`` (row, column,
     dimension) entries, one matrix-vector product per row, so a pair's
-    bits do not depend on the workspace size.  The workspace is freed on
-    return."""
+    bits do not depend on the workspace size.  Each ua row is copied to
+    its len(ub) cells first and ub subtracted after, so both passes run
+    over a row's len(ub) × dim contiguous entries at once; subtract and
+    abs are elementwise, so the bits are a broadcast subtraction's.  The
+    workspace is freed on return."""
+    m = len(ub)
     step = max(1, min(len(ua), _GRID_CHUNK // max(1, ub.size)))
     work = np.empty((step, *ub.shape), np.result_type(ua, ub))
-    weighted = np.empty((step, len(ub)), np.result_type(work, w))
+    tiled = work.reshape(step * m, ub.shape[1])
+    index = np.repeat(np.arange(step), m)
+    weighted = np.empty((step, m), np.result_type(work, w))
+    ua = ua.astype(work.dtype, copy=False)
     for start in range(0, len(ua), step):
         block = ua[start : start + step]
-        diff = np.subtract(block[:, None, :], ub, out=work[: len(block)])
+        diff, cells = work[: len(block)], len(block) * m
+        # mode="clip" skips the bounds check, which would copy through a buffer
+        np.take(block, index[:cells], axis=0, out=tiled[:cells], mode="clip")
+        np.subtract(diff, ub, out=diff)
         np.abs(diff, out=diff)
         z[start : start + step] += np.matmul(diff, w, out=weighted[: len(block)])
 

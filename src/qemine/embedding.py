@@ -35,6 +35,7 @@ def embed_sides(models, sides) -> list:
         if group is None:
             embedded.append([model.embed(side) for side in sides])
             continue
-        emb = np.hstack([output_layer(p, hidden_layer(p, featurized[c])) for p, c in group])
+        parts = [output_layer(p, hidden_layer(p, featurized[c])) for p, c in group]
+        emb = parts[0] if len(parts) == 1 else np.hstack(parts)
         embedded.append(np.split(emb[rows], bounds))
     return embedded

@@ -26,11 +26,17 @@ grows with the call's word occurrences and its distinct words' code
 points times the number of orders.  The per-text path it replaces, with
 a scalar FNV-1a, is the test oracle.
 
+Every word of a call is used, and words are numbered by first use, so
+the ``WordFeatures`` that ``featurize_all`` returns is its own compact
+form: the hidden layer takes its two matrices as they are.
+
 The norms take one of two exact routes, picked from the call's sizes.
-The product route builds the bucket-major product of the grams and the
-occurrence counts, every text's bucket counts c_t, at one sparse
-multiply-add per word occurrence and stored gram entry of its word (the
-"expansion").  The Gram route uses ‖c_t‖² = n_tᵀ G n_t, where n_t is
+The product route builds the product of the occurrence counts and the
+grams, every text's bucket counts c_t, at one sparse multiply-add per
+word occurrence and stored gram entry of its word (the "expansion"), a
+block of texts at a time, so its extra memory is about 12 bytes per
+entry of one ``_PRODUCT_BLOCK``-entry block plus 16 bytes per word
+occurrence.  The Gram route uses ‖c_t‖² = n_tᵀ G n_t, where n_t is
 the text's word-occurrence counts and G = grams gramsᵀ holds the k
 distinct words' inner products, so each word pair's overlap is counted
 once per call, not once per text: Σ n_b² sparse multiply-adds for G,
@@ -41,12 +47,12 @@ when Σ n_b² + occurrences × k / ``_DENSE_PER_SPARSE`` < expansion, so
 when the call has few distinct words for its word occurrences, as a
 large call over a small vocabulary has; otherwise the product stays
 faster (2,000 texts over synth's 200-word vocabulary, k = 500: 5.9
-against 12 ms).  Its extra memory is the dense k × k matrix G plus one
-block of ``_GRAM_BLOCK`` entries of R, never a texts × k array; and as
-k ≤ occurrences, the rule keeps k² below ``_DENSE_PER_SPARSE`` ×
-expansion.  Counts are integers held in float64, so every sum of
-squares, and so every norm, is exact whatever the route and the
-summation order: both routes give the same bits.
+against 12 ms).  The Gram route's extra memory is the dense k × k
+matrix G plus one block of ``_GRAM_BLOCK`` entries of R, never a texts ×
+k array; and as k ≤ occurrences, the rule keeps k² below
+``_DENSE_PER_SPARSE`` × expansion.  Counts are integers held in
+float64, so every sum of squares, and so every norm, is exact whatever
+the route and the summation order: both routes give the same bits.
 """
 from __future__ import annotations
 
@@ -82,6 +88,11 @@ _GRAM_BLOCK = 1 << 16
 # against 25 ms) but one: vocabulary 50 at 256 texts flips at 27.8, and
 # its Gram route took 0.9 against 1.2 ms.
 _DENSE_PER_SPARSE = 20
+# Expansion entries per block of the product route, which holds about 12
+# bytes per entry (the block's product, squared in place): 0.8 MB.  The
+# bench's largest product-route call (a train-default fit, about 33k
+# entries) is one block.
+_PRODUCT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,9 @@ class WordFeatures:
     def compact(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """The rows' weights over only the k words they use, and those
         words' rows of ``grams``, in ascending word id.  Each weight row
-        keeps its text's word order.  Computed once per instance."""
+        keeps its text's word order.  Computed once per instance; a whole
+        featurization, as ``featurize_all`` returns it, is already its own
+        compact form, while its selections and joins derive theirs."""
         data, word_ids, indptr = _take_rows(self.weights, self.rows)
         words, local = np.unique(word_ids, return_inverse=True)
         weights = sparse.csr_matrix((data, local, indptr), shape=(len(self.rows), len(words)))
@@ -183,7 +196,11 @@ def featurize_all(texts, config: FeaturizerConfig) -> WordFeatures:
     norms = np.sqrt(route(occurrences, grams))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     occurrences.data = np.repeat(scale, text_lengths)
-    return WordFeatures(occurrences, grams, np.arange(len(word_lists)))
+    whole = WordFeatures(occurrences, grams, np.arange(len(word_lists)))
+    # Every word is used and numbered by first use, so ``compact`` would
+    # find np.unique's inverse to be the identity and rebuild both matrices.
+    vars(whole)["compact"] = (occurrences, grams)
+    return whole
 
 
 def _takes_gram_route(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> bool:
@@ -200,12 +217,23 @@ def _takes_gram_route(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) 
 
 
 def _product_norms(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> np.ndarray:
-    """‖c_t‖² from the bucket-major product, which holds every text's
-    integer bucket counts."""
-    counts = grams.T.tocsr() @ occurrences.T.tocsr()
-    squares = np.bincount(counts.indices, counts.data * counts.data,
-                          minlength=occurrences.shape[0])
-    return squares.astype(np.float64, copy=False)  # bincount of no entries gives integers
+    """‖c_t‖² from the product ``occurrences @ grams``, every text's integer
+    bucket counts, taken a block of texts at a time whose expansion is at
+    most ``_PRODUCT_BLOCK`` entries (a text with more is a block alone)."""
+    reach = np.zeros(occurrences.nnz + 1, dtype=np.intp)
+    np.cumsum(np.diff(grams.indptr)[occurrences.indices], out=reach[1:])
+    reach = reach[occurrences.indptr]  # the expansion before each text
+    squares = np.empty(occurrences.shape[0])
+    ones = np.ones(grams.shape[1])
+    start = 0
+    while start < len(squares):
+        stop = max(start + 1, int(np.searchsorted(reach, reach[start] + _PRODUCT_BLOCK,
+                                                  side="right")) - 1)
+        counts = occurrences[start:stop] @ grams
+        counts.data *= counts.data
+        squares[start:stop] = counts @ ones
+        start = stop
+    return squares
 
 
 def _gram_norms(occurrences: sparse.csr_matrix, grams: sparse.csr_matrix) -> np.ndarray:

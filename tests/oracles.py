@@ -6,7 +6,10 @@ such vectors into a CSR matrix; ``materialize`` multiplies out the
 word-factored features of ``qemine.features.featurize_all``, which must
 give exactly their matrix.  ``masked_sigmoid`` is the logistic function
 evaluated separately on each sign's entries; ``backprop._sigmoid`` must
-give its bits.
+give its bits.  ``broadcast_abs_diff_term`` fills the grid head's |u−v|
+workspace by one broadcast subtraction per chunk;
+``backprop._add_abs_diff_term``, which copies rows and subtracts after,
+must give its bits.
 The per-example encoder, pair features and task heads mirror
 ``qemine.backprop``'s batched forward passes, and the per-example losses
 with their analytic derivatives define the objectives its ``*_batch``
@@ -161,6 +164,21 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def broadcast_abs_diff_term(z: np.ndarray, ua: np.ndarray, ub: np.ndarray, w: np.ndarray) -> None:
+    """Add ``|ua[i] − ub[j]| @ w`` to every ``z[i, j]`` as ``backprop._add_abs_diff_term``
+    must: the same chunks of ``backprop._GRID_CHUNK`` entries and per-row
+    products, each chunk filled by one subtraction broadcast over its
+    rows and columns."""
+    step = max(1, min(len(ua), backprop._GRID_CHUNK // max(1, ub.size)))
+    work = np.empty((step, *ub.shape), np.result_type(ua, ub))
+    weighted = np.empty((step, len(ub)), np.result_type(work, w))
+    for start in range(0, len(ua), step):
+        block = ua[start : start + step]
+        diff = np.subtract(block[:, None, :], ub, out=work[: len(block)])
+        np.abs(diff, out=diff)
+        z[start : start + step] += np.matmul(diff, w, out=weighted[: len(block)])
 
 
 def encode(model: EncoderModel, fv: FeatureVector) -> np.ndarray:

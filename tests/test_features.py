@@ -255,6 +255,34 @@ class TestFeaturizeAll:
             featurize_all([], FeaturizerConfig((1,), 64, 0))
 
 
+class TestCompactForm:
+    """A whole featurization is its own compact form; selections derive theirs."""
+
+    TEXTS = ["the cat sat", "", "The CAT sat on the mat", "mat the", "dog", "  "]
+
+    @pytest.mark.parametrize("texts", [TEXTS, ["", " "], ["one"]])
+    def test_whole_featurization_is_its_own_compact_form(self, texts):
+        X = featurize_all(texts, FeaturizerConfig((1, 2, 3), 64, 5))
+        weights, grams = X.compact
+        assert weights is X.weights and grams is X.grams
+        derived = X[np.arange(len(texts))].compact
+        for own, other in zip((weights, grams), derived):
+            assert own.shape == other.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(own, name), getattr(other, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_selections_derive_their_own(self):
+        X = featurize_all(self.TEXTS, FeaturizerConfig((1, 2, 3), 64, 5))
+        for part in (X[[4, 0]], X[[4]].join(X[[0]])):
+            weights, grams = part.compact
+            assert weights is not X.weights and grams is not X.grams
+            # "dog", then "the cat sat": words 5 and 0 to 2 of the whole featurization
+            assert weights.shape == (2, 4) and grams.shape == (4, 64)
+            assert np.array_equal(weights.indices, [3, 0, 1, 2])
+            assert np.array_equal(grams.toarray(), X.grams[[0, 1, 2, 5]].toarray())
+
+
 def _synth_call(vocab, count, n_features):
     """The occurrence counts and grams of a ``featurize_all`` call over
     ``count`` distinct synth QE texts of a ``vocab``-word language."""
@@ -309,6 +337,33 @@ class TestNormRoutes:
         # here, against 20 MB for a texts × k array.
         bound = 2 * 8 * (k * k + features._GRAM_BLOCK)
         assert peak - squares.nbytes <= bound < occurrences.shape[0] * k * 8 // 10
+
+    @pytest.mark.parametrize("block", [1, 200, 1000, 1 << 40])
+    def test_product_route_blocks_give_the_same_norms(self, monkeypatch, block):
+        # A text's expansion is 5 to 292 entries here: at 200 some texts
+        # are longer than a block, at 1000 a block holds several texts.
+        records = synth.generate_qe(synth.SynthConfig(vocab_size=200, seed=3), 60)
+        texts = ["", *(t for r in records for t in (r.source, r.target)), " ", "a a a a"]
+        X = featurize_all(texts, FeaturizerConfig((1, 2, 3, 4), 4096, 0))
+        occurrences = occurrence_counts(X)
+        monkeypatch.setattr(features, "_PRODUCT_BLOCK", block)
+        assert (features._product_norms(occurrences, X.grams).tobytes()
+                == features._gram_norms(occurrences, X.grams).tobytes())
+
+    def test_product_route_memory_is_one_block(self):
+        """A large-vocabulary call (k = 11,289, 660k expansion entries)
+        holds one block's product, about 12 bytes per entry, plus 16 bytes
+        per word occurrence: 1.4 MB, where the whole product took 14 MB."""
+        occurrences, grams = _synth_call(5000, 4000, 8192)
+        assert not features._takes_gram_route(occurrences, grams)
+        tracemalloc.start()
+        try:
+            squares = features._product_norms(occurrences, grams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 32 * features._PRODUCT_BLOCK + 16 * occurrences.nnz
+        assert peak - squares.nbytes <= bound < 4_000_000
 
 
 class TestDistinctTexts:

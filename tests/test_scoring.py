@@ -30,6 +30,7 @@ from qemine.training import TrainConfig, train_feature_stack
 
 from conftest import as_float64, encoder_model, head_set
 from oracles import (
+    broadcast_abs_diff_term,
     per_backbone_embeddings,
     text_pair_mine_bucc,
     text_pair_score_matrix,
@@ -265,6 +266,28 @@ class TestScoreGrid:
         for chunk in (1, n * m * 64 + 1):
             monkeypatch.setattr(backprop, "_GRID_CHUNK", chunk)
             assert np.array_equal(backprop.regression_head_grid(params, "qe", ua, ub), default)
+
+    @pytest.mark.parametrize("n, m, dtypes, chunk", [
+        (23, 400, (np.float32, np.float32), None),  # chunks of 5 rows, the last one of 3
+        (9, 40, (np.float32, np.float32), 1),       # one-row chunks
+        (3, 2100, (np.float32, np.float32), None),  # m·d above the chunk: one row per chunk
+        (17, 30, (np.float64, np.float64), None),   # float64 rows, one chunk
+        (7, 50, (np.float32, np.float64), 10000),   # mixed rows: float32 ua is cast first
+    ])
+    def test_tiled_fill_equals_the_broadcast_oracle(self, monkeypatch, n, m, dtypes, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(backprop, "_GRID_CHUNK", chunk)
+        rng = np.random.default_rng(n * m)
+        ua = rng.normal(size=(n, 64)).astype(dtypes[0])
+        ub = rng.normal(size=(m, 64)).astype(dtypes[1])
+        ua[n // 2] = 0.0
+        ub[[0, -1]] = 0.0
+        w = rng.normal(size=64).astype(dtypes[0])
+        expected = rng.normal(size=(n, m)).astype(np.result_type(ua, ub))
+        z = expected.copy()
+        broadcast_abs_diff_term(expected, ua, ub, w)
+        backprop._add_abs_diff_term(z, ua, ub, w)
+        assert np.array_equal(z, expected)
 
     def test_nli_has_no_grid(self):
         u = np.ones((2, 6))
@@ -621,6 +644,30 @@ class TestFeaturizationCount:
         scorer.predict(pairs)
         assert featurized == [(scorer.encoder_.featurizer,
                                _distinct([a for a, _ in pairs], [b for _, b in pairs]))]
+
+
+    def test_inference_selects_no_rows(self, monkeypatch):
+        """A fresh featurization is its own compact form, so the embedding
+        rule takes no rows of it (``features._take_rows``) when it embeds,
+        scores or mines."""
+        taken = []
+
+        def counting(matrix, rows, original=qemine.features._take_rows):
+            taken.append(len(rows))
+            return original(matrix, rows)
+
+        monkeypatch.setattr(qemine.features, "_take_rows", counting)
+        scorer, stack = _multitask(), _feature_stack()
+        pairs = _pairs()
+        references, hypotheses = [a for a, _ in pairs], [b for _, b in pairs]
+        scorer.predict(pairs)
+        stack.predict(pairs)
+        score_matrix(scorer, references, hypotheses)
+        mine_bucc(_corpus(), _filter(), scorer, MiningConfig(top_n=3, threshold=0.3))
+        assert taken == []
+        # a selection still derives its compact form through it
+        qemine.features.featurize_all(references, scorer.encoder_.featurizer)[[1, 0]].compact
+        assert taken
 
 
 class TestUnalignedRows:
