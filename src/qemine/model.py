@@ -22,10 +22,8 @@ arrays are W1 as its (F, H) transpose, b1, W2, b2.  ``QEM2``: one
 encoder header; the encoder and QE/STS/NLI head arrays.  ``QEF2``: the
 head's hidden width (u32) and the STS, NLI, QE encoder headers; the
 three encoders' arrays, then hidden_w, hidden_b, out_w, out_b.  Files
-are written at version 4, whose digest is the first 8 bytes of SHA-256.
-Version 3 differs only in its digest, BLAKE2b with an 8-byte output;
-version 2 also stores W1 as (H, F) and loads through one transposing
-copy.  Both still load.  Version-1 files are rejected.
+are written and read at version 4, whose digest is the first 8 bytes of
+SHA-256.  A file of any other version is rejected.
 
 Saving writes the container over the file's old bytes, without
 truncating it first, and then truncates a regular file to the
@@ -39,8 +37,7 @@ digest does not match, which loading rejects with
 Loading reads the whole file in one pass into one buffer that starts 2
 bytes past a 4-byte boundary.  Every header is 2 mod 4 bytes long (QEM
 30 + 4·orders, QEF 82 + 12·orders), so every array starts on a 4-byte
-boundary and the model's arrays are writable views of that buffer; a
-version-2 file keeps the buffer alive next to its transposed copy of W1.
+boundary and the model's arrays are writable views of that buffer.
 Nothing maps a model file, so an overwrite changes no model already
 loaded from it.
 """
@@ -81,17 +78,6 @@ MAGIC = b"QEM2"
 FEATURE_MAGIC = b"QEF2"
 VERSION = 4
 _DIGEST_SIZE = 8
-
-
-def _blake2b_64(data=b""):
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE)
-
-
-# The digest rule of each readable version: a hash over every byte before
-# the trailer, whose first _DIGEST_SIZE bytes are the trailer.  SHA-256
-# replaced BLAKE2b in version 4 because OpenSSL runs it on the CPU's SHA
-# instructions, at over twice BLAKE2b's speed where they exist.
-_HASHES = {2: _blake2b_64, 3: _blake2b_64, 4: hashlib.sha256}
 
 
 def _f32(array) -> np.ndarray:
@@ -224,8 +210,12 @@ class FeatureStackModel:
         return (self.sts_backbone, self.nli_backbone, self.qe_backbone)
 
 
-def _digest(version: int, data) -> bytes:
-    return _HASHES[version](data).digest()[:_DIGEST_SIZE]
+def _digest(*chunks) -> bytes:
+    """The container's trailer: the first 8 bytes of SHA-256 over every byte before it."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.digest()[:_DIGEST_SIZE]
 
 
 def _frame(magic: bytes, header: bytes, arrays) -> list:
@@ -241,10 +231,7 @@ def _frame(magic: bytes, header: bytes, arrays) -> list:
     """
     chunks = [magic, struct.pack("<H", VERSION), header,
               *(memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B") for a in arrays)]
-    digest = _HASHES[VERSION]()
-    for chunk in chunks:
-        digest.update(chunk)
-    return chunks + [digest.digest()[:_DIGEST_SIZE]]
+    return chunks + [_digest(*chunks)]
 
 
 def _encoder_header(model: EncoderModel) -> bytes:
@@ -322,11 +309,11 @@ class _FrameReader:
             raise ModelFormatError(f"{path}: version-1 model file ({found!r}); retrain the model")
         if found != magic:
             raise ModelFormatError(f"{path}: bad magic bytes {found!r}")
-        (self.version,) = struct.unpack_from("<H", blob, 4)
-        if self.version not in _HASHES:
-            raise ModelFormatError(f"{path}: unsupported version {self.version}")
+        (version,) = struct.unpack_from("<H", blob, 4)
+        if version != VERSION:
+            raise ModelFormatError(f"{path}: version-{version} model file; retrain the model")
         self.body = blob[:-_DIGEST_SIZE]
-        if _digest(self.version, self.body) != blob[-_DIGEST_SIZE:]:
+        if _digest(self.body) != blob[-_DIGEST_SIZE:]:
             raise ModelCorruptionError(f"{path}: checksum mismatch")
         self.offset = 6
 
@@ -367,11 +354,8 @@ class _FrameReader:
 
     def encoder(self, header) -> EncoderModel:
         featurizer, hidden, dim = header
-        n_features = featurizer.n_features
-        # W1 is stored as (F, H), whose transpose is the feature-major view,
-        # or as (H, F) in version 2, which takes one transposing copy
-        w1 = (self.view((n_features, hidden)).T if self.version >= 3
-              else np.asfortranarray(self.view((hidden, n_features))))
+        # W1 is stored as (F, H), whose transpose is the feature-major view
+        w1 = self.view((featurizer.n_features, hidden)).T
         rest = self.arrays([(hidden,), (dim, hidden), (dim,)])
         return self.build(EncoderModel, featurizer, w1, *rest)
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -28,6 +29,14 @@ def _check_manifest(out, command, seed, inputs, outputs):
     assert manifest["seed"] == seed
     assert manifest["inputs"] == [str(p) for p in inputs]
     assert manifest["outputs"] == [str(p) for p in outputs]
+
+
+def _relabel(path, version):
+    """Rewrite the model file at ``path`` to name container ``version``,
+    under the 8-byte BLAKE2b trailer that versions 2 and 3 carried."""
+    blob = path.read_bytes()
+    body = blob[:4] + version.to_bytes(2, "little") + blob[6:-8]
+    path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
 
 
 def _manifests(root):
@@ -257,6 +266,16 @@ class TestTrainPipeline:
         assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    def test_eval_qe_rejects_a_version_three_model_file(self, synth_prefix, tmp_path, capsys):
+        model = tmp_path / "v3.qem"
+        _run(["train", "--qe", f"{synth_prefix}.qe.tsv", "--tasks", "qe",
+              "--epochs", 1, "--seed", 5, "--out", model, *NET])
+        _relabel(model, 3)
+        capsys.readouterr()
+        assert _run(["eval-qe", "--qe", f"{synth_prefix}.qe.tsv", "--model", model]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {model}: version-3 model file; retrain the model\n"
+
     @pytest.mark.parametrize("kind", ["qem", "qef"])
     def test_eval_qe_reads_a_fifo_once(self, synth_prefix, tmp_path, capsys, kind):
         """A FIFO can be opened for reading only once per writer, so a second
@@ -452,6 +471,17 @@ class TestMineCli:
             assert mining["threshold_source"] == "fixed"
             assert mining["threshold"] == 0.1
             assert mining["shortlist_gold_recall"] is None
+
+    def test_mine_bucc_rejects_a_version_two_model_file(self, synth_prefix, tmp_path, capsys):
+        models = self._mining_models(synth_prefix, tmp_path)
+        scorer = models[-1]
+        _relabel(scorer, 2)
+        capsys.readouterr()
+        code = _run(self._mine_bucc_args(synth_prefix, tmp_path / "mined.tsv")
+                    + models + ["--threshold", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {scorer}: version-2 model file; retrain the model\n"
 
     def test_mine_bucc_rejects_malformed_train_gold(self, synth_prefix, tmp_path, capsys):
         bad = tmp_path / "bad.gold.tsv"

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import stat
 import struct
 import threading
@@ -13,7 +14,6 @@ import pytest
 import qemine.model
 from qemine import backprop
 from qemine.errors import ModelCorruptionError, ModelFormatError
-from qemine.estimators import MultitaskScorer
 from qemine.features import FeaturizerConfig
 from qemine.model import (
     EncoderModel,
@@ -21,6 +21,7 @@ from qemine.model import (
     HeadSet,
     load_feature_model,
     load_model,
+    load_qe_model,
     model_from_bytes,
     model_to_bytes,
     save_feature_model,
@@ -186,8 +187,9 @@ _SIGNERS = {2: _blake2b_64, 3: _blake2b_64, 4: _sha256_64}
 
 
 def _resign(body: bytes) -> bytes:
-    """A container body followed by the valid checksum of the version it names."""
-    return body + _SIGNERS[int.from_bytes(body[4:6], "little")](body)
+    """A container body followed by the valid checksum of the version it
+    names; a version with no documented digest gets version 4's."""
+    return body + _SIGNERS.get(int.from_bytes(body[4:6], "little"), _sha256_64)(body)
 
 
 # The documented layouts, built by concatenation: magic, version, header,
@@ -318,56 +320,26 @@ class TestModelFile:
         assert written == _documented_qef(load_feature_model(tmp_path / "s.qef"), version=4)
         assert written[-8:] == hashlib.sha256(written[:-8]).digest()[:8]
 
-    def test_version_two_files_load_to_identical_weights(self, tmp_path):
-        model = _random_model(seed=34)
-        heads = _random_heads(model.embedding_dim, seed=35)
-        (tmp_path / "v2.qem").write_bytes(_documented_qem(model, heads, version=2))
-        loaded, loaded_heads = load_model(tmp_path / "v2.qem")
-        assert loaded.w1.T.flags.c_contiguous
-        assert model_to_bytes(loaded, loaded_heads) == model_to_bytes(model, heads)
+    @pytest.mark.parametrize("version", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["qem", "qef"])
+    def test_file_of_another_version_is_rejected(self, tmp_path, kind, version):
+        """Versions 2 and 3, each under its own valid digest, and an unknown
+        version 5 are rejected by name before any digest is checked."""
+        if kind == "qem":
+            model = _random_model(seed=34)
+            blob = _documented_qem(model, _random_heads(model.embedding_dim, seed=35), version)
+            loaders = [load_model, load_qe_model]
+        else:
+            blob = _documented_qef(_random_stack(), version)
+            loaders = [load_feature_model, load_qe_model]
+        path = tmp_path / f"v{version}.{kind}"
+        path.write_bytes(blob)
+        for load in loaders:
+            with pytest.raises(ModelFormatError, match=re.escape(
+                    f"{path}: version-{version} model file; retrain the model")):
+                load(path)
 
-        _feature_model_bytes(tmp_path / "s.qef")
-        stack = load_feature_model(tmp_path / "s.qef")
-        (tmp_path / "v2.qef").write_bytes(_documented_qef(stack, version=2))
-        save_feature_model(load_feature_model(tmp_path / "v2.qef"), tmp_path / "again.qef")
-        assert (tmp_path / "again.qef").read_bytes() == (tmp_path / "s.qef").read_bytes()
-
-    def test_version_two_file_predicts_as_version_three(self, tmp_path):
-        model = _random_model(seed=36)
-        heads = _random_heads(model.embedding_dim, seed=37)
-        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
-        (tmp_path / "v2.qem").write_bytes(_documented_qem(model, heads, version=2))
-        pairs = [("a small example", "another one"), ("", "text"), ("same", "same")]
-        expected = MultitaskScorer.load(tmp_path / "v3.qem").predict(pairs)
-        assert np.array_equal(MultitaskScorer.load(tmp_path / "v2.qem").predict(pairs), expected)
-
-    def test_version_three_files_load_to_identical_weights(self, tmp_path):
-        model = _random_model(seed=40)
-        heads = _random_heads(model.embedding_dim, seed=41)
-        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
-        loaded, loaded_heads = load_model(tmp_path / "v3.qem")
-        assert loaded.w1.T.flags.c_contiguous
-        assert model_to_bytes(loaded, loaded_heads) == model_to_bytes(model, heads)
-        save_model(loaded, loaded_heads, tmp_path / "v4.qem")
-        assert (tmp_path / "v4.qem").read_bytes() == _documented_qem(model, heads, version=4)
-
-        _feature_model_bytes(tmp_path / "s.qef")
-        stack = load_feature_model(tmp_path / "s.qef")
-        (tmp_path / "v3.qef").write_bytes(_documented_qef(stack, version=3))
-        save_feature_model(load_feature_model(tmp_path / "v3.qef"), tmp_path / "again.qef")
-        assert (tmp_path / "again.qef").read_bytes() == (tmp_path / "s.qef").read_bytes()
-
-    def test_version_three_file_predicts_as_its_version_four_resave(self, tmp_path):
-        model = _random_model(seed=42)
-        heads = _random_heads(model.embedding_dim, seed=43)
-        (tmp_path / "v3.qem").write_bytes(_documented_qem(model, heads, version=3))
-        save_model(*load_model(tmp_path / "v3.qem"), tmp_path / "v4.qem")
-        pairs = [("a small example", "another one"), ("", "text"), ("same", "same")]
-        expected = MultitaskScorer.load(tmp_path / "v4.qem").predict(pairs)
-        assert np.array_equal(MultitaskScorer.load(tmp_path / "v3.qem").predict(pairs), expected)
-
-    @pytest.mark.parametrize(("version", "signer"), [(4, _blake2b_64), (3, _sha256_64)],
-                             ids=["v4-blake2b", "v3-sha256"])
+    @pytest.mark.parametrize(("version", "signer"), [(4, _blake2b_64)], ids=["v4-blake2b"])
     def test_trailer_of_another_version_is_a_checksum_mismatch(self, model_file, version,
                                                                signer):
         blob, load, path = model_file
@@ -376,29 +348,10 @@ class TestModelFile:
         with pytest.raises(ModelCorruptionError, match="checksum mismatch"):
             load(path)
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
-    def test_load_allocates_one_copy_of_the_weights(self, tmp_path, version):
-        """Load holds the file's bytes and the arrays it returns: views of
-        that buffer from version 3 on, with no finiteness mask, and in
-        version 2 one transposing copy of W1 made straight from the buffer.
-        A second copy of W1 would add W1.nbytes."""
-        model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
-        heads = _random_heads(model.embedding_dim, seed=29)
-        path = tmp_path / "m.qem"
-        path.write_bytes(_documented_qem(model, heads, version))
-        load_model(path)
-        tracemalloc.start()
-        try:
-            load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < path.stat().st_size + model.w1.nbytes * 3 // 2
-
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [4])
     def test_load_holds_the_file_buffer_and_little_more(self, tmp_path, version):
-        """From version 3 on, the arrays are views of the one read buffer and
-        the finiteness check builds no mask, so a load holds about the file."""
+        """The arrays are views of the one read buffer and the finiteness
+        check builds no mask, so a load holds about the file."""
         model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
         heads = _random_heads(model.embedding_dim, seed=29)
         path = tmp_path / "m.qem"
@@ -412,7 +365,7 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < path.stat().st_size + model.w1.nbytes // 8
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize("version", [4])
     def test_loaded_arrays_are_writable_aligned_and_equal_a_bytes_load(self, tmp_path,
                                                                        version):
         model = _random_model(seed=46)
