@@ -251,6 +251,25 @@ def _save_case(kind, seed, large=False):
     return partial(save_feature_model, stack), _documented_qef(stack, 4), load_feature_model
 
 
+def _second_load_peak(path, version) -> int:
+    """Peak traced memory of a second ``load_model(path)`` (the first warms
+    caches); a file of a version other than 4 must be refused by name."""
+    def load():
+        if version == 4:
+            load_model(path)
+            return
+        with pytest.raises(ModelFormatError, match=f"version-{version} model file"):
+            load_model(path)
+
+    load()
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _serialized(loaded) -> bytes:
     """A loaded model's container bytes, for bit-for-bit comparison."""
     if isinstance(loaded, tuple):
@@ -348,22 +367,29 @@ class TestModelFile:
         with pytest.raises(ModelCorruptionError, match="checksum mismatch"):
             load(path)
 
-    @pytest.mark.parametrize("version", [4])
-    def test_load_holds_the_file_buffer_and_little_more(self, tmp_path, version):
-        """The arrays are views of the one read buffer and the finiteness
-        check builds no mask, so a load holds about the file."""
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_load_allocates_one_copy_of_the_weights(self, tmp_path, version):
+        """Load holds the file's bytes and the arrays it returns, which are
+        views of that buffer; a file of version 2 or 3 is refused after the
+        same one read, with no transposing copy of W1. A second copy of W1
+        would add W1.nbytes."""
         model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
         heads = _random_heads(model.embedding_dim, seed=29)
         path = tmp_path / "m.qem"
         path.write_bytes(_documented_qem(model, heads, version))
-        load_model(path)
-        tracemalloc.start()
-        try:
-            load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < path.stat().st_size + model.w1.nbytes // 8
+        assert _second_load_peak(path, version) < \
+            path.stat().st_size + model.w1.nbytes * 3 // 2
+
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_load_holds_the_file_buffer_and_little_more(self, tmp_path, version):
+        """The arrays are views of the one read buffer and the finiteness
+        check builds no mask, so a load holds about the file; refusing a
+        version-3 file holds no more."""
+        model = _random_model(seed=28, n_features=65536)  # W1 is 2 MiB of float32
+        heads = _random_heads(model.embedding_dim, seed=29)
+        path = tmp_path / "m.qem"
+        path.write_bytes(_documented_qem(model, heads, version))
+        assert _second_load_peak(path, version) < path.stat().st_size + model.w1.nbytes // 8
 
     @pytest.mark.parametrize("version", [4])
     def test_loaded_arrays_are_writable_aligned_and_equal_a_bytes_load(self, tmp_path,
