@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .augment import AugmentConfig, augment_filtration, augment_scorer
 from .corpus import (
+    _write_rows,
     load_bucc,
     load_gold,
     load_nli,
@@ -83,6 +84,15 @@ def _write_manifest(args, started, out_path, inputs, outputs, record=None):
         handle.write("\n")
 
 
+def _write_text(path, text) -> None:
+    """Write ``text`` to ``path``, or to standard output when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _tasks(spec: str) -> tuple:
     return tuple(t.strip().lower() for t in spec.split(",") if t.strip())
 
@@ -106,8 +116,7 @@ def _cmd_train(args):
     scorer.fit(qe, sts, nli, validation=validation)
     scorer.save(args.out)
     if args.history:
-        with open(args.history, "w", encoding="utf-8") as handle:
-            handle.write(history_to_csv(scorer.history_))
+        _write_text(args.history, history_to_csv(scorer.history_))
     return args.out, [args.qe, args.sts, args.nli, args.validation], [args.out, args.history]
 
 
@@ -183,9 +192,8 @@ def _cmd_mine_tatoeba(args):
     scorer = MultitaskScorer.load(args.model)
     matrix = score_matrix(scorer, data.references, data.hypotheses)
     predicted = mine_tatoeba(matrix)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for row, col in predicted:
-            handle.write(f"{row}\t{col}\t{float(matrix.values[row, col])!r}\n")
+    _write_rows(args.out, ((str(row), str(col), repr(float(matrix.values[row, col])))
+                           for row, col in predicted))
     accuracy = tatoeba_accuracy(predicted, data.size)
     print(f"{data.size} rows, accuracy {accuracy:.4f}", file=sys.stderr)
     return args.out, [args.side_a, args.side_b, args.model], [args.out]
@@ -202,9 +210,7 @@ def _cmd_mine_bucc(args):
     threshold = args.threshold if args.threshold == "auto" else float(args.threshold)
     config = MiningConfig(top_n=args.topn, threshold=threshold)
     result = mine_bucc(corpus, filter_model, scorer, config, train_gold)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for id_a, id_b, score in result.pairs:
-            handle.write(f"{id_a}\t{id_b}\t{score!r}\n")
+    _write_rows(args.out, ((id_a, id_b, repr(score)) for id_a, id_b, score in result.pairs))
     precision, recall, f1 = f1_score(result.pair_set(), corpus.gold)
     shortlist = ("" if result.shortlist_gold_recall is None
                  else f", shortlist_gold_recall={result.shortlist_gold_recall:.4f}")
@@ -234,9 +240,8 @@ def _cmd_eval_qe(args):
     labels = np.array([r.score for r in records])
     correlation = pearson(predictions, labels)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for record, score in zip(records, predictions):
-                handle.write(f"{record.source}\t{record.target}\t{float(score)!r}\n")
+        _write_rows(args.out, ((record.source, record.target, repr(float(score)))
+                               for record, score in zip(records, predictions)))
     print(f"pearson={correlation!r}")
     return (args.out, [args.qe, args.model], [args.out]) if args.out else None
 
@@ -253,12 +258,7 @@ def _cmd_t_tail(args):
 def _cmd_hist(args):
     records = load_qe(args.qe, normalize=args.normalize)
     counts = score_histogram([r.score for r in records], args.bins)
-    csv = histogram_csv(counts)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write_text(args.out, histogram_csv(counts))
     return (args.out, [args.qe], [args.out]) if args.out else None
 
 
@@ -289,12 +289,7 @@ def _cmd_gradcheck(args):
         for block, err in sorted(report.errors.items()):
             rows.append(f"{prefix}{block},{err!r}")
         worst = np.maximum(worst, report.max_error)  # keeps a NaN, as max() would not
-    csv = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write_text(args.out, "\n".join(rows) + "\n")
     print(f"max relative error {worst:.2e}", file=sys.stderr)
     return (args.out, [], [args.out]) if args.out else None
 

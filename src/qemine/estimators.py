@@ -1,9 +1,9 @@
 """Estimator-style wrappers around the training pipelines.
 
 These follow the scikit-learn conventions: hyperparameters are
-constructor arguments mirrored by get_params/set_params, fit returns
-self, fitted state lives in trailing-underscore attributes, and
-inference goes through predict/embed.  ``fit`` hands the four settings
+constructor arguments kept as plain attributes, fit returns self,
+fitted state lives in trailing-underscore attributes, and inference
+goes through predict/embed.  ``fit`` hands the four settings
 every pipeline reads (epochs, batch size, learning rate, seed) to its
 training function as a ``TrainConfig``, and the pipeline's own
 settings (``MultitaskScorer``'s tasks and fine-tuning epochs,
@@ -31,8 +31,6 @@ through ``_require_fitted``, so a reassigned model is used at once.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from . import backprop, mining
@@ -48,25 +46,8 @@ __all__ = ["MultitaskScorer", "ContrastiveFilter", "FeatureStackScorer", "load_q
 
 
 class _EstimatorMixin:
-    """get_params/set_params over the constructor signature, and the
-    ``TrainConfig`` of the four settings every pipeline reads; a
+    """The ``TrainConfig`` of the four settings every pipeline reads; a
     pipeline's own settings go to its training function as they are."""
-
-    @classmethod
-    def _param_names(cls):
-        signature = inspect.signature(cls.__init__)
-        return tuple(name for name in signature.parameters if name != "self")
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = self._param_names()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
 
     def _train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -292,17 +273,14 @@ class FeatureStackScorer(_EstimatorMixin):
         """The three backbones' embeddings side by side, one row per text."""
         return embed_sides([self], [texts])[0][0]
 
-    def pair_features(self, ua, ub) -> np.ndarray:
-        """Each backbone's regression pair features for aligned ``embed`` rows, side by side."""
-        return backprop.stacked_pair_features(ua, ub, [b.embedding_dim for b in self._backbones()])
-
     def score_embeddings(self, ua, ub) -> np.ndarray:
         """QE scores in (0,1) for aligned ``embed`` rows."""
         check_is_fitted(self, "model_")
         _check_aligned(ua, ub)
         m = self.model_
-        return backprop.feature_head(self.pair_features(ua, ub),
-                                     m.hidden_w, m.hidden_b, m.out_w, m.out_b)[0]
+        features = backprop.stacked_pair_features(
+            ua, ub, [b.embedding_dim for b in self._backbones()])
+        return backprop.feature_head(features, m.hidden_w, m.hidden_b, m.out_w, m.out_b)[0]
 
     def predict(self, pairs) -> np.ndarray:
         check_is_fitted(self, "model_")

@@ -46,8 +46,8 @@ which each text sums its occurrences' entries.  The Gram route is taken
 when Σ n_b² + occurrences × k / ``_DENSE_PER_SPARSE`` < expansion, so
 when the call has few distinct words for its word occurrences, as a
 large call over a small vocabulary has; otherwise the product stays
-faster (2,000 texts over synth's 200-word vocabulary, k = 500: 5.9
-against 12 ms).  The Gram route's extra memory is the dense k × k
+faster (2,000 texts over synth's 200-word vocabulary, k = 500: 4.8
+against 7.5 ms).  The Gram route's extra memory is the dense k × k
 matrix G plus one block of ``_GRAM_BLOCK`` entries of R, never a texts ×
 k array; and as k ≤ occurrences, the rule keeps k² below
 ``_DENSE_PER_SPARSE`` × expansion.  Counts are integers held in
@@ -76,18 +76,18 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # took 1.5-2.3x as long, the slicing per block dominating; 2**17 to 2**20
 # gained at most 10%.
 _GRAM_BLOCK = 1 << 16
-# The dense multiply-adds of R = occurrences @ G that cost as much as one
-# sparse multiply-add, in the route rule.  On synth calls (F = 4096,
-# 64 to 16,384 texts at vocabularies 20 to 150; 2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4, scipy 1.17), a sparse multiply-add of either
-# route took 15-20 ns and a dense one about 0.9 ns.  A call's rule flips
-# where the divisor equals occurrences × k / (expansion - Σ n_b²).  The
-# Gram route was the faster one on every call that flips at 19.2 or less
-# (vocabulary 150, 16,384 texts: 52 against 58 ms) and the slower one on
-# every call that flips at 22.0 or more (vocabulary 150, 8,192 texts: 27
-# against 25 ms) but one: vocabulary 50 at 256 texts flips at 27.8, and
-# its Gram route took 0.9 against 1.2 ms.
-_DENSE_PER_SPARSE = 20
+# Dense multiply-adds of R = occurrences @ G per sparse one: a call takes
+# the Gram route when its flip, occurrences × k / (expansion - Σ n_b²),
+# is below this.  Best of 7 in ms, 1 BLAS thread, 2-vCPU x86-64, numpy
+# 2.4, scipy 1.17, F = 4096 (8192 at 5,000 words):
+#   flip     6.5    inf   22.0   27.8   32.1   37.8
+#   texts  2,000    192  8,192    256  2,048  8,192
+#   words     50  5,000    150     50    120    200
+#   Gram    1.66   57.4   15.4   0.79   3.53   21.0
+#   product 5.26   0.72   22.9   0.93   5.31   20.0
+# On 39 calls (the bench's 14, 25 synth ones), 35 picked the faster route
+# on 37 and 36 in two rounds, and 20 on 32 and 31.
+_DENSE_PER_SPARSE = 35
 # Expansion entries per block of the product route, which holds about 12
 # bytes per entry (the block's product, squared in place): 0.8 MB.  The
 # bench's largest product-route call (a train-default fit, about 33k

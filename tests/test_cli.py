@@ -12,7 +12,9 @@ import pytest
 
 import qemine.cli
 from qemine.cli import build_parser, main
-from qemine.corpus import load_qe
+from qemine.corpus import load_bucc, load_qe, load_tatoeba
+from qemine.estimators import ContrastiveFilter, MultitaskScorer, load_qe_scorer
+from qemine.mining import MiningConfig, mine_bucc, mine_tatoeba, score_matrix
 from qemine.stats import pearson
 from qemine.training import GradCheckReport, grad_check
 
@@ -37,6 +39,16 @@ def _relabel(path, version):
     blob = path.read_bytes()
     body = blob[:4] + version.to_bytes(2, "little") + blob[6:-8]
     path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def _tsv_rows(path):
+    """The rows of a 3-column output TSV, checking that each is one
+    LF-terminated UTF-8 line with the score as its last column."""
+    text = Path(path).read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text
+    rows = [line.split("\t") for line in text[:-1].split("\n")]
+    assert all(len(row) == 3 for row in rows)
+    return [(a, b, float(score)) for a, b, score in rows]
 
 
 def _manifests(root):
@@ -471,6 +483,39 @@ class TestMineCli:
             assert mining["threshold_source"] == "fixed"
             assert mining["threshold"] == 0.1
             assert mining["shortlist_gold_recall"] is None
+
+    def test_output_files_hold_the_library_scores(self, synth_prefix, tmp_path):
+        """mine-tatoeba, mine-bucc and eval-qe --out write one row per result,
+        and each score reads back as the float the library returns."""
+        models = self._mining_models(synth_prefix, tmp_path)
+        scorer_path = models[-1]
+        scorer = MultitaskScorer.load(scorer_path)
+
+        searched = tmp_path / "searched.tsv"
+        tatoeba = [f"{synth_prefix}.tatoeba.src", f"{synth_prefix}.tatoeba.tgt"]
+        assert _run(["mine-tatoeba", "--side-a", tatoeba[0], "--side-b", tatoeba[1],
+                     "--model", scorer_path, "--out", searched]) == 0
+        data = load_tatoeba(*tatoeba)
+        matrix = score_matrix(scorer, data.references, data.hypotheses)
+        assert _tsv_rows(searched) == [(str(row), str(col), float(matrix.values[row, col]))
+                                       for row, col in mine_tatoeba(matrix)]
+
+        mined = tmp_path / "mined.tsv"
+        assert _run(self._mine_bucc_args(synth_prefix, mined) + models
+                    + ["--threshold", "0.1"]) == 0
+        corpus = load_bucc(*(f"{synth_prefix}.bucc.{name}.tsv" for name in ("a", "b", "gold")))
+        result = mine_bucc(corpus, ContrastiveFilter.load(models[1]), scorer,
+                           MiningConfig(top_n=5, threshold=0.1))
+        assert result.pairs
+        assert _tsv_rows(mined) == list(result.pairs)
+
+        predicted = tmp_path / "pred.tsv"
+        qe = f"{synth_prefix}.qe.tsv"
+        assert _run(["eval-qe", "--qe", qe, "--model", scorer_path, "--out", predicted]) == 0
+        records = load_qe(qe)
+        scores = load_qe_scorer(scorer_path).predict(records)
+        assert _tsv_rows(predicted) == [(r.source, r.target, float(score))
+                                        for r, score in zip(records, scores)]
 
     def test_mine_bucc_rejects_a_version_two_model_file(self, synth_prefix, tmp_path, capsys):
         models = self._mining_models(synth_prefix, tmp_path)

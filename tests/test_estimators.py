@@ -19,15 +19,16 @@ def _records(seed=0, count=60):
 
 
 class TestParamProtocol:
-    def test_get_params_mirrors_constructor(self):
-        scorer = MultitaskScorer(epochs=5, seed=9, **SMALL)
-        params = scorer.get_params()
-        assert params["epochs"] == 5
-        assert params["seed"] == 9
-        assert params["n_features"] == 256
-        assert "encoder_" not in params
-        assert len(params) == 11
+    def test_clone_by_params_reproduces_fit(self):
+        records = _records(1)
+        params = dict(tasks=("qe",), epochs=1, seed=3, **SMALL)
+        first = MultitaskScorer(**params).fit(records)
+        clone = MultitaskScorer(**params).fit(records)
+        pairs = [(r.source, r.target) for r in records[:10]]
+        assert np.array_equal(first.predict(pairs), clone.predict(pairs))
 
+
+class TestMultitaskScorer:
     def test_fit_rejects_a_nan_score_before_training(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("training ran")
@@ -37,25 +38,6 @@ class TestParamProtocol:
         with pytest.raises(ValueError, match="got nan for pair 0"):
             MultitaskScorer(tasks=("qe",), **SMALL).fit(records)
 
-    def test_set_params_roundtrip(self):
-        scorer = MultitaskScorer(**SMALL)
-        scorer.set_params(epochs=7, learning_rate=0.5)
-        assert scorer.epochs == 7
-        assert scorer.learning_rate == 0.5
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError, match="bogus"):
-            ContrastiveFilter().set_params(bogus=1)
-
-    def test_clone_by_params_reproduces_fit(self):
-        records = _records(1)
-        first = MultitaskScorer(tasks=("qe",), epochs=1, seed=3, **SMALL).fit(records)
-        clone = MultitaskScorer(**first.get_params()).fit(records)
-        pairs = [(r.source, r.target) for r in records[:10]]
-        assert np.array_equal(first.predict(pairs), clone.predict(pairs))
-
-
-class TestMultitaskScorer:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             MultitaskScorer(**SMALL).predict([("a", "b")])
@@ -97,7 +79,7 @@ class TestMultitaskScorer:
         loaded = MultitaskScorer.load(path)
         pairs = [(r.source, r.target) for r in records[:10]]
         assert np.array_equal(scorer.predict(pairs), loaded.predict(pairs))
-        assert loaded.get_params()["n_features"] == 256
+        assert loaded.n_features == 256
 
     def test_save_load_preserves_every_head(self, tmp_path):
         records = _records(14)
@@ -199,6 +181,6 @@ class TestFeatureStackScorer:
         stack = FeatureStackScorer(*backbones, hidden_units=7, epochs=2, seed=8).fit(records)
         save_feature_model(stack.model_, tmp_path / "stack.qef")
         loaded = FeatureStackScorer.load(tmp_path / "stack.qef")
-        assert loaded.get_params()["hidden_units"] == 7
+        assert loaded.hidden_units == 7
         pairs = [(r.source, r.target) for r in records[:10]]
         assert np.array_equal(stack.predict(pairs), loaded.predict(pairs))

@@ -316,9 +316,12 @@ class TestNormRoutes:
         (50, 2000, 4096, True),      # an inference call of the bench's desk models
         (5000, 64, 8192, False),     # a fit featurization of train-default
         (200, 2000, 4096, False),    # synth's default vocabulary: k = 500
-        # the two calls whose rule flips nearest the divisor, at 19.0 and 22.0
+        # calls whose rule flips at 19.0 and 22.0, below the divisor
         (100, 2048, 4096, True),
-        (150, 8192, 4096, False),
+        (150, 8192, 4096, True),
+        # the two calls whose rule flips nearest the divisor, at 32.1 and 37.8
+        (120, 2048, 4096, True),
+        (200, 8192, 4096, False),
     ])
     def test_route_at_measured_sizes(self, vocab, count, n_features, gram):
         assert features._takes_gram_route(*_synth_call(vocab, count, n_features)) is gram

@@ -341,7 +341,7 @@ def test_feature_stack_scores_with_replaced_weights():
     assert np.array_equal(before, text_pair_scores(stack, texts_a, texts_b))
 
     replacement = encoder_model(*_random_params(99, 128, 6, 4))
-    stack.set_params(sts_backbone=replacement)
+    stack.sts_backbone = replacement
     replaced = FeatureStackScorer(replacement, *stack._backbones()[1:])
     replaced.model_ = stack.model_
     after = stack.predict(pairs)
