@@ -140,6 +140,10 @@ def _cmd_train_filter(args):
     records = load_qe(args.data)
     positives = [r for r in records if r.score == 1.0]
     negatives = [r for r in records if r.score == 0.0]
+    others = [r.score for r in records if r.score not in (0.0, 1.0)]
+    if others:
+        raise ConfigError(f"augmented file must label every pair 1 or 0; {len(others)} pairs "
+                          f"carry another label, the first {others[0]!r}")
     if not positives or not negatives:
         raise ConfigError("augmented file must contain pairs labeled exactly 1 and 0")
     encoder = ContrastiveFilter(

@@ -66,8 +66,7 @@ def _score_sides(scorer, texts_a, texts_b, **head) -> np.ndarray:
 
 def _score_text_pairs(scorer, pairs, **head) -> np.ndarray:
     """Scores of aligned (textA, textB) pairs."""
-    pairs = as_text_pairs(pairs)
-    return _score_sides(scorer, [p[0] for p in pairs], [p[1] for p in pairs], **head)
+    return _score_sides(scorer, *as_text_pairs(pairs), **head)
 
 
 class _EncoderParams:

@@ -36,6 +36,7 @@ from .backprop import (
     regression_batch,
     stacked_pair_features,
 )
+from .corpus import ParallelSet
 from .embedding import embed_sides
 from .errors import ConfigError
 from .features import FeaturizerConfig, distinct_texts, featurize_all
@@ -264,15 +265,15 @@ def train_filtration(positives, negatives, config: TrainConfig = TrainConfig(),
     """
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must lie in (0,1], got {margin}")
-    pos = as_text_pairs(positives)
-    neg = as_text_pairs(negatives)
-    if not pos or not neg:
+    pos_a, pos_b = as_text_pairs(positives)
+    neg_a, neg_b = as_text_pairs(negatives)
+    if not pos_a or not neg_a:
         raise ConfigError("filtration training needs non-empty positive and negative sets")
-    y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    y = np.concatenate([np.ones(len(pos_a)), np.zeros(len(neg_a))])
 
     featurizer = encoder.featurizer
     params = init_params(encoder, _rng(config.seed, _TAG_INIT))
-    Xa, Xb = _featurize_sides(*zip(*pos, *neg), featurizer, dtype=params["W1"].dtype)
+    Xa, Xb = _featurize_sides(pos_a + neg_a, pos_b + neg_b, featurizer, dtype=params["W1"].dtype)
     objective = partial(contrastive_batch, params, margin=margin)
     streams = {"contrastive": _stream(config, _TAG_FILTER, objective, Xa, Xb, y)}
     history = _run_epochs(params, Adam(config.learning_rate), streams, config.epochs, [])
@@ -285,7 +286,7 @@ def _mean_cosine(params, Xa, Xb) -> float:
     return float(cos.mean())
 
 
-def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainConfig(),
+def align_encoders(model: EncoderModel, parallel: ParallelSet, config: TrainConfig = TrainConfig(),
                    heldout_fraction: float = 0.1):
     """Pull source-side embeddings toward their fixed English-side embeddings.
 
@@ -299,8 +300,7 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     """
     if not 0 < heldout_fraction < 1:
         raise ConfigError(f"held-out fraction must be in (0, 1), got {heldout_fraction!r}")
-    pairs = parallel.pairs if hasattr(parallel, "pairs") else as_text_pairs(parallel)
-    total = len(pairs)
+    total = len(parallel.pairs)
     heldout_size = int(total * heldout_fraction)
     if heldout_size < 1:
         raise ConfigError(
@@ -311,7 +311,7 @@ def align_encoders(model: EncoderModel, parallel, config: TrainConfig = TrainCon
     if len(train) == 0:
         raise ConfigError("no training pairs left after the held-out split")
 
-    Xs, Xt = _featurize_sides(*zip(*pairs), model.featurizer, dtype=model.w1.dtype)
+    Xs, Xt = _featurize_sides(*zip(*parallel.pairs), model.featurizer, dtype=model.w1.dtype)
     arrays = (model.w1, model.b1, model.w2, model.b2)
     aligned = EncoderModel(model.featurizer, *map(np.copy, arrays))  # np.copy keeps W1's layout
     params = aligned.params()

@@ -1,8 +1,9 @@
 """Input validation and conversion helpers for the estimator layer.
 
-Training and prediction entry points accept either the record types
-from ``corpus`` or plain tuples; these helpers normalize both into
-text lists plus numpy label arrays and raise early on bad labels.
+Training and prediction read pairs from ``corpus`` records or from
+tuples or lists by position; any other item, a bare string included,
+raises ``ValueError``.  The converters return columns, ``(texts_a,
+texts_b)`` or ``(texts_a, texts_b, labels)``, and reject bad labels.
 ``all_finite`` is the one finiteness check of Adam's gradients, score
 matrices and model weights.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import NLIRecord, QERecord, STSRecord
 from .errors import NotFittedError
 
 __all__ = ["all_finite", "as_text_pairs", "as_pair_scores", "as_nli_data", "check_is_fitted"]
@@ -28,36 +30,37 @@ def all_finite(array) -> bool:
     return bool(np.isfinite(total) or np.isfinite(array).all())
 
 
-def _pair_of(item) -> tuple[str, str]:
-    if hasattr(item, "source") and hasattr(item, "target"):
-        return item.source, item.target
-    if hasattr(item, "sentence1"):
-        return item.sentence1, item.sentence2
-    if hasattr(item, "premise"):
-        return item.premise, item.hypothesis
-    if len(item) >= 2:
-        return str(item[0]), str(item[1])
-    raise ValueError(f"cannot interpret {item!r} as a sentence pair")
+# The (text, text, label) fields of each corpus record type.
+_FIELDS = {QERecord: lambda r: (r.source, r.target, r.score),
+           STSRecord: lambda r: (r.sentence1, r.sentence2, r.similarity),
+           NLIRecord: lambda r: (r.premise, r.hypothesis, r.label)}
 
 
-def as_text_pairs(data) -> list[tuple[str, str]]:
-    """Normalize records or tuples into a list of (textA, textB) pairs."""
-    return [_pair_of(item) for item in data]
+def _columns(data, records: tuple, width: int) -> tuple[list, list, list]:
+    """Texts A, texts B and (at width 3) labels of ``data``: a record of a type
+    in ``records`` is read through ``_FIELDS``, a tuple or list by position."""
+    texts_a, texts_b, labels = [], [], []
+    for index, item in enumerate(data):
+        if type(item) in records:
+            item = _FIELDS[type(item)](item)
+        elif not isinstance(item, (tuple, list)) or len(item) < width:
+            raise ValueError(f"item {index} must be a {'/'.join(r.__name__ for r in records)} or a "
+                             f"tuple or list of at least {width} fields, got {item!r}")
+        texts_a.append(str(item[0]))
+        texts_b.append(str(item[1]))
+        if width == 3:
+            labels.append(item[2])
+    return texts_a, texts_b, labels
+
+
+def as_text_pairs(data) -> tuple[list[str], list[str]]:
+    """Records or (textA, textB) tuples as columns (texts_a, texts_b)."""
+    return _columns(data, tuple(_FIELDS), 2)[:2]
 
 
 def as_pair_scores(data):
-    """Normalize scored pairs into (texts_a, texts_b, float64 scores in [0,1])."""
-    texts_a, texts_b, scores = [], [], []
-    for item in data:
-        if hasattr(item, "source"):
-            a, b, s = item.source, item.target, item.score
-        elif hasattr(item, "sentence1"):
-            a, b, s = item.sentence1, item.sentence2, item.similarity
-        else:
-            a, b, s = item[0], item[1], item[2]
-        texts_a.append(str(a))
-        texts_b.append(str(b))
-        scores.append(float(s))
+    """QE or STS records or scored tuples as (texts_a, texts_b, float64 scores in [0,1])."""
+    texts_a, texts_b, scores = _columns(data, (QERecord, STSRecord), 3)
     y = np.asarray(scores, dtype=np.float64)
     bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))  # NaN fails both comparisons
     if bad.size:
@@ -67,20 +70,14 @@ def as_pair_scores(data):
 
 
 def as_nli_data(data):
-    """Normalize labeled premise/hypothesis pairs into (texts, texts, int labels)."""
-    premises, hypotheses, labels = [], [], []
-    for item in data:
-        if hasattr(item, "premise"):
-            a, b, label = item.premise, item.hypothesis, item.label
-        else:
-            a, b, label = item[0], item[1], item[2]
-        label = int(label)
-        if label not in (0, 1, 2):
-            raise ValueError(f"inference label must be 0, 1 or 2, got {label}")
-        premises.append(str(a))
-        hypotheses.append(str(b))
-        labels.append(label)
-    return premises, hypotheses, np.asarray(labels, dtype=np.int64)
+    """NLI records or labeled tuples as (premises, hypotheses, int64 labels in {0, 1, 2})."""
+    premises, hypotheses, labels = _columns(data, (NLIRecord,), 3)
+    y = np.asarray(labels, dtype=np.float64)
+    bad = np.flatnonzero(~np.isin(y, (0, 1, 2)))
+    if bad.size:
+        raise ValueError(f"inference label must be 0, 1 or 2, got {labels[bad[0]]!r} "
+                         f"for pair {bad[0]}")
+    return premises, hypotheses, y.astype(np.int64)
 
 
 def check_is_fitted(estimator, *attributes) -> None:

@@ -356,6 +356,16 @@ class TestAugmentAndFilter:
         assert (tmp_path / "f1.qem").read_bytes() == (tmp_path / "f2.qem").read_bytes()
         _check_manifest(tmp_path / "f1.qem", "train-filter", 2, [aug], [tmp_path / "f1.qem"])
 
+    def test_train_filter_rejects_labels_other_than_1_and_0(self, tmp_path, capsys):
+        data = tmp_path / "scored.tsv"
+        data.write_text("a b\tc d\t1\ne f\tg h\t0\ni j\tk l\t0.5\nm n\to p\t0.25\n")
+        code = _run(["train-filter", "--data", data, "--epochs", 1, "--out", tmp_path / "f.qem",
+                     *NET])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: augmented file must label every pair 1 or 0; "
+                                           "2 pairs carry another label, the first 0.5\n")
+        assert not (tmp_path / "f.qem").exists()
+
 
 class TestAlignCli:
     def test_align_runs_and_is_deterministic(self, synth_prefix, tmp_path):

@@ -42,6 +42,11 @@ class TestMultitaskScorer:
         with pytest.raises(NotFittedError):
             MultitaskScorer(**SMALL).predict([("a", "b")])
 
+    def test_predict_rejects_one_pair_passed_flat(self):
+        scorer = MultitaskScorer(tasks=("qe",), epochs=1, seed=4, **SMALL).fit(_records(2))
+        with pytest.raises(ValueError, match="item 0"):
+            scorer.predict(["a b", "c d"])
+
     def test_predict_matches_single_pair_forward(self):
         records = _records(2)
         scorer = MultitaskScorer(tasks=("qe",), epochs=1, seed=4, **SMALL).fit(records)

@@ -51,9 +51,14 @@ class TestAsTextPairs:
             NLIRecord("p", "h", 1),
             ("plain a", "plain b"),
         ]
-        assert as_text_pairs(items) == [
-            ("src", "tgt"), ("s1", "s2"), ("p", "h"), ("plain a", "plain b")
-        ]
+        assert as_text_pairs(items) == (
+            ["src", "s1", "p", "plain a"], ["tgt", "s2", "h", "plain b"]
+        )
+
+    def test_rejects_a_bare_string(self):
+        # one pair passed flat is two strings, not two pairs
+        with pytest.raises(ValueError, match="item 0 must be"):
+            as_text_pairs(["source sentence", "target sentence"])
 
 
 class TestAsPairScores:
@@ -71,6 +76,12 @@ class TestAsPairScores:
         with pytest.raises(ValueError):
             as_pair_scores([("a", "b", 1.5)])
 
+    @pytest.mark.parametrize("item", [("a", "b"), NLIRecord("p", "h", 1)],
+                             ids=["2-tuple", "NLIRecord"])
+    def test_rejects_an_item_without_a_score(self, item):
+        with pytest.raises(ValueError, match="item 1 must be a QERecord/STSRecord"):
+            as_pair_scores([("x", "y", 0.5), item])
+
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, score):
         # NaN passes any < or > bound check, so it must be rejected as such
@@ -84,6 +95,10 @@ class TestAsNliData:
         assert labels.tolist() == [2, 0]
         with pytest.raises(ValueError):
             as_nli_data([("x", "y", 9)])
+
+    def test_rejects_a_fractional_label(self):
+        with pytest.raises(ValueError, match="got 1.7 for pair 1"):
+            as_nli_data([("x", "y", 0), ("p", "h", 1.7)])
 
 
 class TestCheckIsFitted:
